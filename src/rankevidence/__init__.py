@@ -32,10 +32,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     StudyResult,
-    run_dict_compare,
-    run_estimate_rlct,
-    run_rank_sweep,
-    run_regular_vs_singular,
+    run_study,
     summarize,
     write_study_outputs,
 )
@@ -55,10 +52,8 @@ from .oracle import (
     quadrature_log_evidence,
 )
 from .rlct import (
-    AnalyticRlct,
     SlopeFit,
     analytic_rlct,
-    bic_excess_penalty_rate,
     estimate_rlct_from_slope,
     fit_log_n_slope,
     predicted_bic_error_slope,

@@ -20,16 +20,22 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from ._linalg import NumericalError
 from .evidence import exact_log_evidence, full_laplace_log_evidence
 from .experiments import (
+    FIELD_TYPES,
+    STUDIES,
     ConfigError,
     ExperimentConfig,
     StudyResult,
+    _fmt,
+    mean_by_n,
     records_csv_text,
     run_study,
     summarize,
@@ -47,15 +53,10 @@ from .svgplot import line_chart
 
 OUTPUT_DIR_ENV = "RANKEVIDENCE_OUTPUT_DIR"
 
-_STUDY_BY_COMMAND = {
-    "rank-sweep": "rank_sweep",
-    "regular-vs-singular": "regular_vs_singular",
-    "dict-compare": "dict_compare",
-    "estimate-rlct": "estimate_rlct",
-}
+_STUDY_BY_COMMAND = {study.replace("_", "-"): study for study in STUDIES}
 
-_OVERRIDABLE_LIST_FIELDS = {"ranks", "n_grid", "seeds"}
-_OVERRIDABLE_SCALAR_FIELDS = {"d": int, "p": int, "sigma2": float, "tau2": float}
+# the subcommand fixes the study, and --output-dir / the environment the output dir
+_OVERRIDABLE = sorted(set(FIELD_TYPES) - {"study", "output_dir"})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,16 +105,13 @@ def parse_overrides(chunks: list[str]) -> dict:
                 raise ConfigError(f"override {item!r} is not of the form key=value")
             key, value = item.split("=", 1)
             key = key.strip()
+            if key not in _OVERRIDABLE:
+                raise ConfigError(
+                    f"unknown override field {key!r}; valid fields: {_OVERRIDABLE}"
+                )
+            kind = FIELD_TYPES[key]
             try:
-                if key in _OVERRIDABLE_LIST_FIELDS:
-                    out[key] = _parse_int_list(value)
-                elif key in _OVERRIDABLE_SCALAR_FIELDS:
-                    out[key] = _OVERRIDABLE_SCALAR_FIELDS[key](value)
-                else:
-                    raise ConfigError(
-                        f"unknown override field {key!r}; valid fields: "
-                        f"{sorted(_OVERRIDABLE_LIST_FIELDS | set(_OVERRIDABLE_SCALAR_FIELDS))}"
-                    )
+                out[key] = _parse_int_list(value) if kind == list[int] else kind(value)
             except ValueError as exc:
                 raise ConfigError(f"bad override value for {key!r}: {value!r} ({exc})")
     return out
@@ -134,50 +132,136 @@ def _load_config_file(path: str) -> dict:
 
 def build_config(study: str, args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then config file, then overrides, then the output-dir flag/env."""
-    cfg = ExperimentConfig.default_for(study)
+    merged = ExperimentConfig.default_for(study).to_dict()
     if args.config:
-        file_values = _load_config_file(args.config)
-        file_values["study"] = study
-        merged = cfg.to_dict()
-        merged.update(file_values)
-        cfg = ExperimentConfig.from_dict(merged)
-    for key, value in parse_overrides(args.overrides).items():
-        setattr(cfg, key, value)
-    cfg.study = study
-    if args.output_dir:
-        cfg.output_dir = args.output_dir
-    elif os.environ.get(OUTPUT_DIR_ENV):
-        cfg.output_dir = os.environ[OUTPUT_DIR_ENV]
-    cfg.validate()
-    return cfg
+        merged.update(_load_config_file(args.config))
+    merged.update(parse_overrides(args.overrides))
+    merged["study"] = study
+    output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
+    if output_dir:
+        merged["output_dir"] = output_dir
+    return ExperimentConfig.from_dict(merged)
 
 
 # ---------------------------------------------------------------------------
 # Plot-data emission
 # ---------------------------------------------------------------------------
 
-def _tsv(columns: list[str], rows: list[list]) -> str:
-    def fmt(v) -> str:
-        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-
+def _tsv(columns: tuple[str, ...], rows: list[list]) -> str:
     lines = ["\t".join(columns)]
-    lines.extend("\t".join(fmt(v) for v in row) for row in rows)
+    lines.extend("\t".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _mean_error_curve(result: StudyResult, rank: int) -> list[list]:
-    rows = [rec for rec in result.records if rec.rank == rank]
-    ns = sorted({rec.n for rec in rows})
-    out = []
-    for n in ns:
-        cell = [rec for rec in rows if rec.n == n]
-        out.append([
-            n,
-            math.log(n),
-            float(np.mean([rec.delta_bic for rec in cell])),
-            float(np.mean([rec.delta_rlct for rec in cell])),
-        ])
-    return out
+def _log_n_curve(rows, *extractors) -> list[list]:
+    """Rows of n, log n and the per-n mean of each extractor."""
+    ns, means = mean_by_n(rows, *extractors)
+    return [[n, math.log(n), *values] for n, *values in zip(ns, *means)]
+
+
+def _error_curve(result: StudyResult, rank: int) -> list[list]:
+    """Seed-mean BIC and corrected error curves of one rank."""
+    return _log_n_curve(
+        [rec for rec in result.records if rec.rank == rank],
+        lambda rec: rec.delta_bic,
+        lambda rec: rec.delta_rlct,
+    )
+
+
+def _spectra_rows(result: StudyResult) -> list[list]:
+    """Index and both Gram spectra, blank past the end of the shorter one."""
+    eig_min, eig_over = result.spectra
+    return [
+        [i,
+         float(eig_min[i]) if i < len(eig_min) else "",
+         float(eig_over[i]) if i < len(eig_over) else ""]
+        for i in range(max(len(eig_min), len(eig_over)))
+    ]
+
+
+def _by_rank(result: StudyResult):
+    return sorted(result.rank_summaries, key=lambda s: s.rank)
+
+
+@dataclass(frozen=True)
+class _Figure:
+    """One figure: the studies that emit it, its TSV, and the chart drawn
+    from the TSV rows (``x`` against each ``(column, legend)`` of ``ys``)."""
+
+    studies: tuple[str, ...]
+    stem: str
+    columns: tuple[str, ...]
+    rows: Callable[[StudyResult], list[list]]
+    x: str
+    ys: tuple[tuple[str, str], ...]
+    title: str          # formatted with d and the regular and singular ranks
+    xlabel: str
+    ylabel: str
+
+
+_ERROR_CURVE_COLUMNS = ("n", "log_n", "delta_bic_mean", "delta_rlct_mean")
+_ERROR_CURVE_SERIES = (("delta_bic_mean", "BIC error"), ("delta_rlct_mean", "corrected error"))
+_ERROR_CURVE_YLABEL = "approximate - exact log evidence"
+
+_FIGURES = (
+    _Figure(
+        ("rank_sweep", "estimate_rlct"), "fig1_rank_sweep",
+        ("rank", "slope_bic", "slope_rlct", "stderr_bic", "stderr_rlct"),
+        lambda res: [
+            [s.rank, s.fit_delta_bic.slope, s.fit_delta_rlct.slope,
+             s.fit_delta_bic.stderr_slope, s.fit_delta_rlct.stderr_slope]
+            for s in _by_rank(res)
+        ],
+        "rank", (("slope_bic", "BIC error slope"), ("slope_rlct", "corrected error slope")),
+        "Approximation error slopes vs intrinsic rank", "intrinsic rank r", "slope vs log n",
+    ),
+    _Figure(
+        ("estimate_rlct",), "lambda_vs_rank",
+        ("rank", "lambda_hat", "lambda_analytic"),
+        lambda res: [[s.rank, s.lambda_hat, s.lambda_analytic] for s in _by_rank(res)],
+        "rank", (("lambda_hat", "slope estimate"), ("lambda_analytic", "analytic r/2")),
+        "Effective dimension from evidence slopes", "intrinsic rank r", "lambda",
+    ),
+    _Figure(
+        ("regular_vs_singular",), "fig2_regular_error", _ERROR_CURVE_COLUMNS,
+        lambda res: _error_curve(res, max(res.config.ranks)), "log_n", _ERROR_CURVE_SERIES,
+        "Approximation error vs log n (d={d}, r={regular})", "log n", _ERROR_CURVE_YLABEL,
+    ),
+    _Figure(
+        ("regular_vs_singular",), "fig3_singular_error", _ERROR_CURVE_COLUMNS,
+        lambda res: _error_curve(res, min(res.config.ranks)), "log_n", _ERROR_CURVE_SERIES,
+        "Approximation error vs log n (d={d}, r={singular})", "log n", _ERROR_CURVE_YLABEL,
+    ),
+    _Figure(
+        ("dict_compare",), "fig4_dict_evidence_gap",
+        ("n", "log_n", "exact_gap_mean", "bic_gap_mean"),
+        lambda res: _log_n_curve(
+            res.dict_rows,
+            lambda c: c.exact_minimal - c.exact_overcomplete,
+            lambda c: c.bic_minimal - c.bic_overcomplete,
+        ),
+        "log_n", (("exact_gap_mean", "exact gap"), ("bic_gap_mean", "BIC gap")),
+        "Minimal minus overcomplete scores vs log n", "log n", "score gap",
+    ),
+    _Figure(
+        ("dict_compare",), "fig5_eigenspectra",
+        ("index", "eig_minimal", "eig_overcomplete"),
+        _spectra_rows,
+        "index", (("eig_minimal", "minimal"), ("eig_overcomplete", "overcomplete")),
+        "Gram matrix eigenvalue spectra", "eigenvalue index", "eigenvalue",
+    ),
+)
+
+
+def _chart(fig: _Figure, rows: list[list], cfg: ExperimentConfig) -> str:
+    x = fig.columns.index(fig.x)
+    series = []
+    for column, legend in fig.ys:
+        y = fig.columns.index(column)
+        kept = [row for row in rows if row[y] != ""]
+        series.append((legend, [row[x] for row in kept], [row[y] for row in kept]))
+    title = fig.title.format(d=cfg.d, regular=max(cfg.ranks), singular=min(cfg.ranks))
+    return line_chart(series, title=title, xlabel=fig.xlabel, ylabel=fig.ylabel)
 
 
 def emit_plot_data(result: StudyResult, out_dir: str | Path, plot: bool = False) -> list[Path]:
@@ -186,145 +270,23 @@ def emit_plot_data(result: StudyResult, out_dir: str | Path, plot: bool = False)
     Raises ValueError on an empty result before touching the filesystem, and
     writes atomically, so no partial file set is left behind.
     """
-    out = Path(out_dir)
-    files: list[tuple[str, str]] = []          # (name, text)
-    charts: list[tuple[str, str]] = []         # (name, svg)
-
-    if result.study in ("rank_sweep", "estimate_rlct"):
-        if not result.records:
-            raise ValueError("cannot emit plot data for an empty study result")
-        summaries = sorted(result.rank_summaries, key=lambda s: s.rank)
-        rows = [
-            [s.rank, s.fit_delta_bic.slope, s.fit_delta_rlct.slope,
-             s.fit_delta_bic.stderr_slope, s.fit_delta_rlct.stderr_slope]
-            for s in summaries
-        ]
-        files.append((
-            "fig1_rank_sweep.tsv",
-            _tsv(["rank", "slope_bic", "slope_rlct", "stderr_bic", "stderr_rlct"], rows),
-        ))
-        ranks = [float(s.rank) for s in summaries]
-        charts.append((
-            "fig1_rank_sweep.svg",
-            line_chart(
-                [
-                    ("BIC error slope", ranks, [s.fit_delta_bic.slope for s in summaries]),
-                    ("corrected error slope", ranks, [s.fit_delta_rlct.slope for s in summaries]),
-                ],
-                title="Approximation error slopes vs intrinsic rank",
-                xlabel="intrinsic rank r",
-                ylabel="slope vs log n",
-            ),
-        ))
-        if result.study == "estimate_rlct":
-            rows = [[s.rank, s.lambda_hat, s.lambda_analytic] for s in summaries]
-            files.append((
-                "lambda_vs_rank.tsv",
-                _tsv(["rank", "lambda_hat", "lambda_analytic"], rows),
-            ))
-            charts.append((
-                "lambda_vs_rank.svg",
-                line_chart(
-                    [
-                        ("slope estimate", ranks, [s.lambda_hat for s in summaries]),
-                        ("analytic r/2", ranks, [s.lambda_analytic for s in summaries]),
-                    ],
-                    title="Effective dimension from evidence slopes",
-                    xlabel="intrinsic rank r",
-                    ylabel="lambda",
-                ),
-            ))
-    elif result.study == "regular_vs_singular":
-        if not result.records:
-            raise ValueError("cannot emit plot data for an empty study result")
-        d = result.config.d
-        regular = max(result.config.ranks)
-        singular = min(result.config.ranks)
-        for name, rank, fig in (
-            ("fig2_regular_error.tsv", regular, "fig2_regular_error.svg"),
-            ("fig3_singular_error.tsv", singular, "fig3_singular_error.svg"),
-        ):
-            rows = _mean_error_curve(result, rank)
-            files.append((name, _tsv(["n", "log_n", "delta_bic_mean", "delta_rlct_mean"], rows)))
-            charts.append((
-                fig,
-                line_chart(
-                    [
-                        ("BIC error", [r[1] for r in rows], [r[2] for r in rows]),
-                        ("corrected error", [r[1] for r in rows], [r[3] for r in rows]),
-                    ],
-                    title=f"Approximation error vs log n (d={d}, r={rank})",
-                    xlabel="log n",
-                    ylabel="approximate - exact log evidence",
-                ),
-            ))
-    elif result.study == "dict_compare":
-        if not result.dict_rows:
-            raise ValueError("cannot emit plot data for an empty study result")
-        by_n: dict[int, list] = {}
-        for c in result.dict_rows:
-            by_n.setdefault(c.n, []).append(c)
-        gap_rows = []
-        for n in sorted(by_n):
-            cell = by_n[n]
-            gap_rows.append([
-                n,
-                math.log(n),
-                float(np.mean([c.exact_minimal - c.exact_overcomplete for c in cell])),
-                float(np.mean([c.bic_minimal - c.bic_overcomplete for c in cell])),
-            ])
-        files.append((
-            "fig4_dict_evidence_gap.tsv",
-            _tsv(["n", "log_n", "exact_gap_mean", "bic_gap_mean"], gap_rows),
-        ))
-        eig_min, eig_over = result.spectra
-        depth = max(len(eig_min), len(eig_over))
-        spec_rows = [
-            [i,
-             float(eig_min[i]) if i < len(eig_min) else "",
-             float(eig_over[i]) if i < len(eig_over) else ""]
-            for i in range(depth)
-        ]
-        files.append((
-            "fig5_eigenspectra.tsv",
-            _tsv(["index", "eig_minimal", "eig_overcomplete"], spec_rows),
-        ))
-        charts.append((
-            "fig4_dict_evidence_gap.svg",
-            line_chart(
-                [
-                    ("exact gap", [r[1] for r in gap_rows], [r[2] for r in gap_rows]),
-                    ("BIC gap", [r[1] for r in gap_rows], [r[3] for r in gap_rows]),
-                ],
-                title="Minimal minus overcomplete scores vs log n",
-                xlabel="log n",
-                ylabel="score gap",
-            ),
-        ))
-        charts.append((
-            "fig5_eigenspectra.svg",
-            line_chart(
-                [
-                    ("minimal", list(range(len(eig_min))), [float(v) for v in eig_min]),
-                    ("overcomplete", list(range(len(eig_over))), [float(v) for v in eig_over]),
-                ],
-                title="Gram matrix eigenvalue spectra",
-                xlabel="eigenvalue index",
-                ylabel="eigenvalue",
-            ),
-        ))
-    else:
+    figures = [fig for fig in _FIGURES if result.study in fig.studies]
+    if not figures:
         raise ValueError(f"no plot data defined for study {result.study!r}")
-
-    written = []
-    for name, text in files:
+    if not (result.records or result.dict_rows):
+        raise ValueError("cannot emit plot data for an empty study result")
+    texts: dict[str, str] = {}
+    charts: dict[str, str] = {}
+    for fig in figures:
+        rows = fig.rows(result)
+        texts[f"{fig.stem}.tsv"] = _tsv(fig.columns, rows)
+        if plot:
+            charts[f"{fig.stem}.svg"] = _chart(fig, rows, result.config)
+    out = Path(out_dir)
+    files = {**texts, **charts}
+    for name, text in files.items():
         write_atomic(out / name, text)
-        written.append(out / name)
-    if plot:
-        for name, svg in charts:
-            write_atomic(out / name, svg)
-            written.append(out / name)
-    return written
+    return [out / name for name in files]
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +307,9 @@ def _run_study_command(command: str, args: argparse.Namespace) -> int:
 
 def _run_evidence_command(args: argparse.Namespace) -> int:
     cfg = build_config("rank_sweep", args)
+    cfg.validate()
     cfg.ranks = cfg.ranks[:1]
     cfg.seeds = cfg.seeds[:1]
-    cfg.validate()
     result = run_study(cfg)
     rank, seed = cfg.ranks[0], cfg.seeds[0]
     sys.stdout.write(

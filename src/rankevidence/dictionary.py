@@ -147,9 +147,7 @@ def spectrum_rank(eigenvalues: np.ndarray, size: int) -> int:
     return psd_spectral_rank(eigenvalues, size)
 
 
-def ml_fit_term(
-    data: DictionaryDataset, shape_d: int, tau2: float, sigma2: float
-) -> float:
+def ml_fit_term(data: DictionaryDataset, shape_d: int, sigma2: float) -> float:
     """Maximized log likelihood over all dictionaries with shape_d columns.
 
     With known noise variance the optimum has a closed form: eigendecompose
@@ -158,10 +156,8 @@ def ml_fit_term(
     and evaluate the Gaussian log likelihood under the resulting covariance.
     Directions whose sample eigenvalue falls below sigma2 clamp to pure noise,
     which is why extra columns beyond the data rank buy only an O(1) gain.
-    ``tau2`` does not move the optimum (the latent scale is absorbed into the
-    dictionary); it is accepted so callers can pass the model parametrization.
+    The latent scale tau2 does not move the optimum: the dictionary absorbs it.
     """
-    del tau2
     if data.n < 1:
         raise ValueError(f"need at least one observation, got n={data.n}")
     if shape_d < 0:
@@ -187,10 +183,8 @@ class DictionaryComparison:
     ``bic_*`` and ``rlct_*`` scores apply the per-shape (columns/2) log n and
     shared (r/2) log n penalties to a common fit term — the minimal-shape ML
     fit, which the overcomplete shape matches up to a bounded clamping gain —
-    so the score gaps isolate the penalty difference.  Two alternative
-    readings remain inspectable: ``*_ml`` scores use the overcomplete shape's
-    own ML fit, and ``*_at_truth`` scores use the exact log likelihoods at the
-    generating dictionaries.
+    so the score gaps isolate the penalty difference.  The ``*_ml`` scores
+    use the overcomplete shape's own ML fit instead.
     """
 
     n: int
@@ -205,10 +199,6 @@ class DictionaryComparison:
     rlct_overcomplete: float
     bic_overcomplete_ml: float
     rlct_overcomplete_ml: float
-    bic_minimal_at_truth: float
-    bic_overcomplete_at_truth: float
-    rlct_minimal_at_truth: float
-    rlct_overcomplete_at_truth: float
 
 
 def dictionary_comparison(
@@ -223,9 +213,9 @@ def dictionary_comparison(
     data = sample_dictionary_data(minimal, n, seed)
     exact_min = dict_log_likelihood(minimal, data)
     exact_over = dict_log_likelihood(overcomplete, data)
-    fit_min = ml_fit_term(data, minimal.d, minimal.tau2, minimal.sigma2)
-    fit_over = ml_fit_term(data, overcomplete.d, overcomplete.tau2, overcomplete.sigma2)
-    lam = analytic_rlct(minimal.r).lam
+    fit_min = ml_fit_term(data, minimal.d, minimal.sigma2)
+    fit_over = ml_fit_term(data, overcomplete.d, overcomplete.sigma2)
+    lam = analytic_rlct(minimal.r)
     return DictionaryComparison(
         n=n,
         seed=seed,
@@ -239,8 +229,4 @@ def dictionary_comparison(
         rlct_overcomplete=rlct_score(fit_min, lam, n),
         bic_overcomplete_ml=bic_score(fit_over, overcomplete.d, n),
         rlct_overcomplete_ml=rlct_score(fit_over, lam, n),
-        bic_minimal_at_truth=bic_score(exact_min, minimal.d, n),
-        bic_overcomplete_at_truth=bic_score(exact_over, overcomplete.d, n),
-        rlct_minimal_at_truth=rlct_score(exact_min, lam, n),
-        rlct_overcomplete_at_truth=rlct_score(exact_over, lam, n),
     )

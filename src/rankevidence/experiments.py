@@ -1,13 +1,13 @@
 """Study orchestration: seed ensembles over sample-size grids, aggregation,
 and CSV persistence.
 
-Three studies are built in.  ``rank_sweep`` varies the intrinsic rank at
+Four studies are built in.  ``rank_sweep`` varies the intrinsic rank at
 fixed ambient dimension and fits the log-n slopes of the BIC and corrected
 approximation errors.  ``regular_vs_singular`` contrasts a full-rank with a
 rank-deficient configuration.  ``dict_compare`` scores a minimal and an
 overcomplete dictionary for the same subspace on shared data.
 ``estimate_rlct`` reuses the sweep cells and reports the slope-based
-effective-dimension estimates.
+effective-dimension estimates.  :func:`run_study` runs any of them.
 
 Raw per-cell records are persisted before any aggregation, floats are written
 as shortest round-trip decimals, and timestamps live in a sidecar file, so
@@ -24,7 +24,8 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +49,12 @@ from .rlct import (
 
 STUDIES = ("rank_sweep", "regular_vs_singular", "dict_compare", "estimate_rlct")
 
-RECORD_COLUMNS = [
-    "study", "rank", "d", "p", "seed", "n",
-    "log_z_exact", "log_lik_mle", "log_z_bic", "log_z_rlct",
-    "delta_bic", "delta_rlct",
+# the EvidenceRecord fields a RecordRow carries
+_SCORE_COLUMNS = [
+    "log_z_exact", "log_lik_mle", "log_z_bic", "log_z_rlct", "delta_bic", "delta_rlct",
 ]
+
+RECORD_COLUMNS = ["study", "rank", "d", "p", "seed", "n", *_SCORE_COLUMNS]
 
 SLOPE_COLUMNS = [
     "rank", "slope_delta_bic", "stderr_bic", "slope_delta_rlct", "stderr_rlct",
@@ -67,6 +69,7 @@ DICT_TABLE_QUANTITIES = [
     "rlct_minimal", "rlct_overcomplete",
 ]
 
+# the first four come from the config, the rest are DictionaryComparison fields
 DICT_RECORD_COLUMNS = [
     "study", "rank", "d", "p", "seed", "n",
     "exact_minimal", "exact_overcomplete", "fit_minimal", "fit_overcomplete",
@@ -106,6 +109,8 @@ class ExperimentConfig:
             raise ConfigError("sigma2 and tau2 must be positive")
         if not self.ranks:
             raise ConfigError("need at least one rank")
+        if len(set(self.ranks)) != len(self.ranks):
+            raise ConfigError(f"ranks must not repeat, got {self.ranks}")
         bound = min(self.p, self.d)
         for r in self.ranks:
             if not 0 < r <= bound:
@@ -120,6 +125,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be nonnegative")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         if self.study == "regular_vs_singular":
             if len(self.ranks) != 2 or self.d not in self.ranks:
                 raise ConfigError(
@@ -147,15 +154,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
+        """Study defaults overlaid with ``mapping``, each value coerced to
+        its field's type."""
+        unknown = set(mapping) - set(FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        base = mapping.get("study")
-        cfg = cls.default_for(base) if base else cls()
-        for key, value in mapping.items():
-            setattr(cfg, key, _coerce_field(key, value))
-        return cfg
+        values = {key: _coerce_field(key, value) for key, value in mapping.items()}
+        base = values.get("study")
+        return replace(cls.default_for(base) if base else cls(), **values)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -167,26 +173,27 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-_INT_LIST_FIELDS = {"ranks", "n_grid", "seeds"}
-_INT_FIELDS = {"d", "p"}
-_FLOAT_FIELDS = {"sigma2", "tau2"}
+# field name -> type (int, float, str or list[int]); the one table of field types
+FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _as_int(value) -> int:
+    """An int, integral float or integer string as int; bools and fractions rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected an integer")
+    return int(value)
 
 
 def _coerce_field(key: str, value):
+    kind = FIELD_TYPES[key]
     try:
-        if key in _INT_LIST_FIELDS:
+        if kind == list[int]:
             if not isinstance(value, (list, tuple)):
                 raise TypeError("expected a list")
-            return [int(v) for v in value]
-        if key in _INT_FIELDS:
-            return int(value)
-        if key in _FLOAT_FIELDS:
-            return float(value)
-        if key in ("study", "output_dir"):
-            return str(value)
+            return [_as_int(v) for v in value]
+        return _as_int(value) if kind is int else kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for config field {key!r}: {value!r} ({exc})")
-    raise ConfigError(f"unknown config field {key!r}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +261,7 @@ def _regression_cells(cfg: ExperimentConfig) -> tuple[list[RecordRow], list[Cell
     records: list[RecordRow] = []
     failures: list[CellFailure] = []
     for rank in cfg.ranks:
-        lam = analytic_rlct(rank).lam
+        lam = analytic_rlct(rank)
         for seed in cfg.seeds:
             spec = make_spec(cfg.p, cfg.d, rank, cfg.sigma2, cfg.tau2, seed=seed)
             gen = DataGenConfig(seed=seed)
@@ -265,21 +272,26 @@ def _regression_cells(cfg: ExperimentConfig) -> tuple[list[RecordRow], list[Cell
                         A=ds.A, y=ds.y, sigma2=cfg.sigma2, tau2=cfg.tau2
                     )
                     rec = evidence_record(prob, lam=lam)
-                    values = (
-                        rec.log_z_exact, rec.log_lik_mle, rec.log_z_bic,
-                        rec.log_z_rlct, rec.delta_bic, rec.delta_rlct,
-                    )
-                    if not all(math.isfinite(v) for v in values):
+                    scores = {key: getattr(rec, key) for key in _SCORE_COLUMNS}
+                    if not all(math.isfinite(v) for v in scores.values()):
                         raise NumericalError("non-finite value in evidence record")
                     records.append(RecordRow(
                         study=cfg.study, rank=rank, d=cfg.d, p=cfg.p, seed=seed, n=n,
-                        log_z_exact=rec.log_z_exact, log_lik_mle=rec.log_lik_mle,
-                        log_z_bic=rec.log_z_bic, log_z_rlct=rec.log_z_rlct,
-                        delta_bic=rec.delta_bic, delta_rlct=rec.delta_rlct,
+                        **scores,
                     ))
                 except (NumericalError, np.linalg.LinAlgError) as exc:
                     failures.append(CellFailure(rank=rank, seed=seed, n=n, message=str(exc)))
     return records, failures
+
+
+def mean_by_n(rows, *extractors) -> tuple[list[int], list[list[float]]]:
+    """The sample sizes present in ``rows`` in increasing order, and for each
+    extractor the mean of its values over the rows at each of those sizes."""
+    by_n: dict[int, list] = {}
+    for row in rows:
+        by_n.setdefault(row.n, []).append(row)
+    ns = sorted(by_n)
+    return ns, [[float(np.mean([f(row) for row in by_n[n]])) for n in ns] for f in extractors]
 
 
 def aggregate_rank_summaries(
@@ -295,26 +307,22 @@ def aggregate_rank_summaries(
         rows = [rec for rec in records if rec.rank == rank]
         if not rows:
             raise NumericalError(f"no surviving cells for rank {rank}")
-        by_n: dict[int, list[RecordRow]] = {}
-        for rec in rows:
-            by_n.setdefault(rec.n, []).append(rec)
-        ns = sorted(by_n)
+        ns, (dbic, drlct, centered) = mean_by_n(
+            rows,
+            lambda r: r.delta_bic,
+            lambda r: r.delta_rlct,
+            lambda r: r.log_z_exact - r.log_lik_mle,
+        )
         if len(ns) < 2:
             raise NumericalError(
                 f"rank {rank} has fewer than 2 usable grid points after failures"
             )
-        mean_dbic = [(n, float(np.mean([r.delta_bic for r in by_n[n]]))) for n in ns]
-        mean_drlct = [(n, float(np.mean([r.delta_rlct for r in by_n[n]]))) for n in ns]
-        centered = [
-            (n, float(np.mean([r.log_z_exact - r.log_lik_mle for r in by_n[n]])))
-            for n in ns
-        ]
         summaries.append(RankSummary(
             rank=rank,
-            fit_delta_bic=fit_log_n_slope(mean_dbic),
-            fit_delta_rlct=fit_log_n_slope(mean_drlct),
-            lambda_hat=estimate_rlct_from_slope(centered),
-            lambda_analytic=analytic_rlct(rank).lam,
+            fit_delta_bic=fit_log_n_slope(zip(ns, dbic)),
+            fit_delta_rlct=fit_log_n_slope(zip(ns, drlct)),
+            lambda_hat=estimate_rlct_from_slope(zip(ns, centered)),
+            lambda_analytic=analytic_rlct(rank),
             n_seeds=len({r.seed for r in rows}),
             n_points=len(ns),
         ))
@@ -339,42 +347,17 @@ def _per_seed_slopes(
     return out
 
 
-def _run_regression_study(cfg: ExperimentConfig) -> StudyResult:
-    cfg.validate()
-    started = time.time()
+def _regression_study(cfg: ExperimentConfig) -> StudyResult:
+    """Evidence records and error slopes for every configured rank."""
     records, failures = _regression_cells(cfg)
-    summaries = aggregate_rank_summaries(records, cfg.ranks)
-    result = StudyResult(
+    return StudyResult(
         study=cfg.study,
         config=cfg,
         records=records,
         failures=failures,
-        rank_summaries=summaries,
+        rank_summaries=aggregate_rank_summaries(records, cfg.ranks),
         per_seed_slopes=_per_seed_slopes(records, cfg.ranks),
     )
-    result.metadata = _metadata(cfg, started, len(records), len(failures))
-    return result
-
-
-def run_rank_sweep(cfg: ExperimentConfig) -> StudyResult:
-    """Evidence records and error slopes for every configured rank."""
-    if cfg.study != "rank_sweep":
-        raise ConfigError(f"run_rank_sweep got study {cfg.study!r}")
-    return _run_regression_study(cfg)
-
-
-def run_regular_vs_singular(cfg: ExperimentConfig) -> StudyResult:
-    """Paired full-rank vs rank-deficient runs on the same grid."""
-    if cfg.study != "regular_vs_singular":
-        raise ConfigError(f"run_regular_vs_singular got study {cfg.study!r}")
-    return _run_regression_study(cfg)
-
-
-def run_estimate_rlct(cfg: ExperimentConfig) -> StudyResult:
-    """Rank-sweep cells, reported through the lambda estimates."""
-    if cfg.study != "estimate_rlct":
-        raise ConfigError(f"run_estimate_rlct got study {cfg.study!r}")
-    return _run_regression_study(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +367,8 @@ def run_estimate_rlct(cfg: ExperimentConfig) -> StudyResult:
 _DICT_TABLE_TARGET_N = 200
 
 
-def run_dict_compare(cfg: ExperimentConfig) -> StudyResult:
+def _dict_study(cfg: ExperimentConfig) -> StudyResult:
     """Minimal vs overcomplete dictionary scores over seeds and sample sizes."""
-    if cfg.study != "dict_compare":
-        raise ConfigError(f"run_dict_compare got study {cfg.study!r}")
-    cfg.validate()
-    started = time.time()
     r = cfg.ranks[0]
     rows: list[DictionaryComparison] = []
     failures: list[CellFailure] = []
@@ -413,19 +392,16 @@ def run_dict_compare(cfg: ExperimentConfig) -> StudyResult:
 
     gap_slopes = _dict_gap_slopes(rows)
     table_n = min(cfg.n_grid, key=lambda n: abs(n - _DICT_TABLE_TARGET_N))
-    table = _dict_table(rows, cfg.seeds[0], table_n)
-    result = StudyResult(
+    return StudyResult(
         study=cfg.study,
         config=cfg,
         failures=failures,
         dict_rows=rows,
-        dict_table=table,
+        dict_table=_dict_table(rows, cfg.seeds[0], table_n),
         dict_table_n=table_n,
         dict_gap_slopes=gap_slopes,
         spectra=spectra,
     )
-    result.metadata = _metadata(cfg, started, len(rows), len(failures))
-    return result
 
 
 def _dict_gap_slopes(rows: list[DictionaryComparison]) -> dict[str, SlopeFit]:
@@ -435,22 +411,16 @@ def _dict_gap_slopes(rows: list[DictionaryComparison]) -> dict[str, SlopeFit]:
     the gap is purely the penalty difference); ``bic_gap_ml`` lets each shape
     use its own ML fit; ``fit_gap`` tracks how far apart those fits are.
     """
-    by_n: dict[int, list[DictionaryComparison]] = {}
-    for row in rows:
-        by_n.setdefault(row.n, []).append(row)
-    ns = sorted(by_n)
+    gaps = {
+        "exact_gap": lambda c: c.exact_minimal - c.exact_overcomplete,
+        "bic_gap": lambda c: c.bic_minimal - c.bic_overcomplete,
+        "bic_gap_ml": lambda c: c.bic_minimal - c.bic_overcomplete_ml,
+        "fit_gap": lambda c: c.fit_minimal - c.fit_overcomplete,
+    }
+    ns, means = mean_by_n(rows, *gaps.values())
     if len(ns) < 2:
         raise NumericalError("dictionary study has fewer than 2 usable grid points")
-
-    def mean_gap(extract) -> list[tuple[int, float]]:
-        return [(n, float(np.mean([extract(c) for c in by_n[n]]))) for n in ns]
-
-    return {
-        "exact_gap": fit_log_n_slope(mean_gap(lambda c: c.exact_minimal - c.exact_overcomplete)),
-        "bic_gap": fit_log_n_slope(mean_gap(lambda c: c.bic_minimal - c.bic_overcomplete)),
-        "bic_gap_ml": fit_log_n_slope(mean_gap(lambda c: c.bic_minimal - c.bic_overcomplete_ml)),
-        "fit_gap": fit_log_n_slope(mean_gap(lambda c: c.fit_minimal - c.fit_overcomplete)),
-    }
+    return {name: fit_log_n_slope(zip(ns, mean)) for name, mean in zip(gaps, means)}
 
 
 def _dict_table(
@@ -458,14 +428,7 @@ def _dict_table(
 ) -> dict[str, float]:
     for row in rows:
         if row.seed == seed and row.n == n:
-            return {
-                "exact_minimal": row.exact_minimal,
-                "exact_overcomplete": row.exact_overcomplete,
-                "bic_minimal": row.bic_minimal,
-                "bic_overcomplete": row.bic_overcomplete,
-                "rlct_minimal": row.rlct_minimal,
-                "rlct_overcomplete": row.rlct_overcomplete,
-            }
+            return {key: getattr(row, key) for key in DICT_TABLE_QUANTITIES}
     raise NumericalError(f"no comparison row for seed={seed}, n={n}")
 
 
@@ -559,12 +522,7 @@ def _csv_text(columns: list[str], rows: list[list]) -> str:
 
 
 def records_csv_text(records: list[RecordRow]) -> str:
-    rows = [
-        [rec.study, rec.rank, rec.d, rec.p, rec.seed, rec.n,
-         rec.log_z_exact, rec.log_lik_mle, rec.log_z_bic, rec.log_z_rlct,
-         rec.delta_bic, rec.delta_rlct]
-        for rec in records
-    ]
+    rows = [[getattr(rec, key) for key in RECORD_COLUMNS] for rec in records]
     return _csv_text(RECORD_COLUMNS, rows)
 
 
@@ -590,10 +548,8 @@ def per_seed_slopes_csv_text(per_seed: dict[int, list[tuple[int, float, float]]]
 def dict_records_csv_text(result: StudyResult) -> str:
     cfg = result.config
     rows = [
-        [cfg.study, cfg.ranks[0], cfg.d, cfg.p, c.seed, c.n,
-         c.exact_minimal, c.exact_overcomplete, c.fit_minimal, c.fit_overcomplete,
-         c.bic_minimal, c.bic_overcomplete, c.rlct_minimal, c.rlct_overcomplete,
-         c.bic_overcomplete_ml, c.rlct_overcomplete_ml]
+        [cfg.study, cfg.ranks[0], cfg.d, cfg.p]
+        + [getattr(c, key) for key in DICT_RECORD_COLUMNS[4:]]
         for c in result.dict_rows or []
     ]
     return _csv_text(DICT_RECORD_COLUMNS, rows)
@@ -626,38 +582,34 @@ def read_records_csv(path: Path) -> list[RecordRow]:
 def write_study_outputs(result: StudyResult, out_dir: str | Path) -> list[Path]:
     """Persist raw records, the slope/table summary CSV, the text summary,
     and the timestamp sidecar.  Returns the written paths."""
-    out = Path(out_dir)
-    written: list[Path] = []
     if result.dict_rows is not None:
-        write_atomic(out / "dict_records.csv", dict_records_csv_text(result))
-        written.append(out / "dict_records.csv")
+        files = {"dict_records.csv": dict_records_csv_text(result)}
         if result.dict_table is not None:
-            write_atomic(out / "dict_compare.csv", dict_table_csv_text(result.dict_table))
-            written.append(out / "dict_compare.csv")
+            files["dict_compare.csv"] = dict_table_csv_text(result.dict_table)
     else:
-        write_atomic(out / "evidence_records.csv", records_csv_text(result.records))
-        written.append(out / "evidence_records.csv")
-        write_atomic(out / "slopes.csv", slopes_csv_text(result.rank_summaries))
-        written.append(out / "slopes.csv")
-        write_atomic(out / "per_seed_slopes.csv", per_seed_slopes_csv_text(result.per_seed_slopes))
-        written.append(out / "per_seed_slopes.csv")
-    write_atomic(out / "summary.txt", summarize(result))
-    written.append(out / "summary.txt")
-    write_atomic(out / "run_meta.json", json.dumps(result.metadata, indent=2) + "\n")
-    written.append(out / "run_meta.json")
-    return written
-
-
-RUNNERS = {
-    "rank_sweep": run_rank_sweep,
-    "regular_vs_singular": run_regular_vs_singular,
-    "dict_compare": run_dict_compare,
-    "estimate_rlct": run_estimate_rlct,
-}
+        files = {
+            "evidence_records.csv": records_csv_text(result.records),
+            "slopes.csv": slopes_csv_text(result.rank_summaries),
+            "per_seed_slopes.csv": per_seed_slopes_csv_text(result.per_seed_slopes),
+        }
+    files["summary.txt"] = summarize(result)
+    files["run_meta.json"] = json.dumps(result.metadata, indent=2) + "\n"
+    out = Path(out_dir)
+    for name, text in files.items():
+        write_atomic(out / name, text)
+    return [out / name for name in files]
 
 
 def run_study(cfg: ExperimentConfig) -> StudyResult:
-    """Dispatch to the runner for cfg.study."""
-    if cfg.study not in RUNNERS:
-        raise ConfigError(f"unknown study {cfg.study!r}; choose from {STUDIES}")
-    return RUNNERS[cfg.study](cfg)
+    """Validate ``cfg`` and run its study: the dictionary comparison for
+    ``dict_compare``, the per-rank regression cells and slopes otherwise."""
+    cfg.validate()
+    started = time.time()
+    if cfg.study == "dict_compare":
+        result = _dict_study(cfg)
+        n_rows = len(result.dict_rows)
+    else:
+        result = _regression_study(cfg)
+        n_rows = len(result.records)
+    result.metadata = _metadata(cfg, started, n_rows, len(result.failures))
+    return result

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NumericalError, numerical_rank, psd_spectral_rank
+from ._linalg import NumericalError, numerical_rank
 from ._rng import substream
 
 _MAX_FACTOR_ATTEMPTS = 8
@@ -67,14 +67,9 @@ class RegressionDataset:
 
 @dataclass(frozen=True)
 class DataGenConfig:
-    """How covariates are drawn and which deterministic stream to use."""
+    """Which deterministic stream a dataset is drawn from."""
 
-    input_covariance: str = "identity"
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.input_covariance != "identity":
-            raise ValueError(f"unsupported input covariance: {self.input_covariance!r}")
 
 
 def make_rank_r_factor(p: int, d: int, r: int, seed: int) -> np.ndarray:
@@ -147,9 +142,3 @@ def population_gram(spec: RankRegressionSpec) -> np.ndarray:
     Symmetric positive semidefinite with exactly r nonzero eigenvalues.
     """
     return spec.B_star.T @ spec.B_star
-
-
-def gram_rank(spec: RankRegressionSpec) -> int:
-    """Numerical rank of the population Gram matrix."""
-    eigs = np.linalg.eigvalsh(population_gram(spec))
-    return psd_spectral_rank(eigs, spec.d)

@@ -17,14 +17,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class AnalyticRlct:
-    """Log-n coefficient lambda and its log-log-n multiplicity."""
-
-    lam: float
-    multiplicity: int = 1
-
-
-@dataclass(frozen=True)
 class SlopeFit:
     """OLS fit of a value sequence against log n."""
 
@@ -35,14 +27,14 @@ class SlopeFit:
     r_squared: float
 
 
-def analytic_rlct(r: int) -> AnalyticRlct:
-    """lambda = r/2 with multiplicity 1 for a rank-r design.
+def analytic_rlct(r: int) -> float:
+    """lambda = r/2 for a rank-r design.
 
     At ``r = d`` (regular model) this is the usual d/2 of BIC.
     """
     if r < 0:
         raise ValueError(f"rank must be nonnegative, got {r}")
-    return AnalyticRlct(lam=r / 2.0, multiplicity=1)
+    return r / 2.0
 
 
 def fit_log_n_slope(points: Iterable[tuple[int, float]]) -> SlopeFit:
@@ -83,43 +75,24 @@ def fit_log_n_slope(points: Iterable[tuple[int, float]]) -> SlopeFit:
     )
 
 
-def estimate_rlct_from_slope(
-    evidence_points: Iterable[tuple[int, float]], *, halve_slope: bool = False
-) -> float:
+def estimate_rlct_from_slope(evidence_points: Iterable[tuple[int, float]]) -> float:
     """Empirical lambda from the slope of centered evidence against log n.
 
     ``evidence_points`` are ``(n, log_z_exact - log_lik_mle)`` pairs: centering
     by the fit term removes the O(n) data-fit component, leaving
     ``-lambda log n + O(1)``, so the estimator is the negated OLS slope.
-    ``halve_slope=True`` instead returns ``-slope / 2``, a variant kept for
-    comparison with conventions that fold the 1/2 into the estimator; it does
-    not converge to lambda for these models.
     """
-    fit = fit_log_n_slope(evidence_points)
-    lam_hat = -fit.slope
-    return 0.5 * lam_hat if halve_slope else lam_hat
+    return -fit_log_n_slope(evidence_points).slope
 
 
 def predicted_bic_error_slope(d: int, r: int) -> float:
     """Predicted slope of (BIC score - exact log evidence) against log n.
 
     BIC penalizes by (d/2) log n where only (r/2) log n is warranted, so the
-    measured error drifts down at rate -(d - r)/2.  This is the sign the
-    study harness observes; :func:`bic_excess_penalty_rate` exposes the same
-    magnitude with the positive over-penalization sign convention.
+    measured error drifts down at rate -(d - r)/2.
     """
-    _check_rank_dim(d, r)
-    return -0.5 * (d - r)
-
-
-def bic_excess_penalty_rate(d: int, r: int) -> float:
-    """Per-log-n rate (d - r)/2 at which BIC over-penalizes a rank-r design."""
-    _check_rank_dim(d, r)
-    return 0.5 * (d - r)
-
-
-def _check_rank_dim(d: int, r: int) -> None:
     if d < 0:
         raise ValueError(f"dimension must be nonnegative, got {d}")
     if not 0 <= r <= d:
         raise ValueError(f"rank must satisfy 0 <= r <= d, got r={r}, d={d}")
+    return -0.5 * (d - r)

@@ -22,9 +22,7 @@ from rankevidence.evidence import (
 from rankevidence.experiments import (
     ExperimentConfig,
     read_records_csv,
-    run_dict_compare,
-    run_rank_sweep,
-    run_regular_vs_singular,
+    run_study,
     write_study_outputs,
 )
 from rankevidence.oracle import quadrature_log_evidence, random_problem
@@ -39,17 +37,17 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def rank_sweep_result():
-    return run_rank_sweep(ExperimentConfig.default_for("rank_sweep"))
+    return run_study(ExperimentConfig.default_for("rank_sweep"))
 
 
 @pytest.fixture(scope="module")
 def regular_vs_singular_result():
-    return run_regular_vs_singular(ExperimentConfig.default_for("regular_vs_singular"))
+    return run_study(ExperimentConfig.default_for("regular_vs_singular"))
 
 
 @pytest.fixture(scope="module")
 def dict_result():
-    return run_dict_compare(ExperimentConfig.default_for("dict_compare"))
+    return run_study(ExperimentConfig.default_for("dict_compare"))
 
 
 def test_criterion_1_closed_form_vs_quadrature():
@@ -191,7 +189,7 @@ def test_criterion_8_determinism(tmp_path):
         study="rank_sweep", ranks=[1, 3], seeds=[0, 1, 2], n_grid=[50, 100, 200, 400]
     )
     for sub in ("first", "second"):
-        write_study_outputs(run_rank_sweep(cfg), tmp_path / sub)
+        write_study_outputs(run_study(cfg), tmp_path / sub)
     pairs = [
         ((tmp_path / "first" / name).read_bytes(), (tmp_path / "second" / name).read_bytes())
         for name in ("evidence_records.csv", "slopes.csv")
@@ -200,7 +198,7 @@ def test_criterion_8_determinism(tmp_path):
         study="dict_compare", p=8, d=6, ranks=[3], seeds=[0, 1], n_grid=[100, 200]
     )
     for sub in ("dfirst", "dsecond"):
-        write_study_outputs(run_dict_compare(dcfg), tmp_path / sub)
+        write_study_outputs(run_study(dcfg), tmp_path / sub)
     pairs.append((
         (tmp_path / "dfirst" / "dict_records.csv").read_bytes(),
         (tmp_path / "dsecond" / "dict_records.csv").read_bytes(),

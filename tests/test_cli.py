@@ -11,13 +11,7 @@ from rankevidence.cli import (
     main,
     parse_overrides,
 )
-from rankevidence.experiments import (
-    ConfigError,
-    ExperimentConfig,
-    run_dict_compare,
-    run_rank_sweep,
-    run_regular_vs_singular,
-)
+from rankevidence.experiments import ConfigError, ExperimentConfig, run_study
 
 
 class TestOverrideGrammar:
@@ -42,8 +36,9 @@ class TestOverrideGrammar:
         }
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown override"):
-            parse_overrides(["widgets=3"])
+        for item in ("widgets=3", "study=dict_compare", "output_dir=zz"):
+            with pytest.raises(ConfigError, match="^unknown override field"):
+                parse_overrides([item])
 
     def test_malformed_pairs_rejected(self):
         with pytest.raises(ConfigError):
@@ -148,6 +143,14 @@ class TestMain:
         assert main(["rank-sweep", "--overrides", "ranks=9"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_duplicate_ranks_and_seeds_exit_1(self, tmp_path, capsys):
+        assert main([
+            "rank-sweep", "--overrides", "seeds=0+0,ranks=2+2,n_grid=50+100",
+            "--output-dir", str(tmp_path),
+        ]) == 1
+        assert "must not repeat" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_file_exits_1(self, capsys):
         assert main(["rank-sweep", "--config", "/nonexistent/cfg.json"]) == 1
 
@@ -168,10 +171,43 @@ class TestMain:
             rodir.chmod(stat.S_IRWXU)
 
 
+_PLOT_TSV_HEADERS = {
+    "fig1_rank_sweep": ["rank", "slope_bic", "slope_rlct", "stderr_bic", "stderr_rlct"],
+    "lambda_vs_rank": ["rank", "lambda_hat", "lambda_analytic"],
+    "fig2_regular_error": ["n", "log_n", "delta_bic_mean", "delta_rlct_mean"],
+    "fig3_singular_error": ["n", "log_n", "delta_bic_mean", "delta_rlct_mean"],
+    "fig4_dict_evidence_gap": ["n", "log_n", "exact_gap_mean", "bic_gap_mean"],
+    "fig5_eigenspectra": ["index", "eig_minimal", "eig_overcomplete"],
+}
+
+
 class TestEmitPlotData:
+    @pytest.mark.parametrize(
+        "command, overrides, stems",
+        [
+            ("rank-sweep", "ranks=1+2", ["fig1_rank_sweep"]),
+            ("estimate-rlct", "ranks=1+2", ["fig1_rank_sweep", "lambda_vs_rank"]),
+            ("regular-vs-singular", "ranks=4+6",
+             ["fig2_regular_error", "fig3_singular_error"]),
+            ("dict-compare", "ranks=3", ["fig4_dict_evidence_gap", "fig5_eigenspectra"]),
+        ],
+    )
+    def test_plot_files_per_study(self, tmp_path, command, overrides, stems):
+        """Every study writes exactly its figure TSVs, each with its pinned
+        header and, under --plot, an SVG beside it."""
+        assert main([
+            command, "--overrides", f"{overrides},seeds=0,n_grid=100+200",
+            "--output-dir", str(tmp_path), "--plot",
+        ]) == 0
+        assert sorted(p.stem for p in tmp_path.glob("*.tsv")) == sorted(stems)
+        for stem in stems:
+            header = (tmp_path / f"{stem}.tsv").read_text().splitlines()[0]
+            assert header.split("\t") == _PLOT_TSV_HEADERS[stem], stem
+            assert (tmp_path / f"{stem}.svg").read_text().startswith("<svg"), stem
+
     def test_empty_result_errors_before_writing(self, tmp_path):
         cfg = ExperimentConfig(study="rank_sweep", ranks=[1], seeds=[0], n_grid=[50, 100])
-        res = run_rank_sweep(cfg)
+        res = run_study(cfg)
         res.records = []
         with pytest.raises(ValueError):
             emit_plot_data(res, tmp_path)
@@ -179,7 +215,7 @@ class TestEmitPlotData:
 
     def test_rank_sweep_tsv_schema(self, tmp_path):
         cfg = ExperimentConfig(study="rank_sweep", ranks=[1, 2], seeds=[0], n_grid=[50, 100])
-        res = run_rank_sweep(cfg)
+        res = run_study(cfg)
         emit_plot_data(res, tmp_path)
         lines = (tmp_path / "fig1_rank_sweep.tsv").read_text().splitlines()
         assert lines[0].split("\t") == [
@@ -191,7 +227,7 @@ class TestEmitPlotData:
         cfg = ExperimentConfig(
             study="regular_vs_singular", ranks=[4, 6], seeds=[0], n_grid=[50, 100, 200]
         )
-        res = run_regular_vs_singular(cfg)
+        res = run_study(cfg)
         emit_plot_data(res, tmp_path, plot=True)
         for name in ("fig2_regular_error.tsv", "fig3_singular_error.tsv",
                      "fig2_regular_error.svg", "fig3_singular_error.svg"):
@@ -204,7 +240,7 @@ class TestEmitPlotData:
         cfg = ExperimentConfig(
             study="dict_compare", p=8, d=6, ranks=[3], seeds=[0], n_grid=[100, 200]
         )
-        res = run_dict_compare(cfg)
+        res = run_study(cfg)
         emit_plot_data(res, tmp_path)
         lines = (tmp_path / "fig5_eigenspectra.tsv").read_text().splitlines()
         assert lines[0].split("\t") == ["index", "eig_minimal", "eig_overcomplete"]

@@ -171,7 +171,7 @@ class TestMlFitTerm:
         rng = np.random.default_rng(7)
         Y = 0.01 * rng.standard_normal((50, 4))
         data = DictionaryDataset(n=50, Y=Y)
-        fit = ml_fit_term(data, shape_d=2, tau2=1.0, sigma2=1.0)
+        fit = ml_fit_term(data, shape_d=2, sigma2=1.0)
         C = Y.T @ Y / 50
         expected = -0.5 * 50 * (4 * LOG_2PI + 4 * math.log(1.0) + np.trace(C) / 1.0)
         np.testing.assert_allclose(fit, expected, rtol=1e-12)
@@ -184,14 +184,14 @@ class TestMlFitTerm:
         data = DictionaryDataset(n=200, Y=Y)
         ell = np.linalg.eigvalsh(Y.T @ Y / 200)
         assert ell.min() > 1.0
-        fit = ml_fit_term(data, shape_d=3, tau2=1.0, sigma2=1.0)
+        fit = ml_fit_term(data, shape_d=3, sigma2=1.0)
         expected = -0.5 * 200 * (3 * LOG_2PI + float(np.sum(np.log(ell) + 1.0)))
         np.testing.assert_allclose(fit, expected, rtol=1e-12)
 
     def test_fit_increases_with_shape(self):
         minimal, _ = make_dictionary_pair(8, 3, 6, seed=9)
         data = sample_dictionary_data(minimal, 300, seed=9)
-        fits = [ml_fit_term(data, k, 1.0, 1.0) for k in range(0, 9)]
+        fits = [ml_fit_term(data, k, 1.0) for k in range(0, 9)]
         assert all(b >= a - 1e-9 for a, b in zip(fits, fits[1:]))
 
     def test_shape_gap_bounded_on_low_rank_data(self):
@@ -203,7 +203,7 @@ class TestMlFitTerm:
             for seed in range(8):
                 minimal, _ = make_dictionary_pair(8, 3, 6, seed=seed)
                 data = sample_dictionary_data(minimal, n, seed=seed)
-                gap = ml_fit_term(data, 6, 1.0, 1.0) - ml_fit_term(data, 3, 1.0, 1.0)
+                gap = ml_fit_term(data, 6, 1.0) - ml_fit_term(data, 3, 1.0)
                 assert gap >= -1e-9
                 gaps.append(gap)
             assert max(gaps) < 15.0
@@ -213,7 +213,7 @@ class TestMlFitTerm:
 
     def test_degenerate_data_rejected(self):
         with pytest.raises(ValueError):
-            ml_fit_term(DictionaryDataset(n=0, Y=np.zeros((0, 3))), 2, 1.0, 1.0)
+            ml_fit_term(DictionaryDataset(n=0, Y=np.zeros((0, 3))), 2, 1.0)
 
 
 class TestDictionaryComparison:
@@ -248,13 +248,12 @@ class TestDictionaryComparison:
         )
         assert comp.fit_overcomplete >= comp.fit_minimal - 1e-9
 
-    def test_at_truth_scores_share_fit_by_construction(self):
+    def test_exact_loglik_shared_by_construction(self):
         """The pair fixes one marginal law, so the two exact log likelihoods
-        coincide and the at-truth corrected scores match."""
+        coincide."""
         pair = make_dictionary_pair(8, 3, 6, seed=3)
         comp = dictionary_comparison(pair, 200, seed=3)
         assert abs(comp.exact_minimal - comp.exact_overcomplete) < 1e-8
-        assert abs(comp.rlct_minimal_at_truth - comp.rlct_overcomplete_at_truth) < 1e-8
 
     def test_mismatched_pair_rejected(self):
         a, _ = make_dictionary_pair(8, 3, 6, seed=0)

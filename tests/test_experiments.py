@@ -8,9 +8,6 @@ from rankevidence.experiments import (
     ExperimentConfig,
     aggregate_rank_summaries,
     read_records_csv,
-    run_dict_compare,
-    run_rank_sweep,
-    run_regular_vs_singular,
     run_study,
     summarize,
     write_study_outputs,
@@ -50,6 +47,8 @@ class TestConfig:
             {"seeds": []},
             {"seeds": [-1, 0]},
             {"sigma2": 0.0},
+            {"ranks": [2, 2]},
+            {"seeds": [0, 0]},
         ],
     )
     def test_invalid_configs_rejected(self, patch):
@@ -69,6 +68,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"study": "rank_sweep", "widgets": 3})
 
+    def test_from_dict_rejects_non_integers_for_int_fields(self):
+        for bad in ({"d": 4.7}, {"ranks": [1.9, 2]}, {"seeds": [0, True]}):
+            with pytest.raises(ConfigError, match="expected an integer"):
+                ExperimentConfig.from_dict(bad)
+        cfg = ExperimentConfig.from_dict({"d": "4", "ranks": [1, 2.0], "seeds": ["0"]})
+        assert (cfg.d, cfg.ranks, cfg.seeds) == (4, [1, 2], [0])
+
     def test_from_dict_roundtrip(self):
         cfg = tiny_config(sigma2=0.5)
         again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -84,28 +90,24 @@ class TestConfig:
 class TestRankSweep:
     def test_cell_coverage(self):
         cfg = tiny_config()
-        res = run_rank_sweep(cfg)
+        res = run_study(cfg)
         keys = {(r.rank, r.seed, r.n) for r in res.records}
         assert len(res.records) == len(keys) == 2 * 2 * 3
         assert not res.failures
 
     def test_single_seed_two_points_is_legal(self):
         cfg = tiny_config(ranks=[2], seeds=[0], n_grid=[50, 100])
-        res = run_rank_sweep(cfg)
+        res = run_study(cfg)
         s = res.rank_summaries[0]
         assert s.n_points == 2 and s.n_seeds == 1
         assert s.fit_delta_bic.stderr_slope == 0.0
 
     def test_record_identity_in_all_cells(self):
         cfg = tiny_config()
-        res = run_rank_sweep(cfg)
+        res = run_study(cfg)
         for rec in res.records:
             gap = (rec.rank / 2.0 - cfg.d / 2.0) * math.log(rec.n)
             assert abs((rec.delta_bic - rec.delta_rlct) - gap) < 1e-12
-
-    def test_study_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            run_rank_sweep(tiny_config(study="dict_compare"))
 
     def test_run_study_dispatch(self):
         res = run_study(tiny_config(ranks=[1], seeds=[0], n_grid=[50, 100]))
@@ -124,7 +126,7 @@ class TestRankSweep:
 
         monkeypatch.setattr(experiments, "evidence_record", poisoned)
         cfg = tiny_config(ranks=[1, 2], seeds=[0], n_grid=[50, 100, 200])
-        res = run_rank_sweep(cfg)
+        res = run_study(cfg)
         assert len(res.failures) == 1
         fail = res.failures[0]
         assert (fail.rank, fail.seed, fail.n) == (1, 0, 100)
@@ -133,12 +135,12 @@ class TestRankSweep:
         assert "rank=1 seed=0 n=100" in text
 
     def test_clean_run_has_no_failure_section(self):
-        text = summarize(run_rank_sweep(tiny_config()))
+        text = summarize(run_study(tiny_config()))
         assert "failed cells" not in text
 
     def test_summary_row_count_matches_ranks(self):
         cfg = tiny_config(ranks=[1, 2])
-        text = summarize(run_rank_sweep(cfg))
+        text = summarize(run_study(cfg))
         rows = [ln for ln in text.splitlines() if ln.strip().startswith(("1 ", "2 "))]
         assert len(rows) == 2
 
@@ -148,7 +150,7 @@ class TestRegularVsSingular:
         cfg = ExperimentConfig(
             study="regular_vs_singular", ranks=[4, 6], seeds=[0, 1], n_grid=[50, 100, 200]
         )
-        res = run_regular_vs_singular(cfg)
+        res = run_study(cfg)
         assert sorted(s.rank for s in res.rank_summaries) == [4, 6]
 
 
@@ -157,7 +159,7 @@ class TestDictCompare:
         cfg = ExperimentConfig(
             study="dict_compare", p=8, d=6, ranks=[3], seeds=[0, 1], n_grid=[50, 100, 200]
         )
-        res = run_dict_compare(cfg)
+        res = run_study(cfg)
         assert len(res.dict_rows) == 2 * 3
         assert res.dict_table_n == 200
         assert set(res.dict_table) == set(experiments.DICT_TABLE_QUANTITIES)
@@ -169,7 +171,7 @@ class TestDictCompare:
 class TestPersistence:
     def test_outputs_and_roundtrip(self, tmp_path):
         cfg = tiny_config(output_dir=str(tmp_path))
-        res = run_rank_sweep(cfg)
+        res = run_study(cfg)
         paths = write_study_outputs(res, tmp_path)
         names = {p.name for p in paths}
         assert {
@@ -190,7 +192,7 @@ class TestPersistence:
 
     def test_aggregation_reproducible_from_persisted_records(self, tmp_path):
         cfg = tiny_config()
-        res = run_rank_sweep(cfg)
+        res = run_study(cfg)
         write_study_outputs(res, tmp_path)
         back = read_records_csv(tmp_path / "evidence_records.csv")
         again = aggregate_rank_summaries(back, cfg.ranks)
@@ -202,7 +204,7 @@ class TestPersistence:
     def test_identical_configs_give_identical_bytes(self, tmp_path):
         cfg = tiny_config()
         for sub in ("a", "b"):
-            write_study_outputs(run_rank_sweep(cfg), tmp_path / sub)
+            write_study_outputs(run_study(cfg), tmp_path / sub)
         a = (tmp_path / "a" / "evidence_records.csv").read_bytes()
         b = (tmp_path / "b" / "evidence_records.csv").read_bytes()
         assert a == b
@@ -214,7 +216,7 @@ class TestPersistence:
         cfg = ExperimentConfig(
             study="dict_compare", p=8, d=6, ranks=[3], seeds=[0], n_grid=[100, 200]
         )
-        res = run_dict_compare(cfg)
+        res = run_study(cfg)
         write_study_outputs(res, tmp_path)
         lines = (tmp_path / "dict_compare.csv").read_text().splitlines()
         assert lines[0] == "quantity,value"

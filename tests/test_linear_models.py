@@ -112,8 +112,6 @@ class TestSampleDataset:
         spec = make_spec(3, 3, 1, seed=0)
         with pytest.raises(ValueError):
             sample_dataset(spec, 0, DataGenConfig(seed=0))
-        with pytest.raises(ValueError):
-            DataGenConfig(input_covariance="toeplitz")
 
 
 class TestPopulationGram:

@@ -5,7 +5,6 @@ import pytest
 
 from rankevidence.rlct import (
     analytic_rlct,
-    bic_excess_penalty_rate,
     estimate_rlct_from_slope,
     fit_log_n_slope,
     predicted_bic_error_slope,
@@ -14,17 +13,15 @@ from rankevidence.rlct import (
 
 class TestAnalyticRlct:
     def test_zero_rank(self):
-        assert analytic_rlct(0).lam == 0.0
+        assert analytic_rlct(0) == 0.0
 
     def test_rank_three(self):
-        out = analytic_rlct(3)
-        assert out.lam == 1.5
-        assert out.multiplicity == 1
+        assert analytic_rlct(3) == 1.5
 
     def test_regular_case_matches_half_dimension(self):
         """At full rank the coefficient is the usual d/2."""
         for d in range(1, 9):
-            assert analytic_rlct(d).lam == d / 2.0
+            assert analytic_rlct(d) == d / 2.0
 
     def test_negative_rank_rejected(self):
         with pytest.raises(ValueError):
@@ -106,13 +103,10 @@ class TestEstimateRlct:
         pts = [(n, 4.2 - 1.5 * math.log(n)) for n in ns]
         np.testing.assert_allclose(estimate_rlct_from_slope(pts), 1.5, rtol=1e-12)
 
-    def test_halved_variant(self):
+    def test_recovers_lambda_without_intercept(self):
         ns = [50, 100, 200, 400]
         pts = [(n, -3.0 * math.log(n)) for n in ns]
         np.testing.assert_allclose(estimate_rlct_from_slope(pts), 3.0, rtol=1e-12)
-        np.testing.assert_allclose(
-            estimate_rlct_from_slope(pts, halve_slope=True), 1.5, rtol=1e-12
-        )
 
 
 class TestPredictedSlopes:
@@ -122,16 +116,7 @@ class TestPredictedSlopes:
     def test_d6_values(self):
         assert predicted_bic_error_slope(6, 1) == -2.5
         assert predicted_bic_error_slope(6, 4) == -1.0
-        assert bic_excess_penalty_rate(6, 1) == 2.5
-        assert bic_excess_penalty_rate(6, 4) == 1.0
-
-    def test_signs_are_opposite(self):
-        for d in range(7):
-            for r in range(d + 1):
-                assert predicted_bic_error_slope(d, r) == -bic_excess_penalty_rate(d, r)
 
     def test_invalid_rank_rejected(self):
         with pytest.raises(ValueError):
             predicted_bic_error_slope(4, 5)
-        with pytest.raises(ValueError):
-            bic_excess_penalty_rate(4, -1)
