@@ -20,6 +20,7 @@ from .evidence import (
     EvidenceRecord,
     GaussianLinearProblem,
     PosteriorGaussian,
+    SufficientStatistics,
     bic_score,
     evidence_record,
     exact_log_evidence,
@@ -44,6 +45,7 @@ from .linear_models import (
     make_spec,
     population_gram,
     sample_dataset,
+    sample_statistics,
 )
 from .oracle import (
     OracleError,

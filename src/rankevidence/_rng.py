@@ -13,6 +13,9 @@ import zlib
 
 import numpy as np
 
+SEED_LIMIT = 2**64           # seeds lie in [0, SEED_LIMIT)
+STREAM_INDEX_LIMIT = 2**32   # stream indices (sample sizes) lie in [0, STREAM_INDEX_LIMIT)
+
 
 def substream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     """Return the generator for the ``(seed, tag, index)`` stream.
@@ -21,9 +24,9 @@ def substream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     draws (e.g. ``"design"``), and ``index`` separates per-sample-size streams.
     """
     seed = int(seed)
-    if seed < 0 or seed >= 2**64:
+    if seed < 0 or seed >= SEED_LIMIT:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    if index < 0 or index >= 2**32:
+    if index < 0 or index >= STREAM_INDEX_LIMIT:
         raise ValueError(f"stream index out of range: {index}")
     key = np.random.SeedSequence(
         entropy=seed,

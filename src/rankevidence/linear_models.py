@@ -5,6 +5,10 @@ factor ``B`` of exact rank ``r``, Gaussian covariates, Gaussian noise of known
 variance ``sigma2``, and an isotropic Gaussian prior of variance ``tau2`` on
 ``theta``.  When ``r < d`` the effective design ``A = X B`` is rank-deficient
 and ``d - r`` parameter directions do not affect the likelihood.
+
+:func:`sample_dataset` draws the data themselves.  :func:`sample_statistics`
+draws only the sufficient statistics ``(A^T A, A^T y, y^T y)``, exactly, from
+their Wishart law, at a cost that does not depend on ``n``.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NumericalError, numerical_rank
+from ._linalg import NumericalError, numerical_rank, symmetrize
 from ._rng import substream
+from .evidence import SufficientStatistics
 
 _MAX_FACTOR_ATTEMPTS = 8
 
@@ -134,6 +139,48 @@ def sample_dataset(
     A = X @ spec.B_star
     y = A @ spec.theta_star + eps
     return RegressionDataset(n=n, X=X, A=A, y=y)
+
+
+def sample_statistics(
+    spec: RankRegressionSpec, n: int, cfg: DataGenConfig
+) -> SufficientStatistics:
+    """Draw the sufficient statistics of an n-observation dataset directly.
+
+    With ``Z = [X, eps / sigma]`` (n x (p+1), i.i.d. standard normal),
+    ``W = Z^T Z ~ Wishart_{p+1}(n, I)``, and ``A^T A``, ``A^T y`` and ``y^T y``
+    are fixed linear functions of ``W``.  For ``n > p`` the draw is the
+    Bartlett factorization ``W = T T^T`` (chi-square diagonal with n, n-1,
+    ... degrees of freedom, standard normals below it), O(p^3) whatever
+    ``n`` is; for ``n <= p``, where that factorization does not apply, ``Z``
+    is drawn itself.  Draws come from the ``(cfg.seed, "wishart", n)``
+    stream, so the statistics have the law of :func:`sample_dataset`'s but
+    are not the same draw.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    q = spec.p + 1
+    rng = substream(cfg.seed, "wishart", n)
+    if n >= q:
+        T = np.diag(np.sqrt(rng.chisquare(n - np.arange(q))))
+        # a boolean mask fills in row-major order, the order of np.tril_indices(q, -1)
+        T[np.tri(q, k=-1, dtype=bool)] = rng.standard_normal(q * (q - 1) // 2)
+        W = T @ T.T
+    else:
+        Z = rng.standard_normal((n, q))
+        W = Z.T @ Z
+    sigma = math.sqrt(spec.sigma2)
+    G = W[:-1, :-1]
+    h = sigma * W[:-1, -1]
+    B, mean = spec.B_star, spec.B_star @ spec.theta_star
+    G_mean = G @ mean
+    return SufficientStatistics(
+        n=n,
+        S=symmetrize(B.T @ G @ B),
+        b=B.T @ (G_mean + h),
+        yy=float(mean @ G_mean + 2.0 * (mean @ h) + spec.sigma2 * W[-1, -1]),
+        sigma2=spec.sigma2,
+        tau2=spec.tau2,
+    )
 
 
 def population_gram(spec: RankRegressionSpec) -> np.ndarray:

@@ -151,6 +151,25 @@ class TestMain:
         assert "must not repeat" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "overrides,config,message",
+        [
+            ("sigma2=nan,ranks=1,seeds=0,n_grid=50+100", None, "expected a finite number"),
+            ("ranks=1,seeds=0,n_grid=50+5000000000", None, "below 2**32"),
+            ("ranks=1,seeds=0,n_grid=50+100", {"tau2": True}, "expected a number"),
+        ],
+    )
+    def test_unusable_config_values_exit_1(self, tmp_path, capsys, overrides, config, message):
+        out = tmp_path / "out"
+        argv = ["rank-sweep", "--overrides", overrides, "--output-dir", str(out)]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, capsys):
         assert main(["rank-sweep", "--config", "/nonexistent/cfg.json"]) == 1
 

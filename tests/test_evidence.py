@@ -8,6 +8,7 @@ import scipy.stats
 from rankevidence._linalg import NumericalError
 from rankevidence.evidence import (
     GaussianLinearProblem,
+    SufficientStatistics,
     bic_score,
     evidence_record,
     exact_log_evidence,
@@ -16,7 +17,14 @@ from rankevidence.evidence import (
     posterior,
     rlct_score,
 )
-from rankevidence.linear_models import DataGenConfig, make_spec, sample_dataset
+from rankevidence.linear_models import (
+    DataGenConfig,
+    make_spec,
+    sample_dataset,
+    sample_statistics,
+)
+
+DEFAULT_GRID = [50 * 2**k for k in range(9)]
 
 
 def _random_problem(rng, d, n, sigma2=None, tau2=None):
@@ -279,3 +287,68 @@ class TestEvidenceRecord:
             GaussianLinearProblem(A=np.zeros((3, 2)), y=np.zeros(4), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
             GaussianLinearProblem(A=np.zeros((3, 2)), y=np.zeros(3), sigma2=-1.0, tau2=1.0)
+        with pytest.raises(ValueError):
+            SufficientStatistics(n=3, S=np.eye(2), b=np.zeros(3), yy=1.0, sigma2=1.0, tau2=1.0)
+
+
+def _mpmath_reference(stats, rank):
+    """(log_z_exact, log_lik_mle, their difference) at 50 digits from the same
+    float S, b and yy: the fit is the pseudoinverse on the top ``rank``
+    eigen-directions of S, the evidence uses every eigenvalue."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s_vals, Q = mpmath.eigsy(mpmath.matrix(stats.S.tolist()))
+        c = Q.T * mpmath.matrix(stats.b.tolist())
+        order = sorted(range(len(s_vals)), key=lambda i: s_vals[i], reverse=True)
+        sigma2 = mpmath.mpf(stats.sigma2)
+        alpha = mpmath.mpf(stats.tau2) / sigma2
+        const = stats.n * mpmath.log(2 * mpmath.pi * sigma2)
+        logdet = mpmath.fsum(mpmath.log1p(alpha * s) for s in s_vals)
+        shrunk = mpmath.fsum(alpha * c[i] ** 2 / (1 + alpha * s_vals[i])
+                             for i in range(len(s_vals)))
+        fitted = mpmath.fsum(c[i] ** 2 / s_vals[i] for i in order[:rank])
+        yy = mpmath.mpf(stats.yy)
+        log_z = -(const + logdet + (yy - shrunk) / sigma2) / 2
+        fit = -(const + (yy - fitted) / sigma2) / 2
+        return float(log_z), float(fit), float(fit - log_z)
+
+
+@pytest.mark.parametrize("rank", [1, 3, 6])
+@pytest.mark.parametrize("n,route", [
+    (10**2, "data"), (10**4, "data"), (10**6, "data"), (10**9, "wishart"),
+])
+def test_precision_against_mpmath(rank, n, route):
+    """log_lik_mle, log_z_exact and their difference agree with a 50-digit
+    evaluation from the same float statistics to 1e-12 nats per observation,
+    for statistics formed from data and drawn from the Wishart law."""
+    spec = make_spec(6, 6, rank, seed=0)
+    gen = DataGenConfig(seed=0)
+    if route == "data":
+        ds = sample_dataset(spec, n, gen)
+        prob = GaussianLinearProblem(A=ds.A, y=ds.y, sigma2=spec.sigma2, tau2=spec.tau2)
+        rec, stats = evidence_record(prob, lam=rank / 2.0), prob.statistics()
+    else:
+        stats = sample_statistics(spec, n, gen)
+        rec = evidence_record(stats, lam=rank / 2.0)
+    ref_z, ref_fit, ref_centered = _mpmath_reference(stats, rank)
+    tol = 1e-12 * n
+    assert abs(rec.log_lik_mle - ref_fit) <= tol
+    assert abs(rec.log_z_exact - ref_z) <= tol
+    assert abs((rec.log_lik_mle - rec.log_z_exact) - ref_centered) <= tol
+
+
+def test_kept_rank_equals_true_rank():
+    """The rank decision on S keeps exactly r eigenvalues in every cell, for
+    Wishart-drawn statistics from n = 7 to 1e9 and for A^T A up to 12,800."""
+    small = [7, 10, 20] + DEFAULT_GRID
+    for rank in range(1, 7):
+        for seed in range(20):
+            spec = make_spec(6, 6, rank, seed=seed)
+            gen = DataGenConfig(seed=seed)
+            for n in small + [10**6, 10**7, 10**8, 10**9]:
+                rec = evidence_record(sample_statistics(spec, n, gen), lam=rank / 2.0)
+                assert rec.rank == rank, (rank, seed, n)
+            for n in small:
+                ds = sample_dataset(spec, n, gen)
+                prob = GaussianLinearProblem(A=ds.A, y=ds.y, sigma2=1.0, tau2=1.0)
+                assert evidence_record(prob, lam=rank / 2.0).rank == rank, (rank, seed, n)

@@ -49,6 +49,12 @@ class TestConfig:
             {"sigma2": 0.0},
             {"ranks": [2, 2]},
             {"seeds": [0, 0]},
+            {"sigma2": float("nan")},
+            {"tau2": float("inf")},
+            {"sigma2": -float("inf")},
+            {"tau2": True},
+            {"n_grid": [50, 2**32]},        # beyond the per-size stream index
+            {"seeds": [2**64]},
         ],
     )
     def test_invalid_configs_rejected(self, patch):
@@ -74,6 +80,14 @@ class TestConfig:
                 ExperimentConfig.from_dict(bad)
         cfg = ExperimentConfig.from_dict({"d": "4", "ranks": [1, 2.0], "seeds": ["0"]})
         assert (cfg.d, cfg.ranks, cfg.seeds) == (4, [1, 2], [0])
+
+    def test_from_dict_rejects_unusable_floats(self):
+        for bad in ({"sigma2": "nan"}, {"sigma2": float("nan")},
+                    {"tau2": float("-inf")}, {"tau2": True}):
+            with pytest.raises(ConfigError, match="expected a (finite )?number"):
+                ExperimentConfig.from_dict(bad)
+        cfg = ExperimentConfig.from_dict({"sigma2": "0.5", "tau2": 2})
+        assert (cfg.sigma2, cfg.tau2) == (0.5, 2.0)
 
     def test_from_dict_roundtrip(self):
         cfg = tiny_config(sigma2=0.5)
@@ -143,6 +157,15 @@ class TestRankSweep:
         text = summarize(run_study(cfg))
         rows = [ln for ln in text.splitlines() if ln.strip().startswith(("1 ", "2 "))]
         assert len(rows) == 2
+
+
+    def test_large_n_grid_recovers_lambda(self):
+        """At n = 1e6..1e9 the finite-n bias is gone: every rank's lambda_hat
+        is r/2 to 1e-3, and no cell fails."""
+        res = run_study(ExperimentConfig(n_grid=[10**6, 10**7, 10**8, 10**9]))
+        assert not res.failures
+        for s in res.rank_summaries:
+            assert abs(s.lambda_hat - s.rank / 2.0) < 1e-3, (s.rank, s.lambda_hat)
 
 
 class TestRegularVsSingular:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.stats
 
+from rankevidence.evidence import GaussianLinearProblem, evidence_record
 from rankevidence.linear_models import (
     DataGenConfig,
     RankRegressionSpec,
@@ -8,6 +10,7 @@ from rankevidence.linear_models import (
     make_spec,
     population_gram,
     sample_dataset,
+    sample_statistics,
 )
 
 
@@ -112,6 +115,62 @@ class TestSampleDataset:
         spec = make_spec(3, 3, 1, seed=0)
         with pytest.raises(ValueError):
             sample_dataset(spec, 0, DataGenConfig(seed=0))
+
+
+class TestSampleStatistics:
+    def test_determinism_bitwise(self):
+        spec = make_spec(6, 6, 3, seed=3)
+        for n in (4, 500):
+            a = sample_statistics(spec, n, DataGenConfig(seed=3))
+            b = sample_statistics(spec, n, DataGenConfig(seed=3))
+            np.testing.assert_array_equal(a.S, b.S)
+            np.testing.assert_array_equal(a.b, b.b)
+            assert a.yy == b.yy
+
+    def test_small_n_statistics_have_rank_n(self):
+        """n <= p draws the data matrix itself; S then has rank min(n, r)."""
+        spec = make_spec(6, 6, 6, seed=1)
+        for n in (1, 3, 6):
+            stats = sample_statistics(spec, n, DataGenConfig(seed=1))
+            assert stats.n == n and stats.d == 6
+            np.testing.assert_array_equal(stats.S, stats.S.T)
+            eigs = np.linalg.eigvalsh(stats.S)
+            assert int(np.sum(eigs > 1e-12 * eigs.max())) == n
+
+    def test_law_of_large_numbers_at_1e9(self):
+        """S/n, b/n and yy/n approach B^T B, B^T B theta and |B theta|^2 + sigma2."""
+        spec = make_spec(6, 6, 3, sigma2=0.5, seed=2)
+        stats = sample_statistics(spec, 10**9, DataGenConfig(seed=2))
+        gram = population_gram(spec)
+        mean = spec.B_star @ spec.theta_star
+        np.testing.assert_allclose(stats.S / stats.n, gram, atol=1e-3 * np.abs(gram).max())
+        np.testing.assert_allclose(
+            stats.b / stats.n, gram @ spec.theta_star, rtol=0, atol=1e-3 * np.abs(mean).max()
+        )
+        assert abs(stats.yy / stats.n - (mean @ mean + 0.5)) < 1e-3 * (mean @ mean + 0.5)
+
+    def test_bad_inputs(self):
+        with pytest.raises(ValueError):
+            sample_statistics(make_spec(3, 3, 1, seed=0), 0, DataGenConfig(seed=0))
+
+    @pytest.mark.parametrize("r,n", [(1, 5), (1, 10), (3, 200), (6, 200), (6, 2000)])
+    def test_same_law_as_direct_draws(self, r, n):
+        """Two-sample KS over 400 seeds per side: Wishart-drawn statistics and
+        statistics of directly drawn data give the same law of log_lik_mle and
+        of log_lik_mle - log_z_exact.  (1, 5) has n <= p, the direct branch."""
+        spec = make_spec(6, 6, r, seed=0)
+        wishart, direct = [], []
+        for seed in range(400):
+            gen = DataGenConfig(seed=seed)
+            wishart.append(evidence_record(sample_statistics(spec, n, gen), lam=r / 2.0))
+            ds = sample_dataset(spec, n, gen)
+            prob = GaussianLinearProblem(A=ds.A, y=ds.y, sigma2=spec.sigma2, tau2=spec.tau2)
+            direct.append(evidence_record(prob, lam=r / 2.0))
+        for quantity in (lambda rec: rec.log_lik_mle,
+                         lambda rec: rec.log_lik_mle - rec.log_z_exact):
+            p = scipy.stats.ks_2samp([quantity(rec) for rec in wishart],
+                                     [quantity(rec) for rec in direct]).pvalue
+            assert p > 0.01
 
 
 class TestPopulationGram:
