@@ -6,6 +6,7 @@ from .dictionary import (
     DictionaryComparison,
     DictionaryDataset,
     DictionarySpec,
+    DictionaryStatistics,
     dict_log_likelihood,
     dictionary_comparison,
     gram_spectrum,
@@ -14,6 +15,7 @@ from .dictionary import (
     marginal_covariance,
     ml_fit_term,
     sample_dictionary_data,
+    sample_dictionary_statistics,
     spectrum_rank,
 )
 from .evidence import (

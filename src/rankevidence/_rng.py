@@ -33,3 +33,20 @@ def substream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
         spawn_key=(zlib.crc32(tag.encode("ascii")), int(index)),
     )
     return np.random.Generator(np.random.Philox(key))
+
+
+def wishart_factor(rng: np.random.Generator, n: int, q: int) -> np.ndarray:
+    """Draw a factor ``T`` with ``T T^T ~ Wishart_q(n, I)``.
+
+    For ``n >= q`` this is the Bartlett factor: a q x q lower-triangular
+    matrix with square roots of chi-square draws on n, n-1, ..., n-q+1 degrees
+    of freedom on its diagonal and standard normals below it, O(q^3) whatever
+    ``n`` is.  For ``n < q``, where that factorization does not apply, it is
+    ``Z^T`` for an n x q standard normal draw ``Z``.
+    """
+    if n >= q:
+        T = np.diag(np.sqrt(rng.chisquare(n - np.arange(q))))
+        # a boolean mask fills in row-major order, the order of np.tril_indices(q, -1)
+        T[np.tri(q, k=-1, dtype=bool)] = rng.standard_normal(q * (q - 1) // 2)
+        return T
+    return rng.standard_normal((n, q)).T

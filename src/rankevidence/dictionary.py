@@ -6,6 +6,12 @@ isotropic noise, so marginally ``y_i ~ N(0, tau2 D D^T + sigma2 I_p)``.  A
 more columns for the same span.  The marginal law depends on D only through
 D D^T, which is what makes column count a representation choice rather than a
 statistical one — and what BIC's per-column penalty gets wrong.
+
+Both the exact likelihood and the ML fit depend on the data only through
+``n`` and the scatter ``Y^T Y ~ Wishart_p(n, Sigma_y)``.
+:func:`sample_dictionary_data` draws the observations themselves;
+:func:`sample_dictionary_statistics` draws only the scatter, exactly, at a
+cost that does not depend on ``n``.
 """
 
 from __future__ import annotations
@@ -14,10 +20,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import chol_logdet, numerical_rank, psd_spectral_rank, spd_cholesky
-from ._rng import substream
+from ._linalg import (
+    chol_logdet,
+    chol_solve,
+    numerical_rank,
+    psd_spectral_rank,
+    spd_cholesky,
+    symmetrize,
+)
+from ._rng import substream, wishart_factor
 from .evidence import LOG_2PI, bic_score, rlct_score
 from .rlct import analytic_rlct
 
@@ -44,6 +56,18 @@ class DictionarySpec:
 
 
 @dataclass(frozen=True)
+class DictionaryStatistics:
+    """Sufficient statistics of n observation vectors: their scatter matrix."""
+
+    n: int
+    YY: np.ndarray  # (p, p) scatter Y^T Y
+
+    def __post_init__(self) -> None:
+        if self.YY.ndim != 2 or self.YY.shape[0] != self.YY.shape[1]:
+            raise ValueError(f"scatter matrix must be square, got shape {self.YY.shape}")
+
+
+@dataclass(frozen=True)
 class DictionaryDataset:
     """n observation vectors stored as rows."""
 
@@ -53,6 +77,10 @@ class DictionaryDataset:
     def __post_init__(self) -> None:
         if self.Y.shape[0] != self.n:
             raise ValueError(f"Y has {self.Y.shape[0]} rows, expected {self.n}")
+
+    def statistics(self) -> DictionaryStatistics:
+        """The scatter ``Y^T Y`` that every likelihood and fit here reads."""
+        return DictionaryStatistics(n=self.n, YY=self.Y.T @ self.Y)
 
 
 def make_dictionary_spec(D: np.ndarray, tau2: float, sigma2: float) -> DictionarySpec:
@@ -67,21 +95,29 @@ def marginal_covariance(spec: DictionarySpec) -> np.ndarray:
     return spec.tau2 * (spec.D @ spec.D.T) + spec.sigma2 * np.eye(spec.p)
 
 
-def dict_log_likelihood(spec: DictionarySpec, data: DictionaryDataset) -> float:
+def _as_statistics(
+    data: DictionaryDataset | DictionaryStatistics,
+) -> DictionaryStatistics:
+    return data.statistics() if isinstance(data, DictionaryDataset) else data
+
+
+def dict_log_likelihood(
+    spec: DictionarySpec, data: DictionaryDataset | DictionaryStatistics
+) -> float:
     """Exact Gaussian log likelihood of the data under the marginal law.
 
-    Uses an SPD factorization of the marginal covariance; quadratic forms are
-    accumulated through triangular solves, never an explicit inverse.
+    Accepts the data or their :class:`DictionaryStatistics`.  The quadratic
+    form ``tr(Sigma_y^{-1} Y^T Y)`` goes through an SPD factorization of the
+    marginal covariance, never an explicit inverse.
     """
-    if data.Y.shape[1] != spec.p:
+    stats = _as_statistics(data)
+    if stats.YY.shape != (spec.p, spec.p):
         raise ValueError(
-            f"data dimension {data.Y.shape[1]} != observation dimension {spec.p}"
+            f"data dimension {stats.YY.shape[0]} != observation dimension {spec.p}"
         )
-    sigma_y = marginal_covariance(spec)
-    L = spd_cholesky(sigma_y, context="dict_log_likelihood")
-    Z = scipy.linalg.solve_triangular(L, data.Y.T, lower=True)
-    quad = float(np.sum(Z * Z))
-    return -0.5 * (data.n * (spec.p * LOG_2PI + chol_logdet(L)) + quad)
+    L = spd_cholesky(marginal_covariance(spec), context="dict_log_likelihood")
+    quad = float(np.trace(chol_solve(L, stats.YY)))
+    return -0.5 * (stats.n * (spec.p * LOG_2PI + chol_logdet(L)) + quad)
 
 
 def sample_dictionary_data(spec: DictionarySpec, n: int, seed: int) -> DictionaryDataset:
@@ -92,6 +128,25 @@ def sample_dictionary_data(spec: DictionarySpec, n: int, seed: int) -> Dictionar
     Z = math.sqrt(spec.tau2) * rng.standard_normal((n, spec.d))
     E = math.sqrt(spec.sigma2) * rng.standard_normal((n, spec.p))
     return DictionaryDataset(n=n, Y=Z @ spec.D.T + E)
+
+
+def sample_dictionary_statistics(
+    spec: DictionarySpec, n: int, seed: int
+) -> DictionaryStatistics:
+    """Draw the scatter of n observations directly, deterministic per seed.
+
+    ``Y^T Y ~ Wishart_p(n, Sigma_y)``, so it equals ``(L T)(L T)^T`` with
+    ``L`` the Cholesky factor of the marginal covariance and ``T`` a standard
+    Wishart factor (:func:`~rankevidence._rng.wishart_factor`), O(p^3)
+    whatever ``n`` is.  Draws come from the ``(seed, "dict-wishart", n)``
+    stream, so the statistics have the law of
+    :func:`sample_dictionary_data`'s but are not the same draw.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    L = spd_cholesky(marginal_covariance(spec), context="sample_dictionary_statistics")
+    LT = L @ wishart_factor(substream(seed, "dict-wishart", n), n, spec.p)
+    return DictionaryStatistics(n=n, YY=symmetrize(LT @ LT.T))
 
 
 def make_dictionary_pair(
@@ -147,25 +202,29 @@ def spectrum_rank(eigenvalues: np.ndarray, size: int) -> int:
     return psd_spectral_rank(eigenvalues, size)
 
 
-def ml_fit_term(data: DictionaryDataset, shape_d: int, sigma2: float) -> float:
+def ml_fit_term(
+    data: DictionaryDataset | DictionaryStatistics, shape_d: int, sigma2: float
+) -> float:
     """Maximized log likelihood over all dictionaries with shape_d columns.
 
-    With known noise variance the optimum has a closed form: eigendecompose
-    the sample second moment C = (1/n) Y^T Y, place signal variance
+    Accepts the data or their :class:`DictionaryStatistics`.  With known
+    noise variance the optimum has a closed form: eigendecompose the sample
+    second moment C = (1/n) Y^T Y, place signal variance
     ``max(ell_j - sigma2, 0)`` on the top min(shape_d, p) sample eigenvectors,
     and evaluate the Gaussian log likelihood under the resulting covariance.
     Directions whose sample eigenvalue falls below sigma2 clamp to pure noise,
     which is why extra columns beyond the data rank buy only an O(1) gain.
     The latent scale tau2 does not move the optimum: the dictionary absorbs it.
     """
-    if data.n < 1:
-        raise ValueError(f"need at least one observation, got n={data.n}")
+    stats = _as_statistics(data)
+    if stats.n < 1:
+        raise ValueError(f"need at least one observation, got n={stats.n}")
     if shape_d < 0:
         raise ValueError(f"column count must be nonnegative, got {shape_d}")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    n, p = data.Y.shape
-    C = data.Y.T @ data.Y / n
+    n, p = stats.n, stats.YY.shape[0]
+    C = stats.YY / n
     ell = np.linalg.eigvalsh(C)[::-1]          # descending
     k = min(shape_d, p)
     model_var = np.full(p, sigma2)
@@ -204,13 +263,14 @@ class DictionaryComparison:
 def dictionary_comparison(
     pair: tuple[DictionarySpec, DictionarySpec], n: int, seed: int
 ) -> DictionaryComparison:
-    """Evaluate both members of a pair on one dataset drawn from the minimal spec."""
+    """Evaluate both members of a pair on one dataset's statistics, drawn from
+    the minimal spec."""
     minimal, overcomplete = pair
     if minimal.r != overcomplete.r:
         raise ValueError(
             f"pair members disagree on span dimension: {minimal.r} vs {overcomplete.r}"
         )
-    data = sample_dictionary_data(minimal, n, seed)
+    data = sample_dictionary_statistics(minimal, n, seed)
     exact_min = dict_log_likelihood(minimal, data)
     exact_over = dict_log_likelihood(overcomplete, data)
     fit_min = ml_fit_term(data, minimal.d, minimal.sigma2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import NumericalError, numerical_rank, symmetrize
-from ._rng import substream
+from ._rng import substream, wishart_factor
 from .evidence import SufficientStatistics
 
 _MAX_FACTOR_ATTEMPTS = 8
@@ -148,26 +148,17 @@ def sample_statistics(
 
     With ``Z = [X, eps / sigma]`` (n x (p+1), i.i.d. standard normal),
     ``W = Z^T Z ~ Wishart_{p+1}(n, I)``, and ``A^T A``, ``A^T y`` and ``y^T y``
-    are fixed linear functions of ``W``.  For ``n > p`` the draw is the
-    Bartlett factorization ``W = T T^T`` (chi-square diagonal with n, n-1,
-    ... degrees of freedom, standard normals below it), O(p^3) whatever
-    ``n`` is; for ``n <= p``, where that factorization does not apply, ``Z``
-    is drawn itself.  Draws come from the ``(cfg.seed, "wishart", n)``
-    stream, so the statistics have the law of :func:`sample_dataset`'s but
-    are not the same draw.
+    are fixed linear functions of ``W``.  ``W = T T^T`` with ``T`` from
+    :func:`~rankevidence._rng.wishart_factor`: the Bartlett factor for
+    ``n > p``, O(p^3) whatever ``n`` is, and ``Z`` itself for ``n <= p``.
+    Draws come from the ``(cfg.seed, "wishart", n)`` stream, so the
+    statistics have the law of :func:`sample_dataset`'s but are not the same
+    draw.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    q = spec.p + 1
-    rng = substream(cfg.seed, "wishart", n)
-    if n >= q:
-        T = np.diag(np.sqrt(rng.chisquare(n - np.arange(q))))
-        # a boolean mask fills in row-major order, the order of np.tril_indices(q, -1)
-        T[np.tri(q, k=-1, dtype=bool)] = rng.standard_normal(q * (q - 1) // 2)
-        W = T @ T.T
-    else:
-        Z = rng.standard_normal((n, q))
-        W = Z.T @ Z
+    T = wishart_factor(substream(cfg.seed, "wishart", n), n, spec.p + 1)
+    W = T @ T.T
     sigma = math.sqrt(spec.sigma2)
     G = W[:-1, :-1]
     h = sigma * W[:-1, -1]

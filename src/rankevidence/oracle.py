@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from ._linalg import chol_logdet, spd_cholesky
@@ -69,6 +68,10 @@ def quadrature_log_evidence(
     convergence.  Non-convergence raises :class:`OracleError` rather than
     returning a doubtful number.
     """
+    # Imported here, not at module level: only this oracle integrates, and
+    # scipy.integrate would otherwise add about 0.3 s to every package import.
+    import scipy.integrate
+
     settings = settings or QuadratureSettings()
     if prob.d > 2:
         raise ValueError(f"quadrature oracle supports d <= 2, got d={prob.d}")

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from rankevidence.dictionary import (
     DictionaryDataset,
+    DictionaryStatistics,
     dict_log_likelihood,
     dictionary_comparison,
     gram_spectrum,
@@ -13,6 +15,7 @@ from rankevidence.dictionary import (
     marginal_covariance,
     ml_fit_term,
     sample_dictionary_data,
+    sample_dictionary_statistics,
     spectrum_rank,
 )
 from rankevidence.rlct import fit_log_n_slope
@@ -108,6 +111,70 @@ class TestSampleDictionaryData:
         emp = data.Y.T @ data.Y / data.n
         target = marginal_covariance(spec)
         assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.05
+
+
+class TestSampleDictionaryStatistics:
+    def test_dataset_and_its_statistics_agree(self):
+        for seed, n in [(0, 5), (1, 50), (2, 800)]:
+            pair = make_dictionary_pair(8, 3, 6, seed=seed)
+            data = sample_dictionary_data(pair[0], n, seed)
+            stats = data.statistics()
+            assert stats.n == n and stats.YY.shape == (8, 8)
+            for spec in pair:
+                a, b = dict_log_likelihood(spec, data), dict_log_likelihood(spec, stats)
+                assert abs(a - b) <= 1e-12 * abs(a)
+                a, b = ml_fit_term(data, spec.d, 1.0), ml_fit_term(stats, spec.d, 1.0)
+                assert abs(a - b) <= 1e-12 * abs(a)
+
+    def test_determinism_bitwise(self):
+        minimal, _ = make_dictionary_pair(8, 3, 6, seed=4)
+        for n in (3, 500):
+            a = sample_dictionary_statistics(minimal, n, seed=4)
+            b = sample_dictionary_statistics(minimal, n, seed=4)
+            np.testing.assert_array_equal(a.YY, b.YY)
+
+    def test_small_n_scatter_has_rank_n(self):
+        """n < p draws the data matrix itself; the scatter then has rank n."""
+        minimal, _ = make_dictionary_pair(8, 3, 6, seed=5)
+        for n in (1, 3, 7):
+            stats = sample_dictionary_statistics(minimal, n, seed=5)
+            assert stats.n == n
+            np.testing.assert_array_equal(stats.YY, stats.YY.T)
+            eigs = np.linalg.eigvalsh(stats.YY)
+            assert int(np.sum(eigs > 1e-12 * eigs.max())) == n
+
+    def test_law_of_large_numbers_at_1e9(self):
+        rng = np.random.default_rng(11)
+        spec = make_dictionary_spec(rng.standard_normal((5, 2)), tau2=1.5, sigma2=0.7)
+        stats = sample_dictionary_statistics(spec, 10**9, seed=11)
+        target = marginal_covariance(spec)
+        np.testing.assert_allclose(stats.YY / stats.n, target, rtol=0,
+                                   atol=1e-3 * np.abs(target).max())
+
+    def test_bad_inputs(self):
+        minimal, _ = make_dictionary_pair(8, 3, 6, seed=0)
+        with pytest.raises(ValueError):
+            sample_dictionary_statistics(minimal, 0, seed=0)
+        with pytest.raises(ValueError):
+            dict_log_likelihood(minimal, DictionaryStatistics(n=10, YY=np.eye(5)))
+        with pytest.raises(ValueError):
+            DictionaryStatistics(n=10, YY=np.ones((8, 5)))
+
+    @pytest.mark.parametrize("n", [5, 50, 800])
+    def test_same_law_as_direct_draws(self, n):
+        """Two-sample KS over 400 seeds per side: the Wishart scatter and the
+        scatter of directly drawn data give the same law of the exact log
+        likelihood and of the ML fit.  n = 5 < p is the direct branch."""
+        minimal, _ = make_dictionary_pair(8, 3, 6, seed=0)
+        draws = {"wishart": [], "direct": []}
+        for seed in range(400):
+            for side, data in (("wishart", sample_dictionary_statistics(minimal, n, seed)),
+                               ("direct", sample_dictionary_data(minimal, n, seed))):
+                draws[side].append((dict_log_likelihood(minimal, data),
+                                    ml_fit_term(data, 3, minimal.sigma2)))
+        wishart, direct = np.array(draws["wishart"]), np.array(draws["direct"])
+        for k in range(2):
+            assert scipy.stats.ks_2samp(wishart[:, k], direct[:, k]).pvalue > 0.01
 
 
 class TestMakeDictionaryPair:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -189,6 +190,18 @@ class TestDictCompare:
         assert set(res.dict_gap_slopes) == {"exact_gap", "bic_gap", "bic_gap_ml", "fit_gap"}
         eig_min, eig_over = res.spectra
         assert eig_min.shape == (3,) and eig_over.shape == (6,)
+
+    def test_large_n_grid_keeps_exact_gap_flat(self):
+        """At n = 1e6..1e9 no cell fails, the exact-evidence gap stays flat
+        while the common-fit BIC gap grows at (d - r)/2 = 1.5, and the two
+        exact log likelihoods agree to rounding on every row."""
+        cfg = ExperimentConfig.default_for("dict_compare")
+        res = run_study(replace(cfg, n_grid=[10**6, 10**7, 10**8, 10**9]))
+        assert not res.failures
+        assert abs(res.dict_gap_slopes["exact_gap"].slope) < 1e-6
+        assert abs(res.dict_gap_slopes["bic_gap"].slope - 1.5) < 1e-5
+        for row in res.dict_rows:
+            assert abs(row.exact_minimal - row.exact_overcomplete) <= 1e-12 * abs(row.exact_minimal)
 
 
 class TestPersistence:

@@ -153,6 +153,23 @@ class TestSampleStatistics:
         with pytest.raises(ValueError):
             sample_statistics(make_spec(3, 3, 1, seed=0), 0, DataGenConfig(seed=0))
 
+    @pytest.mark.parametrize("seed,n,pinned", [
+        (3, 4, (97.67484897674174, -106.02441518149965,
+                -127.83722379414993, 215.58310922574842)),
+        (3, 500, (17358.94631737504, -17229.10890550596,
+                  -14395.580107013611, 64246.168355932874)),
+        (0, 10**9, (5143703106.681373, -6194486662.581335,
+                    -18446461337.27687, 171389490600.96088)),
+    ])
+    def test_draws_pinned(self, seed, n, pinned):
+        """S[0, 0], S[2, 5], b[-1] and yy of fixed draws on both branches.  A
+        change to the "wishart" stream or to the order of its draws moves
+        them by O(1) relative; rtol 1e-13 leaves room only for the summation
+        order of another BLAS."""
+        stats = sample_statistics(make_spec(6, 6, 3, seed=seed), n, DataGenConfig(seed=seed))
+        got = (stats.S[0, 0], stats.S[2, 5], stats.b[-1], stats.yy)
+        np.testing.assert_allclose(got, pinned, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("r,n", [(1, 5), (1, 10), (3, 200), (6, 200), (6, 2000)])
     def test_same_law_as_direct_draws(self, r, n):
         """Two-sample KS over 400 seeds per side: Wishart-drawn statistics and

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import rankevidence
 from rankevidence.evidence import GaussianLinearProblem, exact_log_evidence
 from rankevidence.oracle import (
     QuadratureSettings,
@@ -107,3 +112,17 @@ class TestImportanceSampling:
         small = GaussianLinearProblem(A=np.zeros((4, 2)), y=np.zeros(4), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
             importance_log_evidence(small, 100, seed=0)     # too few samples
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    """Only quadrature_log_evidence integrates, so it imports scipy.integrate
+    itself: importing the package and its CLI in a fresh interpreter must
+    not load it."""
+    src = str(Path(rankevidence.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, rankevidence, rankevidence.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
