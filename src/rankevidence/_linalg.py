@@ -16,8 +16,8 @@ class NumericalError(RuntimeError):
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (M + M^T) / 2."""
-    return 0.5 * (M + M.T)
+    """Return the symmetric part (M + M^T) / 2 of each matrix in a stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def spd_cholesky(M: np.ndarray, *, context: str = "") -> np.ndarray:

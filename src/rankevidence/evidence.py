@@ -16,7 +16,8 @@ exactly quadratic), which serves as a built-in exactness check.
 Every one of these quantities depends on the data only through the
 sufficient statistics ``(n, S, A^T y, y^T y)``.  :func:`evidence_record`
 works from those alone, through one eigendecomposition of ``S``, so a cell
-costs the same at every ``n``.
+costs the same at every ``n``; :func:`evidence_batch` does the same for a
+stack of cells with one batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -235,42 +236,66 @@ def full_laplace_log_evidence(prob: GaussianLinearProblem) -> float:
 def evidence_record(
     data: GaussianLinearProblem | SufficientStatistics, lam: float
 ) -> EvidenceRecord:
-    """Assemble the exact value and both approximations at this sample size.
+    """Assemble the exact value and both approximations at this sample size:
+    the one-cell case of :func:`evidence_batch`, after reducing a problem to
+    its statistics."""
+    stats = data.statistics() if isinstance(data, GaussianLinearProblem) else data
+    _check_sample_size(stats.n)
+    out = evidence_batch(
+        np.array([stats.n]), stats.S[None], stats.b[None], np.array([stats.yy]),
+        stats.sigma2, stats.tau2, lam,
+    )
+    return EvidenceRecord(n=stats.n, **{key: value[0].item() for key, value in out.items()})
 
-    With ``S = V diag(s) V^T``, ``c = V^T b`` and ``alpha = tau2 / sigma2``,
-    the centered term is a sum of d terms, nonnegative in exact arithmetic,
+
+def evidence_batch(
+    n: np.ndarray, S: np.ndarray, b: np.ndarray, yy: np.ndarray,
+    sigma2: float, tau2: float, lam: float,
+) -> dict[str, np.ndarray]:
+    """Every :class:`EvidenceRecord` field but ``n`` for a stack of cells.
+
+    ``n`` (m,), ``S`` (m, d, d), ``b`` (m, d) and ``yy`` (m,) are the cells'
+    statistics; the variances and ``lam`` are shared.  With
+    ``S = V diag(s) V^T``, ``c = V^T b`` and ``alpha = tau2 / sigma2``, the
+    centered term is a sum of d terms, nonnegative in exact arithmetic,
 
         log_lik_mle - log_z_exact = 1/2 sum_i log1p(alpha s_i)
                                     + 1/(2 sigma2) sum_kept c_i^2 / (s_i (1 + alpha s_i))
 
     so no O(n) terms cancel in it.  The fit term uses the pseudoinverse on
     the kept eigen-directions, and the evidence is the fit minus the
-    centered term.  A problem is reduced to its statistics first.
+    centered term.  All cells share one batched ``eigh``.  A cell whose
+    ``S`` is not finite gets NaN scores (``eigh`` would raise on a NaN for
+    the whole stack); an ``eigh`` that does not converge raises
+    ``LinAlgError``.
     """
-    stats = data.statistics() if isinstance(data, GaussianLinearProblem) else data
-    n, d, sigma2 = stats.n, stats.d, stats.sigma2
-    alpha = stats.tau2 / sigma2
-    s, V = np.linalg.eigh(stats.S)
-    c = V.T @ stats.b
-    kept = s > GRAM_RANK_RTOL * s[-1]
-    ck2, sk = c[kept] ** 2, s[kept]
-    centered = 0.5 * float(np.sum(np.log1p(alpha * s))) + float(
-        np.sum(ck2 / (sk * (1.0 + alpha * sk)))
+    if lam < 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if np.any(n < 2):
+        raise ValueError(f"sample sizes must be >= 2 for log-n scores, got {n}")
+    d = S.shape[-1]
+    alpha = tau2 / sigma2
+    finite = np.isfinite(S).all(axis=(-2, -1))
+    s, V = np.linalg.eigh(np.where(finite[:, None, None], S, 0.0))
+    s = np.where(finite[:, None], s, np.nan)
+    c = (V.swapaxes(-1, -2) @ b[..., None])[..., 0]
+    kept = s > GRAM_RANK_RTOL * s[..., -1:]
+    ck2, sk = np.where(kept, c**2, 0.0), np.where(kept, s, 1.0)
+    centered = 0.5 * np.sum(np.log1p(alpha * s), axis=-1) + np.sum(
+        ck2 / (sk * (1.0 + alpha * sk)), axis=-1
     ) / (2.0 * sigma2)
-    fit = -0.5 * (
-        n * (LOG_2PI + math.log(sigma2)) + (stats.yy - float(np.sum(ck2 / sk))) / sigma2
-    )
-    log_n = math.log(n)
-    return EvidenceRecord(
-        n=n,
-        log_z_exact=fit - centered,
-        log_lik_mle=fit,
-        log_z_bic=bic_score(fit, d, n),
-        log_z_rlct=rlct_score(fit, lam, n),
-        delta_bic=centered - 0.5 * d * log_n,
-        delta_rlct=centered - lam * log_n,
-        rank=int(np.count_nonzero(kept)),
-    )
+    fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + (yy - np.sum(ck2 / sk, axis=-1)) / sigma2)
+    # math.log, not np.log: the two round differently for some n
+    log_n = np.array([math.log(k) for k in n.tolist()])
+    return {
+        "log_z_exact": fit - centered,
+        "log_lik_mle": fit,
+        "log_z_bic": fit - 0.5 * d * log_n,
+        "log_z_rlct": fit - lam * log_n,
+        "delta_bic": centered - 0.5 * d * log_n,
+        "delta_rlct": centered - lam * log_n,
+        "rank": np.count_nonzero(kept, axis=-1),
+    }
 
 
 def _check_sample_size(n: int) -> None:

@@ -38,15 +38,21 @@ from .dictionary import (
     gram_spectrum,
     make_dictionary_pair,
 )
-from .evidence import evidence_record
+from .evidence import evidence_batch
 # sample_dataset is not called here; it stays bound in this module because
 # perfbench/test_checks.py checks the tracer's rebinding on this very global.
-from .linear_models import DataGenConfig, make_spec, sample_dataset, sample_statistics  # noqa: F401
+from .linear_models import (  # noqa: F401
+    make_spec,
+    sample_dataset,
+    sample_wishart,
+    statistics_from_wishart,
+)
 from .rlct import (
     SlopeFit,
     analytic_rlct,
     estimate_rlct_from_slope,
     fit_log_n_slope,
+    log_n_slopes,
     predicted_bic_error_slope,
 )
 
@@ -56,6 +62,9 @@ STUDIES = ("rank_sweep", "regular_vs_singular", "dict_compare", "estimate_rlct")
 _SCORE_COLUMNS = [
     "log_z_exact", "log_lik_mle", "log_z_bic", "log_z_rlct", "delta_bic", "delta_rlct",
 ]
+
+# where delta_bic and delta_rlct sit among them
+_DELTA_COLUMNS = [_SCORE_COLUMNS.index("delta_bic"), _SCORE_COLUMNS.index("delta_rlct")]
 
 RECORD_COLUMNS = ["study", "rank", "d", "p", "seed", "n", *_SCORE_COLUMNS]
 
@@ -280,27 +289,45 @@ class StudyResult:
 # Regression studies
 # ---------------------------------------------------------------------------
 
-def _regression_cells(cfg: ExperimentConfig) -> tuple[list[RecordRow], list[CellFailure]]:
+def _regression_cells(cfg: ExperimentConfig) -> tuple[list[RecordRow], list[CellFailure], dict]:
+    """Records and failures of every (rank, seed, n) cell, and per rank the
+    log-n slopes of ``delta_bic`` and ``delta_rlct`` of each seed none of
+    whose cells failed.
+
+    Each seed's Wishart draws are made once and shared by every rank; each
+    rank's cells go through one :func:`evidence_batch`.
+    """
     records: list[RecordRow] = []
     failures: list[CellFailure] = []
+    per_seed: dict[int, list[tuple[int, float, float]]] = {}
+    draws = [sample_wishart(seed, cfg.n_grid, cfg.p + 1) for seed in cfg.seeds]
+    cells = [(seed, n) for seed in cfg.seeds for n in cfg.n_grid]
+    ns = np.array([n for _, n in cells])
     for rank in cfg.ranks:
-        lam = analytic_rlct(rank)
-        for seed in cfg.seeds:
-            spec = make_spec(cfg.p, cfg.d, rank, cfg.sigma2, cfg.tau2, seed=seed)
-            gen = DataGenConfig(seed=seed)
-            for n in cfg.n_grid:
-                try:
-                    rec = evidence_record(sample_statistics(spec, n, gen), lam=lam)
-                    scores = {key: getattr(rec, key) for key in _SCORE_COLUMNS}
-                    if not all(math.isfinite(v) for v in scores.values()):
-                        raise NumericalError("non-finite value in evidence record")
-                    records.append(RecordRow(
-                        study=cfg.study, rank=rank, d=cfg.d, p=cfg.p, seed=seed, n=n,
-                        **scores,
-                    ))
-                except (NumericalError, np.linalg.LinAlgError) as exc:
-                    failures.append(CellFailure(rank=rank, seed=seed, n=n, message=str(exc)))
-    return records, failures
+        specs = [make_spec(cfg.p, cfg.d, rank, cfg.sigma2, cfg.tau2, seed=s) for s in cfg.seeds]
+        S, b, yy = (np.concatenate(parts) for parts in zip(
+            *(statistics_from_wishart(spec, W) for spec, W in zip(specs, draws))
+        ))
+        table = np.full((len(cells), len(_SCORE_COLUMNS)), np.nan)
+        message = "non-finite value in evidence record"
+        try:
+            out = evidence_batch(ns, S, b, yy, cfg.sigma2, cfg.tau2, analytic_rlct(rank))
+            table[:] = np.column_stack([out[key] for key in _SCORE_COLUMNS])
+        except np.linalg.LinAlgError as exc:
+            message = str(exc)
+        finite = np.isfinite(table).all(axis=1)
+        for (seed, n), scores, ok in zip(cells, table.tolist(), finite.tolist()):
+            if ok:
+                records.append(RecordRow(cfg.study, rank, cfg.d, cfg.p, seed, n, *scores))
+            else:
+                failures.append(CellFailure(rank=rank, seed=seed, n=n, message=message))
+        shape = (len(cfg.seeds), len(cfg.n_grid))
+        complete = finite.reshape(shape).all(axis=1)
+        deltas = table[:, _DELTA_COLUMNS].T.reshape(2, *shape)[:, complete]
+        slopes = log_n_slopes(cfg.n_grid, deltas).T.tolist()
+        seeds = [seed for seed, ok in zip(cfg.seeds, complete) if ok]
+        per_seed[rank] = [(seed, sb, sr) for seed, (sb, sr) in zip(seeds, slopes)]
+    return records, failures, per_seed
 
 
 def mean_by_n(rows, *extractors) -> tuple[list[int], list[list[float]]]:
@@ -348,34 +375,16 @@ def aggregate_rank_summaries(
     return summaries
 
 
-def _per_seed_slopes(
-    records: list[RecordRow], ranks: list[int]
-) -> dict[int, list[tuple[int, float, float]]]:
-    out: dict[int, list[tuple[int, float, float]]] = {}
-    for rank in ranks:
-        rows = [rec for rec in records if rec.rank == rank]
-        per_seed: list[tuple[int, float, float]] = []
-        for seed in sorted({r.seed for r in rows}):
-            seed_rows = sorted((r for r in rows if r.seed == seed), key=lambda r: r.n)
-            if len({r.n for r in seed_rows}) < 2:
-                continue
-            sb = fit_log_n_slope([(r.n, r.delta_bic) for r in seed_rows]).slope
-            sr = fit_log_n_slope([(r.n, r.delta_rlct) for r in seed_rows]).slope
-            per_seed.append((seed, sb, sr))
-        out[rank] = per_seed
-    return out
-
-
 def _regression_study(cfg: ExperimentConfig) -> StudyResult:
     """Evidence records and error slopes for every configured rank."""
-    records, failures = _regression_cells(cfg)
+    records, failures, per_seed = _regression_cells(cfg)
     return StudyResult(
         study=cfg.study,
         config=cfg,
         records=records,
         failures=failures,
         rank_summaries=aggregate_rank_summaries(records, cfg.ranks),
-        per_seed_slopes=_per_seed_slopes(records, cfg.ranks),
+        per_seed_slopes=per_seed,
     )
 
 

@@ -8,7 +8,9 @@ and ``d - r`` parameter directions do not affect the likelihood.
 
 :func:`sample_dataset` draws the data themselves.  :func:`sample_statistics`
 draws only the sufficient statistics ``(A^T A, A^T y, y^T y)``, exactly, from
-their Wishart law, at a cost that does not depend on ``n``.
+their Wishart law, at a cost that does not depend on ``n``;
+:func:`sample_wishart` and :func:`statistics_from_wishart` do the same for a
+whole sample-size grid.
 """
 
 from __future__ import annotations
@@ -144,33 +146,53 @@ def sample_dataset(
 def sample_statistics(
     spec: RankRegressionSpec, n: int, cfg: DataGenConfig
 ) -> SufficientStatistics:
-    """Draw the sufficient statistics of an n-observation dataset directly.
+    """Draw the sufficient statistics of an n-observation dataset directly:
+    the one-point case of :func:`sample_wishart` and
+    :func:`statistics_from_wishart`.  They have the law of
+    :func:`sample_dataset`'s statistics but are not the same draw."""
+    S, b, yy = statistics_from_wishart(spec, sample_wishart(cfg.seed, [n], spec.p + 1))
+    return SufficientStatistics(
+        n=n, S=S[0], b=b[0], yy=yy[0].item(), sigma2=spec.sigma2, tau2=spec.tau2
+    )
 
-    With ``Z = [X, eps / sigma]`` (n x (p+1), i.i.d. standard normal),
-    ``W = Z^T Z ~ Wishart_{p+1}(n, I)``, and ``A^T A``, ``A^T y`` and ``y^T y``
-    are fixed linear functions of ``W``.  ``W = T T^T`` with ``T`` from
-    :func:`~rankevidence._rng.wishart_factor`: the Bartlett factor for
-    ``n > p``, O(p^3) whatever ``n`` is, and ``Z`` itself for ``n <= p``.
-    Draws come from the ``(cfg.seed, "wishart", n)`` stream, so the
-    statistics have the law of :func:`sample_dataset`'s but are not the same
-    draw.
+
+def sample_wishart(seed: int, n_grid: list[int], q: int) -> np.ndarray:
+    """Draw ``W = Z^T Z ~ Wishart_q(n, I)`` for each n of ``n_grid``, stacked
+    as a (len(n_grid), q, q) array.
+
+    ``W = T T^T`` with ``T`` from :func:`~rankevidence._rng.wishart_factor`:
+    the Bartlett factor for ``n >= q``, O(q^3) whatever ``n`` is, and ``Z``
+    itself for ``n < q``.  Each draw comes from the ``(seed, "wishart", n)``
+    stream, which does not depend on the model, so one draw serves every
+    rank.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    T = wishart_factor(substream(cfg.seed, "wishart", n), n, spec.p + 1)
-    W = T @ T.T
+    if any(n < 1 for n in n_grid):
+        raise ValueError(f"sample sizes must be >= 1, got {n_grid}")
+    factors = (wishart_factor(substream(seed, "wishart", n), n, q) for n in n_grid)
+    return np.stack([T @ T.T for T in factors])
+
+
+def statistics_from_wishart(
+    spec: RankRegressionSpec, W: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(A^T A, A^T y, y^T y)`` for each ``W`` of a (k, p+1, p+1) stack.
+
+    With ``Z = [X, eps / sigma]`` (n x (p+1), i.i.d. standard normal) and
+    ``W = Z^T Z``, the three statistics are fixed linear functions of ``W``.
+    Returns stacks of shapes (k, d, d), (k, d) and (k,).
+    """
     sigma = math.sqrt(spec.sigma2)
-    G = W[:-1, :-1]
-    h = sigma * W[:-1, -1]
+    G = W[..., :-1, :-1]
+    # a multiply, not a strided view: BLAS rounds a strided dot product
+    # differently, and the persisted records keep their bits
+    h = sigma * W[..., :-1, -1]
     B, mean = spec.B_star, spec.B_star @ spec.theta_star
     G_mean = G @ mean
-    return SufficientStatistics(
-        n=n,
-        S=symmetrize(B.T @ G @ B),
-        b=B.T @ (G_mean + h),
-        yy=float(mean @ G_mean + 2.0 * (mean @ h) + spec.sigma2 * W[-1, -1]),
-        sigma2=spec.sigma2,
-        tau2=spec.tau2,
+    return (
+        symmetrize(B.T @ G @ B),
+        (B.T @ (G_mean + h)[..., None])[..., 0],
+        (mean @ G_mean[..., None])[..., 0] + 2.0 * (mean @ h[..., None])[..., 0]
+        + spec.sigma2 * W[..., -1, -1],
     )
 
 

@@ -37,8 +37,26 @@ def analytic_rlct(r: int) -> float:
     return r / 2.0
 
 
+def log_n_slopes(ns: list[int] | np.ndarray, values: np.ndarray) -> np.ndarray:
+    """OLS slopes of ``values`` against ``log ns`` along the last axis.
+
+    The centred closed form ``sum(x~ v~) / sum(x~^2)``, broadcast over the
+    leading axes of ``values``.  Requires at least two distinct sample
+    sizes, all >= 2.
+    """
+    ns = np.asarray(ns, dtype=float)
+    if np.any(ns < 2):
+        raise ValueError("all sample sizes must be >= 2")
+    if np.unique(ns).size < 2:
+        raise ValueError("need at least 2 distinct sample sizes to fit a slope")
+    x = np.log(ns)
+    xc = x - x.mean()
+    vc = values - np.mean(values, axis=-1, keepdims=True)
+    return np.sum(xc * vc, axis=-1) / np.sum(xc * xc)
+
+
 def fit_log_n_slope(points: Iterable[tuple[int, float]]) -> SlopeFit:
-    """Ordinary least squares of value against log n.
+    """Ordinary least squares of value against log n, by :func:`log_n_slopes`.
 
     Requires at least two distinct sample sizes, all >= 2.  The slope
     standard error uses the classical homoskedastic formula; with exactly two
@@ -47,17 +65,11 @@ def fit_log_n_slope(points: Iterable[tuple[int, float]]) -> SlopeFit:
     pts = list(points)
     ns = np.array([p[0] for p in pts], dtype=float)
     vals = np.array([p[1] for p in pts], dtype=float)
-    if np.any(ns < 2):
-        raise ValueError("all sample sizes must be >= 2")
-    if np.unique(ns).size < 2:
-        raise ValueError("need at least 2 distinct sample sizes to fit a slope")
-
+    slope = float(log_n_slopes(ns, vals))
     x = np.log(ns)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    intercept, slope = float(coef[0]), float(coef[1])
+    intercept = float(vals.mean() - slope * x.mean())
 
-    resid = vals - design @ coef
+    resid = vals - (intercept + slope * x)
     rss = float(resid @ resid)
     k = len(pts)
     sxx = float(np.sum((x - x.mean()) ** 2))

@@ -10,6 +10,7 @@ from rankevidence.evidence import (
     GaussianLinearProblem,
     SufficientStatistics,
     bic_score,
+    evidence_batch,
     evidence_record,
     exact_log_evidence,
     full_laplace_log_evidence,
@@ -289,6 +290,24 @@ class TestEvidenceRecord:
             GaussianLinearProblem(A=np.zeros((3, 2)), y=np.zeros(3), sigma2=-1.0, tau2=1.0)
         with pytest.raises(ValueError):
             SufficientStatistics(n=3, S=np.eye(2), b=np.zeros(3), yy=1.0, sigma2=1.0, tau2=1.0)
+
+    def test_batch_isolates_a_non_finite_cell(self):
+        """A NaN in one cell's S leaves NaN scores in that cell alone; the
+        other cells equal their one-cell records exactly."""
+        spec = make_spec(6, 6, 2, seed=0)
+        cells = [sample_statistics(spec, n, DataGenConfig(seed=0)) for n in (50, 100, 200)]
+        S = np.stack([c.S for c in cells])
+        S[1, 2, 3] = np.nan
+        out = evidence_batch(
+            np.array([c.n for c in cells]), S, np.stack([c.b for c in cells]),
+            np.array([c.yy for c in cells]), 1.0, 1.0, 1.0,
+        )
+        assert np.isnan(out["log_z_exact"][1]) and np.isnan(out["delta_bic"][1])
+        for i in (0, 2):
+            rec = evidence_record(cells[i], lam=1.0)
+            assert {key: value[i].item() for key, value in out.items()} == {
+                key: getattr(rec, key) for key in out
+            }
 
 
 def _mpmath_reference(stats, rank):

@@ -1,9 +1,14 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import rankevidence.experiments as experiments
+import rankevidence.linear_models as linear_models
+from rankevidence._rng import substream, wishart_factor
+from rankevidence.evidence import GRAM_RANK_RTOL, LOG_2PI
+from rankevidence.linear_models import make_spec
 from rankevidence.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -13,6 +18,39 @@ from rankevidence.experiments import (
     summarize,
     write_study_outputs,
 )
+
+
+def _per_cell_scores(spec, n, seed, lam) -> list[float]:
+    """The six scores of one cell, drawn and evaluated one cell at a time:
+    the statistics and evidence arithmetic the studies ran before they were
+    batched, kept here as the reference for the batched path."""
+    T = wishart_factor(substream(seed, "wishart", n), n, spec.p + 1)
+    W = T @ T.T
+    sigma = math.sqrt(spec.sigma2)
+    G = W[:-1, :-1]
+    h = sigma * W[:-1, -1]
+    B, mean = spec.B_star, spec.B_star @ spec.theta_star
+    G_mean = G @ mean
+    S = B.T @ G @ B
+    S = 0.5 * (S + S.T)
+    b = B.T @ (G_mean + h)
+    yy = float(mean @ G_mean + 2.0 * (mean @ h) + spec.sigma2 * W[-1, -1])
+
+    d, sigma2 = spec.d, spec.sigma2
+    alpha = spec.tau2 / sigma2
+    s, V = np.linalg.eigh(S)
+    c = V.T @ b
+    kept = s > GRAM_RANK_RTOL * s[-1]
+    ck2, sk = c[kept] ** 2, s[kept]
+    centered = 0.5 * float(np.sum(np.log1p(alpha * s))) + float(
+        np.sum(ck2 / (sk * (1.0 + alpha * sk)))
+    ) / (2.0 * sigma2)
+    fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + (yy - float(np.sum(ck2 / sk))) / sigma2)
+    log_n = math.log(n)
+    return [
+        fit - centered, fit, fit - 0.5 * d * log_n, fit - lam * log_n,
+        centered - 0.5 * d * log_n, centered - lam * log_n,
+    ]
 
 
 def tiny_config(**kwargs) -> ExperimentConfig:
@@ -131,16 +169,17 @@ class TestRankSweep:
     def test_injected_nan_cell_is_isolated(self, monkeypatch):
         """One poisoned cell must not abort the sweep; it is surfaced in the
         failure list and the summary."""
-        real = experiments.evidence_record
-
-        def poisoned(prob, lam):
-            rec = real(prob, lam)
-            if prob.n == 100 and lam == 0.5:
-                object.__setattr__(rec, "log_z_exact", float("nan"))
-            return rec
-
-        monkeypatch.setattr(experiments, "evidence_record", poisoned)
         cfg = tiny_config(ranks=[1, 2], seeds=[0], n_grid=[50, 100, 200])
+        clean = run_study(cfg).records
+        real = experiments.evidence_batch
+
+        def poisoned(n, S, b, yy, sigma2, tau2, lam):
+            out = real(n, S, b, yy, sigma2, tau2, lam)
+            if lam == 0.5:   # the rank-1 batch: seed 0 at n = 50, 100, 200
+                out["log_z_exact"][list(n).index(100)] = float("nan")
+            return out
+
+        monkeypatch.setattr(experiments, "evidence_batch", poisoned)
         res = run_study(cfg)
         assert len(res.failures) == 1
         fail = res.failures[0]
@@ -148,6 +187,8 @@ class TestRankSweep:
         text = summarize(res)
         assert "failed cells: 1" in text
         assert "rank=1 seed=0 n=100" in text
+        # every other cell, in the poisoned batch and out of it, keeps its bits
+        assert res.records == [r for r in clean if (r.rank, r.n) != (1, 100)]
 
     def test_clean_run_has_no_failure_section(self):
         text = summarize(run_study(tiny_config()))
@@ -159,6 +200,59 @@ class TestRankSweep:
         rows = [ln for ln in text.splitlines() if ln.strip().startswith(("1 ", "2 "))]
         assert len(rows) == 2
 
+    def test_batch_linalg_error_fails_every_cell_of_the_batch(self, monkeypatch):
+        real = experiments.evidence_batch
+
+        def failing(n, S, b, yy, sigma2, tau2, lam):
+            if lam == 0.5:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(n, S, b, yy, sigma2, tau2, lam)
+
+        monkeypatch.setattr(experiments, "evidence_batch", failing)
+        records, failures, _ = experiments._regression_cells(tiny_config())
+        assert [(f.rank, f.seed, f.n) for f in failures] == [
+            (1, seed, n) for seed in (0, 1) for n in (50, 100, 200)
+        ]
+        assert {f.message for f in failures} == {"Eigenvalues did not converge"}
+        assert len(records) == 6 and {r.rank for r in records} == {2}
+
+    def test_records_match_per_cell_reference_bitwise(self):
+        """Every score of every cell equals the one-cell-at-a-time arithmetic
+        exactly, on both draw branches (n <= p draws Z itself).  At n = 19143
+        np.log and math.log round differently."""
+        grid = [2, 3, 5, 7, 10, *ExperimentConfig().n_grid, 19143, 10**6, 10**9]
+        cfg = ExperimentConfig(n_grid=grid)
+        res = run_study(cfg)
+        assert not res.failures
+        expected = []
+        for rank in cfg.ranks:
+            for seed in cfg.seeds:
+                spec = make_spec(cfg.p, cfg.d, rank, cfg.sigma2, cfg.tau2, seed=seed)
+                for n in grid:
+                    expected.append(_per_cell_scores(spec, n, seed, rank / 2.0))
+        got = [[getattr(r, key) for key in experiments._SCORE_COLUMNS] for r in res.records]
+        assert got == expected
+
+    def test_one_draw_per_seed_and_n_and_one_eigh_per_rank(self, monkeypatch):
+        """Structural guard: the default sweep draws each (seed, n) Wishart
+        factor once for all ranks and runs at most one eigh per rank."""
+        counts = {"factor": 0, "eigh": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            linear_models, "wishart_factor", counting("factor", linear_models.wishart_factor)
+        )
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        cfg = ExperimentConfig()
+        res = run_study(cfg)
+        assert len(res.records) == len(cfg.ranks) * len(cfg.seeds) * len(cfg.n_grid)
+        assert counts["factor"] == len(cfg.seeds) * len(cfg.n_grid) == 180
+        assert 1 <= counts["eigh"] <= len(cfg.ranks)
 
     def test_large_n_grid_recovers_lambda(self):
         """At n = 1e6..1e9 the finite-n bias is gone: every rank's lambda_hat

@@ -7,6 +7,7 @@ from rankevidence.rlct import (
     analytic_rlct,
     estimate_rlct_from_slope,
     fit_log_n_slope,
+    log_n_slopes,
     predicted_bic_error_slope,
 )
 
@@ -95,6 +96,31 @@ class TestFitLogNSlope:
             fit_log_n_slope([(100, 1.0), (100, 2.0)])
         with pytest.raises(ValueError):
             fit_log_n_slope([(1, 1.0), (100, 2.0)])
+
+
+class TestLogNSlopes:
+    @pytest.mark.parametrize("m", range(2, 16))
+    def test_closed_form_matches_polyfit(self, m):
+        """The broadcast slopes and fit_log_n_slope equal np.polyfit's
+        degree-1 fit on random (k, m) stacks, sample sizes up to 2**32 - 1."""
+        rng = np.random.default_rng(m)
+        ns = np.sort(rng.choice(2**32 - 2, size=m, replace=False) + 2)
+        ns[-1] = 2**32 - 1
+        values = rng.standard_normal((7, m)) * rng.uniform(0.1, 1e3, size=(7, 1))
+        coefs = np.array([np.polyfit(np.log(ns.astype(float)), v, 1) for v in values])
+        np.testing.assert_allclose(log_n_slopes(ns, values), coefs[:, 0], rtol=1e-12, atol=1e-12)
+        for v, (slope, intercept) in zip(values, coefs):
+            fit = fit_log_n_slope(zip(ns.tolist(), v))
+            np.testing.assert_allclose(fit.slope, slope, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(fit.intercept, intercept, rtol=1e-12, atol=1e-12)
+
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(0)
+        ns = [50, 100, 200, 400]
+        values = rng.standard_normal((3, 5, 4))
+        got = log_n_slopes(ns, values)
+        assert got.shape == (3, 5)
+        np.testing.assert_allclose(got[2, 4], log_n_slopes(ns, values[2, 4]), rtol=1e-14)
 
 
 class TestEstimateRlct:
