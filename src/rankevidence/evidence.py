@@ -257,14 +257,15 @@ def evidence_batch(
     ``n`` (m,), ``S`` (m, d, d), ``b`` (m, d) and ``yy`` (m,) are the cells'
     statistics; the variances and ``lam`` are shared.  With
     ``S = V diag(s) V^T``, ``c = V^T b`` and ``alpha = tau2 / sigma2``, the
-    centered term is a sum of d terms, nonnegative in exact arithmetic,
+    centered term is a sum of at most d terms, nonnegative in exact arithmetic,
 
-        log_lik_mle - log_z_exact = 1/2 sum_i log1p(alpha s_i)
+        log_lik_mle - log_z_exact = 1/2 sum_kept log1p(alpha s_i)
                                     + 1/(2 sigma2) sum_kept c_i^2 / (s_i (1 + alpha s_i))
 
-    so no O(n) terms cancel in it.  The fit term uses the pseudoinverse on
-    the kept eigen-directions, and the evidence is the fit minus the
-    centered term.  All cells share one batched ``eigh``.  A cell whose
+    so no O(n) terms cancel in it.  Both sums and the fit term, which uses
+    the pseudoinverse, run over the kept eigen-directions (see
+    :data:`GRAM_RANK_RTOL`), and the evidence is the fit minus the centered
+    term.  All cells share one batched ``eigh``.  A cell whose
     ``S`` is not finite gets NaN scores (``eigh`` would raise on a NaN for
     the whole stack); an ``eigh`` that does not converge raises
     ``LinAlgError``.
@@ -281,7 +282,10 @@ def evidence_batch(
     c = (V.swapaxes(-1, -2) @ b[..., None])[..., 0]
     kept = s > GRAM_RANK_RTOL * s[..., -1:]
     ck2, sk = np.where(kept, c**2, 0.0), np.where(kept, s, 1.0)
-    centered = 0.5 * np.sum(np.log1p(alpha * s), axis=-1) + np.sum(
+    # Null eigenvalues are eigh's rounding noise, of order eps * top, and
+    # would add about alpha * eps * top to the sum; a NaN cell stays NaN.
+    s_log = np.where(kept | np.isnan(s), s, 0.0)
+    centered = 0.5 * np.sum(np.log1p(alpha * s_log), axis=-1) + np.sum(
         ck2 / (sk * (1.0 + alpha * sk)), axis=-1
     ) / (2.0 * sigma2)
     fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + (yy - np.sum(ck2 / sk, axis=-1)) / sigma2)

@@ -1,17 +1,19 @@
 """Brute-force verification of the closed-form evidence.
 
-Two independent routes: adaptive quadrature of the joint density for d <= 2,
+Two independent routes: adaptive cubature of the joint density for d <= 2,
 and self-normalized importance sampling for d <= 5.  All integrand work runs
 in log space with max subtraction, since the n log sigma2 terms reach
-magnitudes where naive exponentiation underflows.  The quadrature domain is
-centered at the posterior mean with a radius measured in posterior standard
-deviations — the posterior, not the prior, is where the mass concentrates.
+magnitudes where naive exponentiation underflows.  The cubature domain is a
+box centered at the posterior mean with a radius measured in posterior
+standard deviations — the posterior, not the prior, is where the mass
+concentrates — and the integrand is the raw joint density at every node, so
+the posterior only places the box.  The cubature is plain numpy: a batched
+tensor-product Gauss-Legendre rule, refined box by box.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,10 @@ from ._rng import substream
 from .evidence import LOG_2PI, GaussianLinearProblem, posterior
 
 
+# 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 39.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
 class OracleError(RuntimeError):
     """The verification integral did not converge; the check is inconclusive."""
 
@@ -29,7 +35,7 @@ class OracleError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureSettings:
     rel_tol: float = 1e-9
-    max_subdivisions: int = 200
+    max_subdivisions: int = 200        # boxes in the cubature partition
     integration_radius: float = 12.0   # in posterior standard deviations
 
     def __post_init__(self) -> None:
@@ -59,103 +65,77 @@ def log_joint(prob: GaussianLinearProblem, theta: np.ndarray) -> float:
 def quadrature_log_evidence(
     prob: GaussianLinearProblem, settings: QuadratureSettings | None = None
 ) -> float:
-    """log of the evidence integral by adaptive quadrature (d <= 2).
+    """log of the evidence integral by adaptive cubature (d <= 2).
 
-    d = 1 integrates the joint directly; d = 2 uses nested adaptive
-    quadrature over coordinates whitened by the posterior covariance factor.
-    Whitening only reshapes the domain — the integrand is still the true
-    joint density — so a wrong posterior cannot bias the value, only slow
-    convergence.  Non-convergence raises :class:`OracleError` rather than
-    returning a doubtful number.
+    The domain is the box ``[-R, R]^d`` in coordinates whitened by the
+    posterior covariance factor, ``R = settings.integration_radius``.  Each
+    round applies a tensor-product 20-point Gauss-Legendre rule to every open
+    box and to its ``2^d`` halves in one array evaluation; a box whose two
+    values differ by at most ``rel_tol * |estimate| * vol_box / vol_total``
+    is accepted at the finer value, the others are split.  Whitening only
+    reshapes the domain — the integrand is still the true joint density at
+    every node — so a posterior a few standard deviations off cannot bias the
+    value beyond the mass it pushes out of the box, only slow convergence.
+    Non-convergence within ``settings.max_subdivisions`` boxes raises
+    :class:`OracleError` rather than returning a doubtful number.
     """
-    # Imported here, not at module level: only this oracle integrates, and
-    # scipy.integrate would otherwise add about 0.3 s to every package import.
-    import scipy.integrate
-
     settings = settings or QuadratureSettings()
-    if prob.d > 2:
-        raise ValueError(f"quadrature oracle supports d <= 2, got d={prob.d}")
+    d = prob.d
+    if d > 2:
+        raise ValueError(f"quadrature oracle supports d <= 2, got d={d}")
     post = posterior(prob)
     mu = post.mean
     radius = settings.integration_radius
     log_peak = log_joint(prob, mu)
+    L = spd_cholesky(post.precision, context="quadrature domain")
+    # theta = mu + L^{-T} u maps the unit ball of the posterior metric to the
+    # u coordinates; |det L^{-T}| = 1/prod(diag L).
+    log_jacobian = -float(np.sum(np.log(np.diag(L))))
+    T = scipy.linalg.solve_triangular(L, np.eye(d), lower=True, trans="T")
 
-    # The adaptive integrator calls the integrand one scalar point at a time,
-    # so the log joint is expanded in its sufficient statistics and evaluated
-    # in plain floats; array arithmetic per call would dominate the runtime.
+    # The log joint, expanded in its sufficient statistics.
     yty = float(prob.y @ prob.y)
     b = prob.A.T @ prob.y
     S = prob.A.T @ prob.A
     const = -0.5 * (
         prob.n * (LOG_2PI + math.log(prob.sigma2))
-        + prob.d * (LOG_2PI + math.log(prob.tau2))
+        + d * (LOG_2PI + math.log(prob.tau2))
     )
-    inv_s2 = 1.0 / prob.sigma2
-    inv_t2 = 1.0 / prob.tau2
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
-        try:
-            if prob.d == 1:
-                b0, s00 = float(b[0]), float(S[0, 0])
+    # The tensor rule on [-1, 1]^d, and the centres of a box's 2^d halves in
+    # units of its half-width.
+    nodes, halves = _tensor_grid(_GL_NODES, d), _tensor_grid([-0.5, 0.5], d)
+    weights = np.prod(_tensor_grid(_GL_WEIGHTS, d), axis=1)
 
-                def log_f(t: float) -> float:
-                    rss = yty - 2.0 * b0 * t + s00 * t * t
-                    return const - 0.5 * (rss * inv_s2 + t * t * inv_t2)
+    def rule(centres: np.ndarray, half: float) -> np.ndarray:
+        """The rule on each box of half-width ``half`` about ``centres`` (m, d)."""
+        theta = mu + (centres[:, None, :] + half * nodes) @ T.T
+        rss = yty - 2.0 * (theta @ b) + np.einsum("...i,ij,...j->...", theta, S, theta)
+        log_f = const - 0.5 * (
+            rss / prob.sigma2 + np.einsum("...i,...i->...", theta, theta) / prob.tau2
+        )
+        return np.exp(log_f - log_peak) @ weights * half**d
 
-                sd = 1.0 / math.sqrt(post.precision[0, 0])
-                value, abserr = scipy.integrate.quad(
-                    lambda t: math.exp(log_f(t) - log_peak),
-                    mu[0] - radius * sd,
-                    mu[0] + radius * sd,
-                    epsabs=0.0,
-                    epsrel=settings.rel_tol,
-                    limit=settings.max_subdivisions,
-                )
-                log_jacobian = 0.0
-            else:
-                L = spd_cholesky(post.precision, context="quadrature domain")
-                # theta = mu + L^{-T} u maps the unit ball of the posterior
-                # metric to the u coordinates; |det L^{-T}| = 1/prod(diag L).
-                log_jacobian = -float(np.sum(np.log(np.diag(L))))
-                T = scipy.linalg.solve_triangular(L, np.eye(2), lower=True, trans="T")
-                t00, t01, t10, t11 = float(T[0, 0]), float(T[0, 1]), float(T[1, 0]), float(T[1, 1])
-                m0, m1 = float(mu[0]), float(mu[1])
-                b0, b1 = float(b[0]), float(b[1])
-                s00, s01, s11 = float(S[0, 0]), float(S[0, 1]), float(S[1, 1])
-
-                def integrand(u0: float, u1: float) -> float:
-                    th0 = m0 + t00 * u0 + t01 * u1
-                    th1 = m1 + t10 * u0 + t11 * u1
-                    rss = yty - 2.0 * (b0 * th0 + b1 * th1) + (
-                        s00 * th0 * th0 + 2.0 * s01 * th0 * th1 + s11 * th1 * th1
-                    )
-                    log_f = const - 0.5 * (
-                        rss * inv_s2 + (th0 * th0 + th1 * th1) * inv_t2
-                    )
-                    return math.exp(log_f - log_peak)
-
-                def inner(u0: float) -> float:
-                    val, _ = scipy.integrate.quad(
-                        lambda u1: integrand(u0, u1),
-                        -radius,
-                        radius,
-                        epsabs=0.0,
-                        epsrel=settings.rel_tol * 0.1,
-                        limit=settings.max_subdivisions,
-                    )
-                    return val
-
-                value, abserr = scipy.integrate.quad(
-                    inner,
-                    -radius,
-                    radius,
-                    epsabs=0.0,
-                    epsrel=settings.rel_tol,
-                    limit=settings.max_subdivisions,
-                )
-        except scipy.integrate.IntegrationWarning as exc:
-            raise OracleError(f"quadrature did not converge: {exc}") from exc
+    centres, half = np.zeros((1, d)), radius
+    coarse = rule(centres, half)
+    value = abserr = 0.0            # accepted mass and its error estimate
+    n_boxes = 1
+    while coarse.size:
+        centres = (centres[:, None, :] + half * halves).reshape(-1, d)
+        half /= 2.0
+        fine = rule(centres, half).reshape(-1, 2**d)
+        err = np.abs(fine.sum(axis=1) - coarse)
+        estimate = value + float(fine.sum())
+        done = err <= settings.rel_tol * abs(estimate) * (2.0 * half / radius) ** d
+        value += float(fine[done].sum())
+        abserr += float(err[done].sum())
+        n_boxes += (2**d - 1) * int(np.count_nonzero(~done))
+        if n_boxes > settings.max_subdivisions:
+            raise OracleError(
+                f"quadrature did not converge within {settings.max_subdivisions} boxes"
+            )
+        centres = centres.reshape(-1, 2**d, d)[~done].reshape(-1, d)
+        coarse = fine[~done].ravel()
 
     if not value > 0.0 or not np.isfinite(value):
         raise OracleError(f"quadrature returned a non-positive mass {value}")
@@ -165,6 +145,11 @@ def quadrature_log_evidence(
             f"for mass {value:.6e}"
         )
     return log_peak + log_jacobian + math.log(value)
+
+
+def _tensor_grid(points, d: int) -> np.ndarray:
+    """Every d-tuple of ``points``, one per row: a (len(points)^d, d) array."""
+    return np.stack(np.meshgrid(*[points] * d, indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def importance_log_weights(

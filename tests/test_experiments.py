@@ -9,6 +9,7 @@ import rankevidence.linear_models as linear_models
 from rankevidence._rng import substream, wishart_factor
 from rankevidence.evidence import GRAM_RANK_RTOL, LOG_2PI
 from rankevidence.linear_models import make_spec
+from rankevidence.rlct import log_n_slopes
 from rankevidence.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -42,7 +43,7 @@ def _per_cell_scores(spec, n, seed, lam) -> list[float]:
     c = V.T @ b
     kept = s > GRAM_RANK_RTOL * s[-1]
     ck2, sk = c[kept] ** 2, s[kept]
-    centered = 0.5 * float(np.sum(np.log1p(alpha * s))) + float(
+    centered = 0.5 * float(np.sum(np.log1p(alpha * sk))) + float(
         np.sum(ck2 / (sk * (1.0 + alpha * sk)))
     ) / (2.0 * sigma2)
     fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + (yy - float(np.sum(ck2 / sk))) / sigma2)
@@ -261,6 +262,39 @@ class TestRankSweep:
         assert not res.failures
         for s in res.rank_summaries:
             assert abs(s.lambda_hat - s.rank / 2.0) < 1e-3, (s.rank, s.lambda_hat)
+
+    def test_lambda_hat_at_large_n_against_mpmath(self):
+        """For r < d at n = 2**28..2**32 - 1, lambda_hat matches the slope of
+        the rank-r centered term evaluated at 50 digits from the same float
+        statistics.  The tolerance is twice the worst-case rounding of the
+        records' O(n) fit-minus-evidence subtraction carried into the slope
+        (9.5e-8); the measured residual is 4.1e-8.  Summing the null
+        eigenvalues' eps * top noise into the centered term costs 4.3e-6."""
+        mpmath = pytest.importorskip("mpmath")
+        grid = [2**28, 2**29, 2**30, 2**31, 2**32 - 1]
+        cfg = ExperimentConfig(ranks=[1, 3], seeds=[0, 1], n_grid=grid)
+        res = run_study(cfg)
+        alpha = mpmath.mpf(cfg.tau2) / cfg.sigma2
+        for summary in res.rank_summaries:
+            rank = summary.rank
+            centered = np.zeros((len(cfg.seeds), len(grid)))
+            for i, seed in enumerate(cfg.seeds):
+                spec = make_spec(cfg.p, cfg.d, rank, cfg.sigma2, cfg.tau2, seed=seed)
+                S, b, _ = linear_models.statistics_from_wishart(
+                    spec, linear_models.sample_wishart(seed, grid, cfg.p + 1)
+                )
+                for j in range(len(grid)):
+                    with mpmath.workdps(50):
+                        s, Q = mpmath.eigsy(mpmath.matrix(S[j].tolist()))
+                        c = Q.T * mpmath.matrix(b[j].tolist())
+                        top = sorted(range(cfg.d), key=lambda k: s[k])[-rank:]
+                        centered[i, j] = float(
+                            mpmath.fsum(mpmath.log1p(alpha * s[k]) for k in top) / 2
+                            + mpmath.fsum(c[k] ** 2 / (s[k] * (1 + alpha * s[k])) for k in top)
+                            / (2 * cfg.sigma2)
+                        )
+            expected = float(log_n_slopes(grid, centered.mean(axis=0)))
+            assert abs(summary.lambda_hat - expected) < 2e-7, (rank, summary.lambda_hat, expected)
 
 
 class TestRegularVsSingular:

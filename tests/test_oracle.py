@@ -2,21 +2,89 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 import scipy.stats
 
 import rankevidence
-from rankevidence.evidence import GaussianLinearProblem, exact_log_evidence
+import rankevidence.oracle as oracle
+from rankevidence._linalg import spd_cholesky
+from rankevidence.evidence import GaussianLinearProblem, exact_log_evidence, posterior
 from rankevidence.oracle import (
+    OracleError,
     QuadratureSettings,
     importance_log_evidence,
     importance_log_weights,
+    log_joint,
     quadrature_log_evidence,
     random_problem,
 )
+
+
+def _nested_quad_log_evidence(prob: GaussianLinearProblem) -> float:
+    """The oracle as it was before the batched cubature, kept here as the
+    slow reference: scipy's QUADPACK on the raw joint, one scalar integrand
+    call per point, nested for d = 2 over the same whitened box."""
+    settings = QuadratureSettings()
+    post = posterior(prob)
+    mu = post.mean
+    radius = settings.integration_radius
+    log_peak = log_joint(prob, mu)
+    yty = float(prob.y @ prob.y)
+    b = prob.A.T @ prob.y
+    S = prob.A.T @ prob.A
+    const = -0.5 * (
+        prob.n * (math.log(2.0 * math.pi) + math.log(prob.sigma2))
+        + prob.d * (math.log(2.0 * math.pi) + math.log(prob.tau2))
+    )
+    inv_s2, inv_t2 = 1.0 / prob.sigma2, 1.0 / prob.tau2
+    quad = dict(epsabs=0.0, epsrel=settings.rel_tol, limit=settings.max_subdivisions)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
+        if prob.d == 1:
+            b0, s00 = float(b[0]), float(S[0, 0])
+
+            def log_f(t: float) -> float:
+                rss = yty - 2.0 * b0 * t + s00 * t * t
+                return const - 0.5 * (rss * inv_s2 + t * t * inv_t2)
+
+            sd = 1.0 / math.sqrt(post.precision[0, 0])
+            value, _ = scipy.integrate.quad(
+                lambda t: math.exp(log_f(t) - log_peak),
+                mu[0] - radius * sd, mu[0] + radius * sd, **quad,
+            )
+            return log_peak + math.log(value)
+        L = spd_cholesky(post.precision)
+        log_jacobian = -float(np.sum(np.log(np.diag(L))))
+        T = scipy.linalg.solve_triangular(L, np.eye(2), lower=True, trans="T")
+        t00, t01, t10, t11 = float(T[0, 0]), float(T[0, 1]), float(T[1, 0]), float(T[1, 1])
+        m0, m1 = float(mu[0]), float(mu[1])
+        b0, b1 = float(b[0]), float(b[1])
+        s00, s01, s11 = float(S[0, 0]), float(S[0, 1]), float(S[1, 1])
+
+        def integrand(u0: float, u1: float) -> float:
+            th0 = m0 + t00 * u0 + t01 * u1
+            th1 = m1 + t10 * u0 + t11 * u1
+            rss = yty - 2.0 * (b0 * th0 + b1 * th1) + (
+                s00 * th0 * th0 + 2.0 * s01 * th0 * th1 + s11 * th1 * th1
+            )
+            log_f = const - 0.5 * (rss * inv_s2 + (th0 * th0 + th1 * th1) * inv_t2)
+            return math.exp(log_f - log_peak)
+
+        def inner(u0: float) -> float:
+            return scipy.integrate.quad(
+                lambda u1: integrand(u0, u1), -radius, radius,
+                **dict(quad, epsrel=settings.rel_tol * 0.1),
+            )[0]
+
+        value, _ = scipy.integrate.quad(inner, -radius, radius, **quad)
+        return log_peak + log_jacobian + math.log(value)
 
 
 class TestQuadratureSettings:
@@ -58,11 +126,44 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quadrature_log_evidence(prob)
 
+    def test_matches_nested_quadpack_reference(self):
+        """The batched cubature and the scalar nested QUADPACK reference
+        agree on d = 1 and d = 2 problems."""
+        rng = np.random.default_rng(8)
+        dims = []
+        for _ in range(10):
+            prob = random_problem(rng, max_d=2, max_n=50)
+            dims.append(prob.d)
+            ref = _nested_quad_log_evidence(prob)
+            assert abs(quadrature_log_evidence(prob) - ref) < 1e-9, prob.d
+        assert set(dims) == {1, 2}
+
+    def test_wrong_posterior_cannot_bias_the_value(self, monkeypatch):
+        """The posterior only places the integration box: centred 3 posterior
+        standard deviations off the mean (in the posterior metric), the box
+        still holds all but about 1e-18 of the mass and the integrand is
+        still the true joint, so the value stays exact or the oracle
+        refuses."""
+        def shifted(prob):
+            post = posterior(prob)
+            L = spd_cholesky(post.precision)
+            step = np.full(prob.d, 3.0 / math.sqrt(prob.d))
+            offset = scipy.linalg.solve_triangular(L, step, lower=True, trans="T")
+            return replace(post, mean=post.mean + offset)
+
+        rng = np.random.default_rng(11)
+        problems = [random_problem(rng, max_d=2, max_n=50) for _ in range(20)]
+        monkeypatch.setattr(oracle, "posterior", shifted)
+        for prob in problems:
+            try:
+                value = quadrature_log_evidence(prob)
+            except OracleError:
+                continue
+            assert abs(value - exact_log_evidence(prob)) < 1e-9
+
     def test_nonconvergence_is_an_error_not_a_silent_pass(self):
         """On a hopeless domain/budget combination the oracle must refuse
         rather than return a doubtful value."""
-        from rankevidence.oracle import OracleError
-
         rng = np.random.default_rng(6)
         prob = random_problem(rng, max_d=1, max_n=40, min_n=20)
         hopeless = QuadratureSettings(integration_radius=1e7, max_subdivisions=10)
@@ -115,13 +216,14 @@ class TestImportanceSampling:
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
-    """Only quadrature_log_evidence integrates, so it imports scipy.integrate
-    itself: importing the package and its CLI in a fresh interpreter must
-    not load it."""
+    """The quadrature oracle integrates with its own numpy cubature, so
+    neither importing the package and its CLI nor running the whole verify
+    sweep in a fresh interpreter loads scipy.integrate."""
     src = str(Path(rankevidence.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = ("import sys, rankevidence, rankevidence.cli; "
+            "rankevidence.cli.run_verification(); "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
