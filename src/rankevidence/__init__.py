@@ -51,7 +51,6 @@ from .linear_models import (
 )
 from .oracle import (
     OracleError,
-    QuadratureSettings,
     importance_log_evidence,
     quadrature_log_evidence,
 )

@@ -70,19 +70,3 @@ def numerical_rank(M: np.ndarray) -> int:
     s = np.linalg.svd(M, compute_uv=False)
     return int(np.count_nonzero(s > rank_tolerance(s, M.shape)))
 
-
-def psd_spectral_rank(eigenvalues: np.ndarray, size: int) -> int:
-    """Count of eigenvalues of a PSD matrix that are numerically nonzero.
-
-    ``size`` is the relevant matrix dimension for noise scaling (eigenvalues
-    of a computed Gram matrix carry rounding noise of order
-    ``eig_max * eps``, not ``eps**2``).
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if eigenvalues.size == 0:
-        return 0
-    top = float(eigenvalues.max())
-    if top <= 0.0:
-        return 0
-    tol = top * size * np.finfo(float).eps
-    return int(np.count_nonzero(eigenvalues > tol))

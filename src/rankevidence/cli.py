@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import NumericalError
-from .evidence import exact_log_evidence, full_laplace_log_evidence
+from .evidence import evidence_record, exact_log_evidence, full_laplace_log_evidence
 from .experiments import (
     FIELD_TYPES,
     STUDIES,
@@ -335,34 +335,42 @@ def _run_evidence_command(args: argparse.Namespace) -> int:
 
 
 def run_verification(seed: int = 2024) -> list[tuple[str, float, float, bool]]:
-    """Deterministic oracle sweep: (name, worst value, tolerance, passed)."""
+    """Deterministic oracle sweep: (name, worst value, tolerance, passed).
+
+    The quadrature is checked against both closed forms: the Cholesky one on
+    the data and the eigendecomposition record the studies compute."""
     rng = np.random.default_rng(seed)
     quad_worst = 0.0
     for _ in range(100):
         prob = random_problem(rng, max_d=2, max_n=50)
+        stats = prob.statistics()
+        quad = quadrature_log_evidence(stats)
         quad_worst = max(
-            quad_worst, abs(exact_log_evidence(prob) - quadrature_log_evidence(prob))
+            quad_worst,
+            abs(exact_log_evidence(prob) - quad),
+            abs(evidence_record(stats, lam=0.0).log_z_exact - quad),
         )
     lap_worst = 0.0
     for _ in range(200):
         prob = random_problem(rng, max_d=20, max_n=1000, min_n=5)
         exact = exact_log_evidence(prob)
         lap_worst = max(
-            lap_worst, abs(full_laplace_log_evidence(prob) - exact) / abs(exact)
+            lap_worst, abs(full_laplace_log_evidence(prob.statistics()) - exact) / abs(exact)
         )
     weight_var_worst = 0.0
     is_dev_worst = 0.0
     for i in range(20):
         prob = random_problem(rng, max_d=5, max_n=200, min_n=5)
-        logw = importance_log_weights(prob, 2000, seed=seed + i)
+        stats = prob.statistics()
+        logw = importance_log_weights(stats, 2000, seed=seed + i)
         weight_var_worst = max(weight_var_worst, float(np.var(logw)))
-        est, stderr = importance_log_evidence(prob, 2000, seed=seed + i)
+        est, stderr = importance_log_evidence(stats, 2000, seed=seed + i)
         is_dev_worst = max(
             is_dev_worst, abs(est - exact_log_evidence(prob)) - 3.0 * stderr
         )
     return [
-        ("quadrature vs closed form (100 problems, d<=2, n<=50)", quad_worst, 1e-6,
-         quad_worst < 1e-6),
+        ("quadrature vs closed form and evidence record (100 problems, d<=2, n<=50)",
+         quad_worst, 1e-6, quad_worst < 1e-6),
         ("MAP-Laplace vs closed form, relative (200 problems, d<=20)", lap_worst, 1e-8,
          lap_worst < 1e-8),
         ("importance log-weight variance, conjugate proposal (20 problems)",

@@ -25,7 +25,6 @@ from ._linalg import (
     chol_logdet,
     chol_solve,
     numerical_rank,
-    psd_spectral_rank,
     spd_cholesky,
     symmetrize,
 )
@@ -198,8 +197,20 @@ def gram_spectrum(spec: DictionarySpec) -> np.ndarray:
 
 
 def spectrum_rank(eigenvalues: np.ndarray, size: int) -> int:
-    """Count of Gram eigenvalues that are numerically nonzero."""
-    return psd_spectral_rank(eigenvalues, size)
+    """Count of Gram eigenvalues that are numerically nonzero.
+
+    ``size`` is the relevant matrix dimension for noise scaling (eigenvalues
+    of a computed Gram matrix carry rounding noise of order
+    ``eig_max * eps``, not ``eps**2``).
+    """
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    if eigenvalues.size == 0:
+        return 0
+    top = float(eigenvalues.max())
+    if top <= 0.0:
+        return 0
+    tol = top * size * np.finfo(float).eps
+    return int(np.count_nonzero(eigenvalues > tol))
 
 
 def ml_fit_term(

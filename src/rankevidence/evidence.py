@@ -17,7 +17,10 @@ Every one of these quantities depends on the data only through the
 sufficient statistics ``(n, S, A^T y, y^T y)``.  :func:`evidence_record`
 works from those alone, through one eigendecomposition of ``S``, so a cell
 costs the same at every ``n``; :func:`evidence_batch` does the same for a
-stack of cells with one batched ``eigh``.
+stack of cells with one batched ``eigh``.  :func:`log_joint`,
+:func:`posterior` and :func:`full_laplace_log_evidence` read the statistics
+too; only the references :func:`exact_log_evidence` and
+:func:`mle_fit_term` work on ``(A, y)``.
 """
 
 from __future__ import annotations
@@ -204,33 +207,40 @@ def rlct_score(log_lik_mle: float, lam: float, n: int) -> float:
     return log_lik_mle - lam * math.log(n)
 
 
-def posterior(prob: GaussianLinearProblem) -> PosteriorGaussian:
+def log_joint(stats: SufficientStatistics, theta: np.ndarray) -> np.ndarray:
+    """``log p(y | theta) + log prior(theta)`` for parameters stacked along
+    the last axis of ``theta`` (shape ``(..., d)``, result ``(...)``), from the
+    statistics alone: the residual sum of squares is
+    ``yy - 2 theta^T b + theta^T S theta``."""
+    rss = stats.yy - 2.0 * (theta @ stats.b) + np.einsum(
+        "...i,ij,...j->...", theta, stats.S, theta
+    )
+    return -0.5 * (
+        stats.n * (LOG_2PI + math.log(stats.sigma2))
+        + stats.d * (LOG_2PI + math.log(stats.tau2))
+        + rss / stats.sigma2
+        + np.einsum("...i,...i->...", theta, theta) / stats.tau2
+    )
+
+
+def posterior(stats: SufficientStatistics) -> PosteriorGaussian:
     """Posterior precision and mean, via an SPD factorization."""
-    A, y = prob.A, prob.y
-    precision = (A.T @ A) / prob.sigma2 + np.eye(prob.d) / prob.tau2
+    precision = stats.S / stats.sigma2 + np.eye(stats.d) / stats.tau2
     L = spd_cholesky(precision, context="posterior")
-    mean = chol_solve(L, A.T @ y / prob.sigma2)
+    mean = chol_solve(L, stats.b / stats.sigma2)
     return PosteriorGaussian(precision=precision, mean=mean)
 
 
-def full_laplace_log_evidence(prob: GaussianLinearProblem) -> float:
+def full_laplace_log_evidence(stats: SufficientStatistics) -> float:
     """Laplace approximation expanded around the MAP point, with all terms.
 
     Returns ``log p(y | mu) + log prior(mu) + (d/2) log 2pi
     - 1/2 log det(precision)``.  Because the log posterior is exactly
     quadratic here, this equals :func:`exact_log_evidence` up to rounding.
     """
-    post = posterior(prob)
-    mu = post.mean
-    resid = prob.y - prob.A @ mu
-    log_lik = -0.5 * (
-        prob.n * (LOG_2PI + math.log(prob.sigma2)) + float(resid @ resid) / prob.sigma2
-    )
-    log_prior = -0.5 * (
-        prob.d * (LOG_2PI + math.log(prob.tau2)) + float(mu @ mu) / prob.tau2
-    )
+    post = posterior(stats)
     L = spd_cholesky(post.precision, context="full_laplace_log_evidence")
-    return log_lik + log_prior + 0.5 * prob.d * LOG_2PI - 0.5 * chol_logdet(L)
+    return float(log_joint(stats, post.mean)) + 0.5 * stats.d * LOG_2PI - 0.5 * chol_logdet(L)
 
 
 def evidence_record(

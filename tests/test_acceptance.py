@@ -16,6 +16,7 @@ from conftest import ACCEPTANCE_LINES
 from rankevidence.dictionary import gram_spectrum, make_dictionary_pair, spectrum_rank
 from rankevidence.evidence import (
     bic_score,
+    evidence_record,
     exact_log_evidence,
     full_laplace_log_evidence,
 )
@@ -51,17 +52,24 @@ def dict_result():
 
 
 def test_criterion_1_closed_form_vs_quadrature():
-    """100 random problems with d <= 2, n <= 50: closed form and adaptive
-    quadrature agree to 1e-6, in under 30 s."""
+    """100 random problems with d <= 2, n <= 50: adaptive quadrature agrees
+    to 1e-6 with both the Cholesky closed form and the eigendecomposition
+    record the studies compute, in under 30 s."""
     rng = np.random.default_rng(101)
     start = time.monotonic()
     worst = 0.0
     for _ in range(100):
         prob = random_problem(rng, max_d=2, max_n=50)
-        worst = max(worst, abs(exact_log_evidence(prob) - quadrature_log_evidence(prob)))
+        stats = prob.statistics()
+        quad = quadrature_log_evidence(stats)
+        worst = max(
+            worst,
+            abs(exact_log_evidence(prob) - quad),
+            abs(evidence_record(stats, lam=0.0).log_z_exact - quad),
+        )
     elapsed = time.monotonic() - start
     _report(
-        "criterion 1 (closed form vs quadrature)",
+        "criterion 1 (closed form and evidence record vs quadrature)",
         worst < 1e-6 and elapsed < 30.0,
         f"max |diff| = {worst:.3e} (tol 1e-6), {elapsed:.1f} s",
     )
@@ -76,7 +84,7 @@ def test_criterion_2_laplace_exactness():
     for _ in range(200):
         prob = random_problem(rng, max_d=20, max_n=1000, min_n=2)
         exact = exact_log_evidence(prob)
-        worst = max(worst, abs(full_laplace_log_evidence(prob) - exact) / abs(exact))
+        worst = max(worst, abs(full_laplace_log_evidence(prob.statistics()) - exact) / abs(exact))
     elapsed = time.monotonic() - start
     _report(
         "criterion 2 (Gaussian Laplace exactness)",

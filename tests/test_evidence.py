@@ -14,6 +14,7 @@ from rankevidence.evidence import (
     evidence_record,
     exact_log_evidence,
     full_laplace_log_evidence,
+    log_joint,
     mle_fit_term,
     posterior,
     rlct_score,
@@ -210,17 +211,35 @@ class TestScores:
             rlct_score(0.0, -0.5, 100)
 
 
+class TestLogJoint:
+    def test_matches_the_data_form_on_a_stack(self):
+        """The statistics form broadcasts over a (..., d) stack of parameters
+        and equals the sum of normal log densities of the residuals plus
+        the prior's."""
+        rng = np.random.default_rng(6)
+        prob = _random_problem(rng, d=3, n=40)
+        thetas = rng.standard_normal((4, 5, 3))
+        got = log_joint(prob.statistics(), thetas)
+        assert got.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            t = thetas[idx]
+            want = np.sum(
+                scipy.stats.norm.logpdf(prob.y - prob.A @ t, scale=math.sqrt(prob.sigma2))
+            ) + np.sum(scipy.stats.norm.logpdf(t, scale=math.sqrt(prob.tau2)))
+            assert abs(got[idx] - want) < 1e-12 * abs(want)
+
+
 class TestPosterior:
     def test_zero_design(self):
         prob = GaussianLinearProblem(A=np.zeros((4, 3)), y=np.ones(4), sigma2=2.0, tau2=0.5)
-        post = posterior(prob)
+        post = posterior(prob.statistics())
         np.testing.assert_allclose(post.precision, np.eye(3) / 0.5, rtol=1e-14)
         np.testing.assert_allclose(post.mean, 0.0, atol=1e-14)
 
     def test_scalar_case(self):
         y = np.array([0.4, 2.0])
         prob = GaussianLinearProblem(A=np.array([[1.0], [1.0]]), y=y, sigma2=1.0, tau2=1.0)
-        post = posterior(prob)
+        post = posterior(prob.statistics())
         np.testing.assert_allclose(post.precision, [[3.0]], rtol=1e-14)
         np.testing.assert_allclose(post.mean, [y.sum() / 3.0], rtol=1e-14)
 
@@ -229,7 +248,7 @@ class TestPosterior:
         rng = np.random.default_rng(7)
         for _ in range(10):
             prob = _random_problem(rng, d=5, n=12)
-            post = posterior(prob)
+            post = posterior(prob.statistics())
             lhs = post.precision @ post.mean
             rhs = prob.A.T @ prob.y / prob.sigma2
             np.testing.assert_allclose(lhs, rhs, atol=1e-10 * max(1.0, np.abs(rhs).max()))
@@ -244,7 +263,7 @@ class TestFullLaplace:
             n = int(rng.integers(2, 1001))
             prob = _random_problem(rng, d=d, n=n)
             exact = exact_log_evidence(prob)
-            lap = full_laplace_log_evidence(prob)
+            lap = full_laplace_log_evidence(prob.statistics())
             assert abs(lap - exact) / abs(exact) < 1e-8
 
     def test_zero_design_case(self):
@@ -252,7 +271,7 @@ class TestFullLaplace:
         y = rng.standard_normal(6)
         prob = GaussianLinearProblem(A=np.zeros((6, 2)), y=y, sigma2=1.7, tau2=0.9)
         np.testing.assert_allclose(
-            full_laplace_log_evidence(prob), exact_log_evidence(prob), rtol=1e-12
+            full_laplace_log_evidence(prob.statistics()), exact_log_evidence(prob), rtol=1e-12
         )
 
 

@@ -15,13 +15,18 @@ import scipy.stats
 import rankevidence
 import rankevidence.oracle as oracle
 from rankevidence._linalg import spd_cholesky
-from rankevidence.evidence import GaussianLinearProblem, exact_log_evidence, posterior
+from rankevidence.evidence import (
+    GaussianLinearProblem,
+    evidence_record,
+    exact_log_evidence,
+    log_joint,
+    posterior,
+)
+from rankevidence.linear_models import DataGenConfig, make_spec, sample_statistics
 from rankevidence.oracle import (
     OracleError,
-    QuadratureSettings,
     importance_log_evidence,
     importance_log_weights,
-    log_joint,
     quadrature_log_evidence,
     random_problem,
 )
@@ -31,20 +36,18 @@ def _nested_quad_log_evidence(prob: GaussianLinearProblem) -> float:
     """The oracle as it was before the batched cubature, kept here as the
     slow reference: scipy's QUADPACK on the raw joint, one scalar integrand
     call per point, nested for d = 2 over the same whitened box."""
-    settings = QuadratureSettings()
-    post = posterior(prob)
+    stats = prob.statistics()
+    post = posterior(stats)
     mu = post.mean
-    radius = settings.integration_radius
-    log_peak = log_joint(prob, mu)
-    yty = float(prob.y @ prob.y)
-    b = prob.A.T @ prob.y
-    S = prob.A.T @ prob.A
+    radius = oracle.RADIUS
+    log_peak = float(log_joint(stats, mu))
+    yty, b, S = stats.yy, stats.b, stats.S
     const = -0.5 * (
         prob.n * (math.log(2.0 * math.pi) + math.log(prob.sigma2))
         + prob.d * (math.log(2.0 * math.pi) + math.log(prob.tau2))
     )
     inv_s2, inv_t2 = 1.0 / prob.sigma2, 1.0 / prob.tau2
-    quad = dict(epsabs=0.0, epsrel=settings.rel_tol, limit=settings.max_subdivisions)
+    quad = dict(epsabs=0.0, epsrel=oracle.REL_TOL, limit=oracle.MAX_BOXES)
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         if prob.d == 1:
@@ -80,25 +83,11 @@ def _nested_quad_log_evidence(prob: GaussianLinearProblem) -> float:
         def inner(u0: float) -> float:
             return scipy.integrate.quad(
                 lambda u1: integrand(u0, u1), -radius, radius,
-                **dict(quad, epsrel=settings.rel_tol * 0.1),
+                **dict(quad, epsrel=oracle.REL_TOL * 0.1),
             )[0]
 
         value, _ = scipy.integrate.quad(inner, -radius, radius, **quad)
         return log_peak + log_jacobian + math.log(value)
-
-
-class TestQuadratureSettings:
-    def test_defaults_valid(self):
-        s = QuadratureSettings()
-        assert s.rel_tol == 1e-9 and s.integration_radius == 12.0
-
-    def test_narrow_radius_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureSettings(integration_radius=4.0)
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureSettings(rel_tol=0.0)
 
 
 class TestQuadrature:
@@ -107,24 +96,24 @@ class TestQuadrature:
         y = rng.standard_normal(5)
         prob = GaussianLinearProblem(A=np.zeros((5, 1)), y=y, sigma2=1.8, tau2=0.6)
         expected = float(np.sum(scipy.stats.norm.logpdf(y, scale=math.sqrt(1.8))))
-        assert abs(quadrature_log_evidence(prob) - expected) < 1e-10
+        assert abs(quadrature_log_evidence(prob.statistics()) - expected) < 1e-10
 
     def test_d1_reference_problem(self):
         prob = GaussianLinearProblem(
             A=np.array([[1.0], [1.0]]), y=np.array([1.0, -1.0]), sigma2=1.0, tau2=1.0
         )
-        assert abs(quadrature_log_evidence(prob) - exact_log_evidence(prob)) < 1e-8
+        assert abs(quadrature_log_evidence(prob.statistics()) - exact_log_evidence(prob)) < 1e-8
 
     def test_d2_random_problems(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             prob = random_problem(rng, max_d=2, max_n=20)
-            assert abs(quadrature_log_evidence(prob) - exact_log_evidence(prob)) < 1e-6
+            assert abs(quadrature_log_evidence(prob.statistics()) - exact_log_evidence(prob)) < 1e-6
 
     def test_d3_rejected(self):
         prob = GaussianLinearProblem(A=np.zeros((4, 3)), y=np.zeros(4), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
-            quadrature_log_evidence(prob)
+            quadrature_log_evidence(prob.statistics())
 
     def test_matches_nested_quadpack_reference(self):
         """The batched cubature and the scalar nested QUADPACK reference
@@ -135,40 +124,89 @@ class TestQuadrature:
             prob = random_problem(rng, max_d=2, max_n=50)
             dims.append(prob.d)
             ref = _nested_quad_log_evidence(prob)
-            assert abs(quadrature_log_evidence(prob) - ref) < 1e-9, prob.d
+            assert abs(quadrature_log_evidence(prob.statistics()) - ref) < 1e-9, prob.d
         assert set(dims) == {1, 2}
 
     def test_wrong_posterior_cannot_bias_the_value(self, monkeypatch):
-        """The posterior only places the integration box: centred 3 posterior
-        standard deviations off the mean (in the posterior metric), the box
-        still holds all but about 1e-18 of the mass and the integrand is
-        still the true joint, so the value stays exact or the oracle
-        refuses."""
-        def shifted(prob):
-            post = posterior(prob)
+        """The posterior only places the integration box, and the integrand is
+        still the true joint.  Centred 3 posterior standard deviations off
+        the mean in the posterior metric, the box still holds all but about
+        1e-18 of the mass.  Centred 3 marginal standard deviations off in
+        every coordinate, a strongly correlated posterior can leave the box,
+        and the density on its faces must make the oracle refuse rather
+        than return a value short of the mass outside."""
+        def whitened(post):
             L = spd_cholesky(post.precision)
-            step = np.full(prob.d, 3.0 / math.sqrt(prob.d))
-            offset = scipy.linalg.solve_triangular(L, step, lower=True, trans="T")
-            return replace(post, mean=post.mean + offset)
+            step = np.full(post.mean.size, 3.0 / math.sqrt(post.mean.size))
+            return scipy.linalg.solve_triangular(L, step, lower=True, trans="T")
+
+        def marginal(post):
+            return 3.0 * np.sqrt(np.diag(np.linalg.inv(post.precision)))
 
         rng = np.random.default_rng(11)
         problems = [random_problem(rng, max_d=2, max_n=50) for _ in range(20)]
-        monkeypatch.setattr(oracle, "posterior", shifted)
-        for prob in problems:
-            try:
-                value = quadrature_log_evidence(prob)
-            except OracleError:
-                continue
-            assert abs(value - exact_log_evidence(prob)) < 1e-9
+        refused = {}
+        for shift in (whitened, marginal):
+            def shifted(stats, shift=shift):
+                post = posterior(stats)
+                return replace(post, mean=post.mean + shift(post))
 
-    def test_nonconvergence_is_an_error_not_a_silent_pass(self):
+            monkeypatch.setattr(oracle, "posterior", shifted)
+            refused[shift] = 0
+            for prob in problems:
+                try:
+                    value = quadrature_log_evidence(prob.statistics())
+                except OracleError:
+                    refused[shift] += 1
+                    continue
+                assert abs(value - exact_log_evidence(prob)) < 1e-9
+        assert refused[marginal] >= 1
+
+    def test_nonconvergence_is_an_error_not_a_silent_pass(self, monkeypatch):
         """On a hopeless domain/budget combination the oracle must refuse
         rather than return a doubtful value."""
         rng = np.random.default_rng(6)
         prob = random_problem(rng, max_d=1, max_n=40, min_n=20)
-        hopeless = QuadratureSettings(integration_radius=1e7, max_subdivisions=10)
+        monkeypatch.setattr(oracle, "RADIUS", 1e7)
+        monkeypatch.setattr(oracle, "MAX_BOXES", 10)
         with pytest.raises(OracleError):
-            quadrature_log_evidence(prob, hopeless)
+            quadrature_log_evidence(prob.statistics())
+
+
+class TestOraclesOnStudyCells:
+    """The oracles read the Wishart-drawn statistics the studies draw
+    (``sample_statistics``) and agree with the record the studies compute
+    from them (``evidence_record``).
+
+    Both bounds grow with n because the stats-form log joint rounds at about
+    eps * yy / sigma2.  The grids stop where that rounding starts to decide
+    the result: from n ~ 1e6-1e7 the cubature no longer converges and
+    raises OracleError, and above n = 1e4 the conjugate-proposal weight
+    variance leaves its 1e-18 bound (8.7e-18 at n = 1e5).
+    """
+
+    def test_quadrature_matches_record(self):
+        """Worst measured: 6.6e-15 * n (n = 1e3)."""
+        for r in (1, 2):
+            for seed in range(10):
+                spec = make_spec(2, 2, r, seed=seed)
+                for n in (2, 3, 5, 10, 50, 10**3, 10**4, 10**5):
+                    stats = sample_statistics(spec, n, DataGenConfig(seed=seed))
+                    record = evidence_record(stats, lam=r / 2.0)
+                    assert abs(quadrature_log_evidence(stats) - record.log_z_exact) < 1e-13 * n
+
+    def test_importance_matches_record(self):
+        """Worst measured: weight variance 1.1e-19, |estimate - record|
+        1.4e-13 * n (n = 3)."""
+        for r in (1, 3, 5):
+            for seed in range(10):
+                spec = make_spec(5, 5, r, seed=seed)
+                for n in (2, 3, 5, 10, 50, 10**3, 10**4):
+                    stats = sample_statistics(spec, n, DataGenConfig(seed=seed))
+                    record = evidence_record(stats, lam=r / 2.0)
+                    assert float(np.var(importance_log_weights(stats, 2000, seed=seed))) < 1e-18
+                    est, _ = importance_log_evidence(stats, 2000, seed=seed)
+                    assert abs(est - record.log_z_exact) < 1e-12 * n
 
 
 class TestImportanceSampling:
@@ -178,14 +216,14 @@ class TestImportanceSampling:
         rng = np.random.default_rng(2)
         for i in range(5):
             prob = random_problem(rng, max_d=5, max_n=100, min_n=5)
-            logw = importance_log_weights(prob, 2000, seed=i)
+            logw = importance_log_weights(prob.statistics(), 2000, seed=i)
             assert float(np.var(logw)) < 1e-18
 
     def test_estimate_matches_exact_with_tiny_stderr(self):
         rng = np.random.default_rng(3)
         for i in range(5):
             prob = random_problem(rng, max_d=5, max_n=100, min_n=5)
-            est, stderr = importance_log_evidence(prob, 2000, seed=i)
+            est, stderr = importance_log_evidence(prob.statistics(), 2000, seed=i)
             assert stderr < 1e-10
             assert abs(est - exact_log_evidence(prob)) <= 3 * stderr + 1e-9
 
@@ -193,7 +231,9 @@ class TestImportanceSampling:
         rng = np.random.default_rng(4)
         for i in range(5):
             prob = random_problem(rng, max_d=4, max_n=60, min_n=5)
-            est, stderr = importance_log_evidence(prob, 20_000, seed=i, proposal_scale=2.0)
+            est, stderr = importance_log_evidence(
+                prob.statistics(), 20_000, seed=i, proposal_scale=2.0
+            )
             assert stderr > 0
             assert abs(est - exact_log_evidence(prob)) <= 4 * stderr
 
@@ -201,18 +241,18 @@ class TestImportanceSampling:
         """1e3 vs 1e5 samples: stderr should drop by roughly sqrt(100)."""
         rng = np.random.default_rng(5)
         prob = random_problem(rng, max_d=3, max_n=40, min_n=5)
-        _, se_small = importance_log_evidence(prob, 1000, seed=7, proposal_scale=2.0)
-        _, se_big = importance_log_evidence(prob, 100_000, seed=7, proposal_scale=2.0)
+        _, se_small = importance_log_evidence(prob.statistics(), 1000, seed=7, proposal_scale=2.0)
+        _, se_big = importance_log_evidence(prob.statistics(), 100_000, seed=7, proposal_scale=2.0)
         ratio = se_small / se_big
         assert 4.0 < ratio < 25.0
 
     def test_input_validation(self):
         prob = GaussianLinearProblem(A=np.zeros((4, 6)), y=np.zeros(4), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
-            importance_log_evidence(prob, 2000, seed=0)     # d > 5
+            importance_log_evidence(prob.statistics(), 2000, seed=0)     # d > 5
         small = GaussianLinearProblem(A=np.zeros((4, 2)), y=np.zeros(4), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
-            importance_log_evidence(small, 100, seed=0)     # too few samples
+            importance_log_evidence(small.statistics(), 100, seed=0)     # too few samples
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
