@@ -1,14 +1,14 @@
-"""Dense linear-algebra helpers shared across the package.
+"""Dense linear-algebra helpers shared across the package, in plain numpy.
 
-Positive-definite systems are always handled through a Cholesky factor, never
-an explicit inverse.  Rank decisions use the scale-invariant threshold
-``sigma_max * max(rows, cols) * machine_eps`` on singular values.
+Positive-definite systems are always handled through a Cholesky factor
+(``np.linalg.cholesky``), never an explicit inverse; its two triangular solves
+go through ``np.linalg.solve``.  Rank decisions use the scale-invariant
+threshold ``sigma_max * max(rows, cols) * machine_eps`` on singular values.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(RuntimeError):
@@ -30,7 +30,10 @@ def spd_cholesky(M: np.ndarray, *, context: str = "") -> np.ndarray:
     """
     M = symmetrize(np.asarray(M, dtype=float))
     try:
-        return scipy.linalg.cholesky(M, lower=True)
+        # np.linalg.cholesky passes NaN and inf through to the factor.
+        if not np.isfinite(M).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return np.linalg.cholesky(M)
     except (np.linalg.LinAlgError, ValueError) as exc:
         where = f" in {context}" if context else ""
         diag = np.diag(M)
@@ -52,14 +55,7 @@ def chol_logdet(L: np.ndarray) -> float:
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``M x = b`` given the lower Cholesky factor ``L`` of ``M``."""
-    return scipy.linalg.cho_solve((L, True), b)
-
-
-def rank_tolerance(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
-    """Threshold below which a singular value counts as zero."""
-    if singular_values.size == 0:
-        return 0.0
-    return float(singular_values.max()) * max(shape) * np.finfo(float).eps
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def numerical_rank(M: np.ndarray) -> int:
@@ -68,5 +64,5 @@ def numerical_rank(M: np.ndarray) -> int:
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(s > rank_tolerance(s, M.shape)))
+    return int(np.count_nonzero(s > float(s.max()) * max(M.shape) * np.finfo(float).eps))
 

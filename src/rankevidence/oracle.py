@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import chol_logdet, spd_cholesky
 from ._rng import substream
@@ -62,7 +61,7 @@ def quadrature_log_evidence(stats: SufficientStatistics) -> float:
     # theta = mu + L^{-T} u maps the unit ball of the posterior metric to the
     # u coordinates; |det L^{-T}| = 1/prod(diag L).
     log_jacobian = -float(np.sum(np.log(np.diag(L))))
-    T = scipy.linalg.solve_triangular(L, np.eye(d), lower=True, trans="T")
+    T = np.linalg.solve(L.T, np.eye(d))
 
     # The rule's nodes on the box faces, with the corners.
     ring = _tensor_grid(np.concatenate([[-1.0], _GL_NODES, [1.0]]), d)
@@ -141,7 +140,7 @@ def importance_log_weights(
     L = spd_cholesky(post.precision, context="importance proposal")
     z = substream(seed, "importance").standard_normal((n_samples, d))
     # x = mu + scale * L^{-T} z has covariance scale^2 * precision^{-1}.
-    offsets = scipy.linalg.solve_triangular(L, z.T, lower=True, trans="T").T
+    offsets = np.linalg.solve(L.T, z.T).T
     thetas = post.mean + proposal_scale * offsets
     log_proposal = (
         -0.5 * d * LOG_2PI

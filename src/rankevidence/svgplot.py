@@ -6,8 +6,8 @@ ticks, labels, and a legend.  Figures are diagnostic, not publication-grade.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -75,7 +75,7 @@ def line_chart(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="13">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" font-size="16">'
-        f"{escape(title)}</text>",
+        f"{html.escape(title, quote=False)}</text>",
     ]
     # axes
     parts.append(
@@ -98,9 +98,10 @@ def line_chart(
         )
     parts.append(
         f'<text x="{(px0 + px1) / 2}" y="{_HEIGHT - 14}" text-anchor="middle">'
-        f"{escape(xlabel)}</text>"
+        f"{html.escape(xlabel, quote=False)}</text>"
         f'<text x="20" y="{(py0 + py1) / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {(py0 + py1) / 2})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 20 {(py0 + py1) / 2})">'
+        f"{html.escape(ylabel, quote=False)}</text>"
     )
     for idx, (label, xs, ys) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
@@ -114,7 +115,7 @@ def line_chart(
         parts.append(
             f'<line x1="{px1 - 150}" y1="{ly}" x2="{px1 - 126}" y2="{ly}" '
             f'stroke="{color}" stroke-width="2"/>'
-            f'<text x="{px1 - 120}" y="{ly + 4}">{escape(label)}</text>'
+            f'<text x="{px1 - 120}" y="{ly + 4}">{html.escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,9 +1,13 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankevidence
 from rankevidence.cli import (
     OUTPUT_DIR_ENV,
     _parse_int_list,
@@ -266,3 +270,41 @@ class TestEmitPlotData:
         assert len(lines) == 7       # header + max(3, 6) eigenvalues
         first = lines[1].split("\t")
         assert float(first[1]) == pytest.approx(1.0, abs=1e-9)
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None          # any scipy import now raises ImportError
+from rankevidence import cli
+out = sys.argv[1]
+runs = [
+    ["rank-sweep", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
+    ["regular-vs-singular", "--overrides", "ranks=4+6,seeds=0,n_grid=100+200"],
+    ["estimate-rlct", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
+    ["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..200x2"],
+    ["dict-compare", "--overrides", "seeds=0,n_grid=100..400x2"],
+]
+codes = [cli.main([*run, "--output-dir", f"{out}/{run[0]}", "--plot"]) for run in runs]
+checks = [passed for *_, passed in cli.run_verification()]
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy", "xml.sax", "urllib.request")))
+print(json.dumps({"codes": codes, "checks": checks, "loaded": loaded}))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    """The runtime is numpy only: every subcommand and the verify sweep run
+    in an interpreter where importing scipy fails, and neither xml.sax nor
+    urllib.request gets loaded on the way."""
+    src = str(Path(rankevidence.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0] * 5
+    assert result["checks"] == [True] * 4
+    assert result["loaded"] == ["scipy"]      # the None placeholder itself
+    for svg in ("rank-sweep/fig1_rank_sweep.svg", "dict-compare/fig5_eigenspectra.svg"):
+        assert (tmp_path / svg).read_text().startswith("<svg"), svg

@@ -163,14 +163,27 @@ class TestQuadrature:
         assert refused[marginal] >= 1
 
     def test_nonconvergence_is_an_error_not_a_silent_pass(self, monkeypatch):
-        """On a hopeless domain/budget combination the oracle must refuse
-        rather than return a doubtful value."""
+        """A box of half-width 1e7 posterior standard deviations puts every
+        node of the rule and of its first split at least 3e4 deviations from
+        the mean, where the joint density underflows to 0; the oracle must
+        refuse the zero mass rather than return log 0 or a doubtful value."""
         rng = np.random.default_rng(6)
         prob = random_problem(rng, max_d=1, max_n=40, min_n=20)
         monkeypatch.setattr(oracle, "RADIUS", 1e7)
         monkeypatch.setattr(oracle, "MAX_BOXES", 10)
-        with pytest.raises(OracleError):
+        with pytest.raises(OracleError, match="non-positive mass"):
             quadrature_log_evidence(prob.statistics())
+
+    def test_box_budget_exhaustion_is_an_error(self, monkeypatch):
+        """At the default radius this problem needs one split: a budget of one
+        box must raise, a budget of two converges to the closed form."""
+        rng = np.random.default_rng(6)
+        prob = random_problem(rng, max_d=1, max_n=40, min_n=20)
+        monkeypatch.setattr(oracle, "MAX_BOXES", 1)
+        with pytest.raises(OracleError, match="did not converge"):
+            quadrature_log_evidence(prob.statistics())
+        monkeypatch.setattr(oracle, "MAX_BOXES", 2)
+        assert abs(quadrature_log_evidence(prob.statistics()) - exact_log_evidence(prob)) < 1e-9
 
 
 class TestOraclesOnStudyCells:
