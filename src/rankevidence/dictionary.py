@@ -8,10 +8,10 @@ D D^T, which is what makes column count a representation choice rather than a
 statistical one — and what BIC's per-column penalty gets wrong.
 
 Both the exact likelihood and the ML fit depend on the data only through
-``n`` and the scatter ``Y^T Y ~ Wishart_p(n, Sigma_y)``.
-:func:`sample_dictionary_data` draws the observations themselves;
-:func:`sample_dictionary_statistics` draws only the scatter, exactly, at a
-cost that does not depend on ``n``.
+``n`` and the scatter ``Y^T Y ~ Wishart_p(n, Sigma_y)``, which
+:func:`sample_scatter` draws exactly at a cost that does not depend on ``n``.
+A study's cells run as arrays, one :func:`comparison_batch` per (pair, seed);
+the one-cell functions are calls of the same array code.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ._linalg import (
     symmetrize,
 )
 from ._rng import substream, wishart_factor
-from .evidence import LOG_2PI, bic_score, rlct_score
+from .evidence import LOG_2PI
 from .rlct import analytic_rlct
 
 
@@ -115,8 +115,13 @@ def dict_log_likelihood(
             f"data dimension {stats.YY.shape[0]} != observation dimension {spec.p}"
         )
     L = spd_cholesky(marginal_covariance(spec), context="dict_log_likelihood")
-    quad = float(np.trace(chol_solve(L, stats.YY)))
-    return -0.5 * (stats.n * (spec.p * LOG_2PI + chol_logdet(L)) + quad)
+    return float(_log_likelihoods(L, stats.n, stats.YY))
+
+
+def _log_likelihoods(L: np.ndarray, n, YY: np.ndarray) -> np.ndarray:
+    """:func:`dict_log_likelihood` of scatters ``YY`` (..., p, p), ``L`` = chol(Sigma_y)."""
+    quad = np.trace(chol_solve(L, YY), axis1=-2, axis2=-1)
+    return -0.5 * (n * (L.shape[0] * LOG_2PI + chol_logdet(L)) + quad)
 
 
 def sample_dictionary_data(spec: DictionarySpec, n: int, seed: int) -> DictionaryDataset:
@@ -132,20 +137,25 @@ def sample_dictionary_data(spec: DictionarySpec, n: int, seed: int) -> Dictionar
 def sample_dictionary_statistics(
     spec: DictionarySpec, n: int, seed: int
 ) -> DictionaryStatistics:
-    """Draw the scatter of n observations directly, deterministic per seed.
-
-    ``Y^T Y ~ Wishart_p(n, Sigma_y)``, so it equals ``(L T)(L T)^T`` with
-    ``L`` the Cholesky factor of the marginal covariance and ``T`` a standard
-    Wishart factor (:func:`~rankevidence._rng.wishart_factor`), O(p^3)
-    whatever ``n`` is.  Draws come from the ``(seed, "dict-wishart", n)``
-    stream, so the statistics have the law of
-    :func:`sample_dictionary_data`'s but are not the same draw.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """Draw the scatter of n observations directly: the one-point case of
+    :func:`sample_scatter`, with the law of :func:`sample_dictionary_data`'s
+    scatter but not the same draw."""
     L = spd_cholesky(marginal_covariance(spec), context="sample_dictionary_statistics")
-    LT = L @ wishart_factor(substream(seed, "dict-wishart", n), n, spec.p)
-    return DictionaryStatistics(n=n, YY=symmetrize(LT @ LT.T))
+    return DictionaryStatistics(n=n, YY=sample_scatter(seed, [n], L)[0])
+
+
+def sample_scatter(seed: int, n_grid: list[int], L: np.ndarray) -> np.ndarray:
+    """Draw ``Y^T Y ~ Wishart_p(n, L L^T)`` for each n of ``n_grid``, stacked
+    as a (len(n_grid), p, p) array, from the ``(seed, "dict-wishart", n)``
+    streams: the dictionary twin of
+    :func:`~rankevidence.linear_models.sample_wishart`.  Each is
+    ``(L T)(L T)^T`` with ``T`` from :func:`~rankevidence._rng.wishart_factor`,
+    O(p^3) whatever ``n`` is; for n < p, ``L T`` is p x n.
+    """
+    if any(n < 1 for n in n_grid):
+        raise ValueError(f"sample sizes must be >= 1, got {n_grid}")
+    factors = (L @ wishart_factor(substream(seed, "dict-wishart", n), n, len(L)) for n in n_grid)
+    return symmetrize(np.stack([LT @ LT.T for LT in factors]))
 
 
 def make_dictionary_pair(
@@ -234,15 +244,22 @@ def ml_fit_term(
         raise ValueError(f"column count must be nonnegative, got {shape_d}")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    n, p = stats.n, stats.YY.shape[0]
-    C = stats.YY / n
-    ell = np.linalg.eigvalsh(C)[::-1]          # descending
-    k = min(shape_d, p)
-    model_var = np.full(p, sigma2)
-    model_var[:k] = np.maximum(ell[:k], sigma2)
-    return -0.5 * n * (
-        p * LOG_2PI + float(np.sum(np.log(model_var) + ell / model_var))
-    )
+    return float(_ml_fits(stats.n, _sample_eigenvalues(stats.n, stats.YY), shape_d, sigma2))
+
+
+def _sample_eigenvalues(n, YY: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of each ``YY / n`` of a (..., p, p) stack; NaN
+    for a scatter that is not finite, on which ``eigvalsh`` would raise."""
+    finite = np.isfinite(YY).all(axis=(-2, -1))
+    C = np.where(finite[..., None, None], YY, 0.0) / np.asarray(n)[..., None, None]
+    return np.where(finite[..., None], np.linalg.eigvalsh(C)[..., ::-1], np.nan)
+
+
+def _ml_fits(n, ell: np.ndarray, shape_d: int, sigma2: float) -> np.ndarray:
+    """:func:`ml_fit_term` from the descending sample eigenvalues ``ell``."""
+    p = ell.shape[-1]
+    model_var = np.where(np.arange(p) < min(shape_d, p), np.maximum(ell, sigma2), sigma2)
+    return -0.5 * n * (p * LOG_2PI + np.sum(np.log(model_var) + ell / model_var, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -271,33 +288,47 @@ class DictionaryComparison:
     rlct_overcomplete_ml: float
 
 
-def dictionary_comparison(
-    pair: tuple[DictionarySpec, DictionarySpec], n: int, seed: int
-) -> DictionaryComparison:
-    """Evaluate both members of a pair on one dataset's statistics, drawn from
-    the minimal spec."""
+def comparison_batch(
+    pair: tuple[DictionarySpec, DictionarySpec], n_grid: list[int], seed: int
+) -> dict[str, np.ndarray]:
+    """The ten score fields of :class:`DictionaryComparison`, in field order,
+    as arrays over ``n_grid``: one seed's scatters, drawn from the minimal
+    spec, scored with one Cholesky factor per member and one ``eigvalsh``
+    stack.  A cell whose scatter is not finite gets NaN scores."""
     minimal, overcomplete = pair
     if minimal.r != overcomplete.r:
         raise ValueError(
             f"pair members disagree on span dimension: {minimal.r} vs {overcomplete.r}"
         )
-    data = sample_dictionary_statistics(minimal, n, seed)
-    exact_min = dict_log_likelihood(minimal, data)
-    exact_over = dict_log_likelihood(overcomplete, data)
-    fit_min = ml_fit_term(data, minimal.d, minimal.sigma2)
-    fit_over = ml_fit_term(data, overcomplete.d, overcomplete.sigma2)
-    lam = analytic_rlct(minimal.r)
-    return DictionaryComparison(
-        n=n,
-        seed=seed,
-        exact_minimal=exact_min,
-        exact_overcomplete=exact_over,
-        fit_minimal=fit_min,
-        fit_overcomplete=fit_over,
-        bic_minimal=bic_score(fit_min, minimal.d, n),
-        bic_overcomplete=bic_score(fit_min, overcomplete.d, n),
-        rlct_minimal=rlct_score(fit_min, lam, n),
-        rlct_overcomplete=rlct_score(fit_min, lam, n),
-        bic_overcomplete_ml=bic_score(fit_over, overcomplete.d, n),
-        rlct_overcomplete_ml=rlct_score(fit_over, lam, n),
-    )
+    if any(n < 2 for n in n_grid):
+        raise ValueError(f"sample sizes must be >= 2 for log-n scores, got {n_grid}")
+    n = np.array(n_grid)
+    L_min, L_over = (spd_cholesky(marginal_covariance(s), context="comparison_batch") for s in pair)
+    YY = sample_scatter(seed, n_grid, L_min)
+    ell = _sample_eigenvalues(n, YY)
+    fit_min = _ml_fits(n, ell, minimal.d, minimal.sigma2)
+    fit_over = _ml_fits(n, ell, overcomplete.d, overcomplete.sigma2)
+    # math.log, not np.log: the two round differently for some n
+    log_n = np.array([math.log(k) for k in n_grid])
+    lam_log_n = analytic_rlct(minimal.r) * log_n
+    return {
+        "exact_minimal": _log_likelihoods(L_min, n, YY),
+        "exact_overcomplete": _log_likelihoods(L_over, n, YY),
+        "fit_minimal": fit_min,
+        "fit_overcomplete": fit_over,
+        "bic_minimal": fit_min - 0.5 * minimal.d * log_n,
+        "bic_overcomplete": fit_min - 0.5 * overcomplete.d * log_n,
+        "rlct_minimal": fit_min - lam_log_n,
+        "rlct_overcomplete": fit_min - lam_log_n,
+        "bic_overcomplete_ml": fit_over - 0.5 * overcomplete.d * log_n,
+        "rlct_overcomplete_ml": fit_over - lam_log_n,
+    }
+
+
+def dictionary_comparison(
+    pair: tuple[DictionarySpec, DictionarySpec], n: int, seed: int
+) -> DictionaryComparison:
+    """Evaluate both members of a pair on one dataset's statistics, drawn from
+    the minimal spec: the one-cell case of :func:`comparison_batch`."""
+    scores = comparison_batch(pair, [n], seed)
+    return DictionaryComparison(n, seed, *(float(v[0]) for v in scores.values()))

@@ -34,7 +34,7 @@ from ._linalg import NumericalError
 from ._rng import SEED_LIMIT, STREAM_INDEX_LIMIT
 from .dictionary import (
     DictionaryComparison,
-    dictionary_comparison,
+    comparison_batch,
     gram_spectrum,
     make_dictionary_pair,
 )
@@ -396,7 +396,8 @@ _DICT_TABLE_TARGET_N = 200
 
 
 def _dict_study(cfg: ExperimentConfig) -> StudyResult:
-    """Minimal vs overcomplete dictionary scores over seeds and sample sizes."""
+    """Minimal vs overcomplete dictionary scores over seeds and sample sizes,
+    one :func:`comparison_batch` per seed; an error it raises fails the seed."""
     r = cfg.ranks[0]
     rows: list[DictionaryComparison] = []
     failures: list[CellFailure] = []
@@ -405,29 +406,30 @@ def _dict_study(cfg: ExperimentConfig) -> StudyResult:
         pair = make_dictionary_pair(cfg.p, r, cfg.d, seed, tau2=cfg.tau2, sigma2=cfg.sigma2)
         if spectra is None:
             spectra = (gram_spectrum(pair[0]), gram_spectrum(pair[1]))
-        for n in cfg.n_grid:
-            try:
-                comp = dictionary_comparison(pair, n, seed)
-                if not all(
-                    math.isfinite(v)
-                    for v in (comp.exact_minimal, comp.exact_overcomplete,
-                              comp.fit_minimal, comp.fit_overcomplete)
-                ):
-                    raise NumericalError("non-finite value in dictionary comparison")
-                rows.append(comp)
-            except (NumericalError, np.linalg.LinAlgError) as exc:
-                failures.append(CellFailure(rank=r, seed=seed, n=n, message=str(exc)))
+        try:
+            table = np.column_stack(list(comparison_batch(pair, cfg.n_grid, seed).values()))
+        except (NumericalError, np.linalg.LinAlgError) as exc:
+            failures += [CellFailure(rank=r, seed=seed, n=n, message=str(exc)) for n in cfg.n_grid]
+            continue
+        finite = np.isfinite(table[:, :4]).all(axis=1)   # the exact and fit columns
+        for n, scores, ok in zip(cfg.n_grid, table.tolist(), finite):
+            if ok:
+                rows.append(DictionaryComparison(n, seed, *scores))
+            else:
+                failures.append(CellFailure(
+                    r, seed, n, "non-finite value in dictionary comparison"))
 
-    gap_slopes = _dict_gap_slopes(rows)
     table_n = min(cfg.n_grid, key=lambda n: abs(n - _DICT_TABLE_TARGET_N))
+    # None when the table's cell (first seed, table_n) failed
+    first = next((row for row in rows if (row.seed, row.n) == (cfg.seeds[0], table_n)), None)
     return StudyResult(
         study=cfg.study,
         config=cfg,
         failures=failures,
         dict_rows=rows,
-        dict_table=_dict_table(rows, cfg.seeds[0], table_n),
+        dict_table=first and {key: getattr(first, key) for key in DICT_TABLE_QUANTITIES},
         dict_table_n=table_n,
-        dict_gap_slopes=gap_slopes,
+        dict_gap_slopes=_dict_gap_slopes(rows),
         spectra=spectra,
     )
 
@@ -449,15 +451,6 @@ def _dict_gap_slopes(rows: list[DictionaryComparison]) -> dict[str, SlopeFit]:
     if len(ns) < 2:
         raise NumericalError("dictionary study has fewer than 2 usable grid points")
     return {name: fit_log_n_slope(zip(ns, mean)) for name, mean in zip(gaps, means)}
-
-
-def _dict_table(
-    rows: list[DictionaryComparison], seed: int, n: int
-) -> dict[str, float]:
-    for row in rows:
-        if row.seed == seed and row.n == n:
-            return {key: getattr(row, key) for key in DICT_TABLE_QUANTITIES}
-    raise NumericalError(f"no comparison row for seed={seed}, n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +496,10 @@ def summarize(result: StudyResult) -> str:
         lines.append(f"comparison at n={result.dict_table_n} (first seed):")
         for key in DICT_TABLE_QUANTITIES:
             lines.append(f"  {key:<22} {result.dict_table[key]:.2f}")
-        gaps = result.dict_gap_slopes or {}
+    elif result.dict_rows is not None:
+        lines.append(f"comparison at n={result.dict_table_n} (first seed): cell failed, no table")
+    if result.dict_gap_slopes is not None:
+        gaps = result.dict_gap_slopes
         over_minus_min = (cfg.d - cfg.ranks[0]) / 2.0
         lines.append(
             "gap slopes vs log n: "

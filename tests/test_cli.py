@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rankevidence
+import rankevidence.experiments as experiments
 from rankevidence.cli import (
     OUTPUT_DIR_ENV,
     _parse_int_list,
@@ -114,6 +115,34 @@ class TestMain:
             assert (tmp_path / name).exists(), name
         svg = (tmp_path / "fig5_eigenspectra.svg").read_text()
         assert svg.startswith("<svg") and "eigenvalue" in svg
+
+    def test_dict_compare_survives_a_failed_table_cell(self, tmp_path, monkeypatch):
+        """The comparison table's cell (first seed, n = 200) fails: the run
+        still exits 0 and writes every other row, no table file, the gap
+        slopes and a summary line saying why the table is missing."""
+        args = ["dict-compare", "--overrides", "seeds=0..1,n_grid=50..200x2", "--output-dir"]
+        assert main([*args, str(tmp_path / "clean")]) == 0
+        real = experiments.comparison_batch
+
+        def poisoned(pair, n_grid, seed):
+            out = real(pair, n_grid, seed)
+            if seed == 0:
+                out["exact_minimal"][n_grid.index(200)] = float("nan")
+            return out
+
+        monkeypatch.setattr(experiments, "comparison_batch", poisoned)
+        out = tmp_path / "poisoned"
+        assert main([*args, str(out)]) == 0
+        clean_rows = (tmp_path / "clean" / "dict_records.csv").read_text().splitlines()
+        rows = (out / "dict_records.csv").read_text().splitlines()
+        failed = "dict_compare,3,6,8,0,200,"   # study, rank, d, p, seed, n
+        assert rows == [row for row in clean_rows if not row.startswith(failed)]
+        assert len(rows) == 1 + 5
+        assert not (out / "dict_compare.csv").exists()
+        summary = (out / "summary.txt").read_text()
+        assert "comparison at n=200 (first seed): cell failed, no table" in summary
+        assert "gap slopes vs log n: " in summary
+        assert "failed cells: 1" in summary and "rank=3 seed=0 n=200" in summary
 
     def test_estimate_rlct_prints_lambda(self, tmp_path, capsys):
         assert main([

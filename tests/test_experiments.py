@@ -4,12 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rankevidence.dictionary as dictionary
 import rankevidence.experiments as experiments
 import rankevidence.linear_models as linear_models
+from rankevidence._linalg import NumericalError
 from rankevidence._rng import substream, wishart_factor
 from rankevidence.evidence import GRAM_RANK_RTOL, LOG_2PI
+from rankevidence.dictionary import make_dictionary_pair, marginal_covariance
 from rankevidence.linear_models import make_spec
-from rankevidence.rlct import log_n_slopes
+from rankevidence.rlct import analytic_rlct, log_n_slopes
 from rankevidence.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -51,6 +54,43 @@ def _per_cell_scores(spec, n, seed, lam) -> list[float]:
     return [
         fit - centered, fit, fit - 0.5 * d * log_n, fit - lam * log_n,
         centered - 0.5 * d * log_n, centered - lam * log_n,
+    ]
+
+
+def _per_cell_comparison(pair, n, seed) -> list[float]:
+    """The ten scores of one dictionary cell, drawn and evaluated one cell at
+    a time: the arithmetic the study ran before it was batched, kept here as
+    the reference for the batched path."""
+    minimal, overcomplete = pair
+    p = minimal.p
+
+    def factor(spec):
+        M = marginal_covariance(spec)
+        return np.linalg.cholesky(0.5 * (M + M.T))
+
+    LT = factor(minimal) @ wishart_factor(substream(seed, "dict-wishart", n), n, p)
+    YY = LT @ LT.T
+    YY = 0.5 * (YY + YY.T)
+
+    def exact(spec):
+        L = factor(spec)
+        quad = float(np.trace(np.linalg.solve(L.T, np.linalg.solve(L, YY))))
+        return -0.5 * (n * (p * LOG_2PI + 2.0 * float(np.sum(np.log(np.diag(L))))) + quad)
+
+    def fit(spec):
+        ell = np.linalg.eigvalsh(YY / n)[::-1]
+        k = min(spec.d, p)
+        model_var = np.full(p, spec.sigma2)
+        model_var[:k] = np.maximum(ell[:k], spec.sigma2)
+        return -0.5 * n * (p * LOG_2PI + float(np.sum(np.log(model_var) + ell / model_var)))
+
+    fit_min, fit_over = fit(minimal), fit(overcomplete)
+    lam, log_n = analytic_rlct(minimal.r), math.log(n)
+    return [
+        exact(minimal), exact(overcomplete), fit_min, fit_over,
+        fit_min - 0.5 * minimal.d * log_n, fit_min - 0.5 * overcomplete.d * log_n,
+        fit_min - lam * log_n, fit_min - lam * log_n,
+        fit_over - 0.5 * overcomplete.d * log_n, fit_over - lam * log_n,
     ]
 
 
@@ -330,6 +370,88 @@ class TestDictCompare:
         assert abs(res.dict_gap_slopes["bic_gap"].slope - 1.5) < 1e-5
         for row in res.dict_rows:
             assert abs(row.exact_minimal - row.exact_overcomplete) <= 1e-12 * abs(row.exact_minimal)
+
+
+    def test_rows_match_per_cell_reference_bitwise(self):
+        """Every score of every row equals the one-cell-at-a-time arithmetic
+        exactly, on both draw branches (n < p draws Z itself) and up to 1e9."""
+        grid = [2, 3, 5, 7, *ExperimentConfig().n_grid, 10**6, 10**9]
+        cfg = replace(ExperimentConfig.default_for("dict_compare"), n_grid=grid,
+                      seeds=list(range(10)))
+        res = run_study(cfg)
+        assert not res.failures
+        expected = []
+        for seed in cfg.seeds:
+            pair = make_dictionary_pair(cfg.p, cfg.ranks[0], cfg.d, seed)
+            expected += [[n, seed, *_per_cell_comparison(pair, n, seed)] for n in grid]
+        got = [list(vars(row).values()) for row in res.dict_rows]
+        assert got == expected
+
+    def test_one_factor_per_member_and_one_eigvalsh_per_seed(self, monkeypatch):
+        """Structural guard: the default study factors each member's Sigma_y
+        once per seed and runs one stacked eigvalsh per seed (plus the two
+        Gram spectra), with its 180 scatter draws unchanged."""
+        counts = {"factor": 0, "cholesky": 0, "eigvalsh": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            dictionary, "wishart_factor", counting("factor", dictionary.wishart_factor)
+        )
+        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        res = run_study(ExperimentConfig.default_for("dict_compare"))
+        assert len(res.dict_rows) == 180 and not res.failures
+        assert counts["factor"] == 180
+        assert counts["cholesky"] <= 40
+        assert counts["eigvalsh"] <= 23
+
+    def test_non_finite_scatter_fails_alone(self, monkeypatch):
+        """A NaN scatter at (seed 1, n 100) fails that cell only; every other
+        row, in the same seed's batch and out of it, keeps its bits."""
+        cfg = ExperimentConfig(
+            study="dict_compare", p=8, d=6, ranks=[3], seeds=[0, 1], n_grid=[50, 100, 200]
+        )
+        clean = run_study(cfg).dict_rows
+        real_substream, real_factor = dictionary.substream, dictionary.wishart_factor
+        poisoned = []
+
+        def spy_substream(seed, tag, index=0):
+            rng = real_substream(seed, tag, index)
+            if (seed, tag, index) == (1, "dict-wishart", 100):
+                poisoned.append(rng)
+            return rng
+
+        def nan_factor(rng, n, q):
+            T = real_factor(rng, n, q)
+            return T * np.nan if any(rng is bad for bad in poisoned) else T
+
+        monkeypatch.setattr(dictionary, "substream", spy_substream)
+        monkeypatch.setattr(dictionary, "wishart_factor", nan_factor)
+        res = run_study(cfg)
+        assert [(f.seed, f.n) for f in res.failures] == [(1, 100)]
+        assert res.dict_rows == [row for row in clean if (row.seed, row.n) != (1, 100)]
+
+    def test_batch_error_fails_its_seed(self, monkeypatch):
+        real = experiments.comparison_batch
+
+        def failing(pair, n_grid, seed):
+            if seed == 1:
+                raise NumericalError("Cholesky factorization failed in probe")
+            return real(pair, n_grid, seed)
+
+        monkeypatch.setattr(experiments, "comparison_batch", failing)
+        cfg = ExperimentConfig(
+            study="dict_compare", p=8, d=6, ranks=[3], seeds=[0, 1], n_grid=[50, 100, 200]
+        )
+        res = run_study(cfg)
+        assert [(f.seed, f.n) for f in res.failures] == [(1, 50), (1, 100), (1, 200)]
+        assert {f.message for f in res.failures} == {"Cholesky factorization failed in probe"}
+        assert [(row.seed, row.n) for row in res.dict_rows] == [(0, 50), (0, 100), (0, 200)]
 
 
 class TestPersistence:
