@@ -33,12 +33,13 @@ from .experiments import (
     STUDIES,
     ConfigError,
     ExperimentConfig,
+    CellTable,
     StudyResult,
-    _fmt,
-    mean_by_n,
-    records_csv_text,
+    cell_table_csv_text,
     run_study,
+    seed_means,
     summarize,
+    table_text,
     write_atomic,
     write_study_outputs,
 )
@@ -148,23 +149,29 @@ def build_config(study: str, args: argparse.Namespace) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _tsv(columns: tuple[str, ...], rows: list[list]) -> str:
-    lines = ["\t".join(columns)]
-    lines.extend("\t".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return table_text(list(columns), zip(*rows), delimiter="\t")
 
 
-def _log_n_curve(rows, *extractors) -> list[list]:
-    """Rows of n, log n and the per-n mean of each extractor."""
-    ns, means = mean_by_n(rows, *extractors)
-    return [[n, math.log(n), *values] for n, *values in zip(ns, *means)]
+def _log_n_curve(table: CellTable, rank: int, *columns: np.ndarray) -> list[list]:
+    """Rows of n, log n and the seed mean of each per-cell column at each n
+    where ``rank`` has a cell."""
+    [(ns, means, _)] = seed_means(table, np.column_stack(columns), [rank])
+    return [[n, math.log(n), *values] for n, values in zip(ns, means.T.tolist())]
 
 
 def _error_curve(result: StudyResult, rank: int) -> list[list]:
     """Seed-mean BIC and corrected error curves of one rank."""
+    cells = result.cells
+    return _log_n_curve(cells, rank, cells.score("delta_bic"), cells.score("delta_rlct"))
+
+
+def _gap_curve(result: StudyResult) -> list[list]:
+    """Seed-mean minimal-minus-overcomplete exact and BIC gaps."""
+    col = result.cells.score
     return _log_n_curve(
-        [rec for rec in result.records if rec.rank == rank],
-        lambda rec: rec.delta_bic,
-        lambda rec: rec.delta_rlct,
+        result.cells, result.config.ranks[0],
+        col("exact_minimal") - col("exact_overcomplete"),
+        col("bic_minimal") - col("bic_overcomplete"),
     )
 
 
@@ -235,11 +242,7 @@ _FIGURES = (
     _Figure(
         ("dict_compare",), "fig4_dict_evidence_gap",
         ("n", "log_n", "exact_gap_mean", "bic_gap_mean"),
-        lambda res: _log_n_curve(
-            res.dict_rows,
-            lambda c: c.exact_minimal - c.exact_overcomplete,
-            lambda c: c.bic_minimal - c.bic_overcomplete,
-        ),
+        _gap_curve,
         "log_n", (("exact_gap_mean", "exact gap"), ("bic_gap_mean", "BIC gap")),
         "Minimal minus overcomplete scores vs log n", "log n", "score gap",
     ),
@@ -273,7 +276,7 @@ def emit_plot_data(result: StudyResult, out_dir: str | Path, plot: bool = False)
     figures = [fig for fig in _FIGURES if result.study in fig.studies]
     if not figures:
         raise ValueError(f"no plot data defined for study {result.study!r}")
-    if not (result.records or result.dict_rows):
+    if not len(result.cells):
         raise ValueError("cannot emit plot data for an empty study result")
     texts: dict[str, str] = {}
     charts: dict[str, str] = {}
@@ -320,15 +323,16 @@ def _run_evidence_command(args: argparse.Namespace) -> int:
         f"{'n':>7}  {'log_z_exact':>14}  {'log_lik_mle':>14}  {'log_z_bic':>14}  "
         f"{'log_z_rlct':>14}  {'delta_bic':>10}  {'delta_rlct':>10}\n"
     )
-    for rec in sorted(result.records, key=lambda r: r.n):
+    cells = result.cells
+    # one rank and seed: the cells run along n_grid, which increases
+    for n, (z, fit, bic, rlct, d_bic, d_rlct) in zip(cells.n.tolist(), cells.scores.tolist()):
         sys.stdout.write(
-            f"{rec.n:>7}  {rec.log_z_exact:>14.4f}  {rec.log_lik_mle:>14.4f}  "
-            f"{rec.log_z_bic:>14.4f}  {rec.log_z_rlct:>14.4f}  "
-            f"{rec.delta_bic:>10.4f}  {rec.delta_rlct:>10.4f}\n"
+            f"{n:>7}  {z:>14.4f}  {fit:>14.4f}  {bic:>14.4f}  {rlct:>14.4f}  "
+            f"{d_bic:>10.4f}  {d_rlct:>10.4f}\n"
         )
     if args.output_dir:
         out = Path(args.output_dir)
-        write_atomic(out / "evidence_records.csv", records_csv_text(result.records))
+        write_atomic(out / "evidence_records.csv", cell_table_csv_text(result.cells))
         write_atomic(out / "effective_config.json", json.dumps(cfg.to_dict(), indent=2) + "\n")
         sys.stdout.write(f"records written to {out}\n")
     return 0

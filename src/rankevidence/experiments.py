@@ -9,9 +9,14 @@ overcomplete dictionary for the same subspace on shared data.
 ``estimate_rlct`` reuses the sweep cells and reports the slope-based
 effective-dimension estimates.  :func:`run_study` runs any of them.
 
-Raw per-cell records are persisted before any aggregation, floats are written
-as shortest round-trip decimals, and timestamps live in a sidecar file, so
-identical configs produce byte-identical raw CSVs.
+A study keeps its cells in one :class:`CellTable`: the key columns (rank,
+seed, n) as int arrays and the scores as one float array, filled once from
+the batch.  The aggregation, the record CSV and the figure tables all read
+it; :func:`seed_means` is the one group-by-n step, and
+:func:`read_cell_table` reads either record CSV back into a table.  Raw
+records are persisted before any aggregation, floats are written as shortest
+round-trip decimals, and timestamps live in a sidecar file, so identical
+configs produce byte-identical raw CSVs.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import numpy as np
 from ._linalg import NumericalError
 from ._rng import SEED_LIMIT, STREAM_INDEX_LIMIT
 from .dictionary import (
-    DictionaryComparison,
     comparison_batch,
     gram_spectrum,
     make_dictionary_pair,
@@ -42,10 +46,11 @@ from .evidence import evidence_batch
 # sample_dataset is not called here; it stays bound in this module because
 # perfbench/test_checks.py checks the tracer's rebinding on this very global.
 from .linear_models import (  # noqa: F401
-    make_spec,
+    draw_theta,
+    make_rank_r_factor,
     sample_dataset,
     sample_wishart,
-    statistics_from_wishart,
+    statistics_from_factors,
 )
 from .rlct import (
     SlopeFit,
@@ -58,7 +63,10 @@ from .rlct import (
 
 STUDIES = ("rank_sweep", "regular_vs_singular", "dict_compare", "estimate_rlct")
 
-# the EvidenceRecord fields a RecordRow carries
+# the columns that identify a cell in both record files
+KEY_COLUMNS = ["study", "rank", "d", "p", "seed", "n"]
+
+# the EvidenceRecord fields an evidence record carries
 _SCORE_COLUMNS = [
     "log_z_exact", "log_lik_mle", "log_z_bic", "log_z_rlct", "delta_bic", "delta_rlct",
 ]
@@ -66,7 +74,7 @@ _SCORE_COLUMNS = [
 # where delta_bic and delta_rlct sit among them
 _DELTA_COLUMNS = [_SCORE_COLUMNS.index("delta_bic"), _SCORE_COLUMNS.index("delta_rlct")]
 
-RECORD_COLUMNS = ["study", "rank", "d", "p", "seed", "n", *_SCORE_COLUMNS]
+RECORD_COLUMNS = [*KEY_COLUMNS, *_SCORE_COLUMNS]
 
 SLOPE_COLUMNS = [
     "rank", "slope_delta_bic", "stderr_bic", "slope_delta_rlct", "stderr_rlct",
@@ -81,13 +89,14 @@ DICT_TABLE_QUANTITIES = [
     "rlct_minimal", "rlct_overcomplete",
 ]
 
-# the first four come from the config, the rest are DictionaryComparison fields
-DICT_RECORD_COLUMNS = [
-    "study", "rank", "d", "p", "seed", "n",
+# the comparison_batch scores, in DictionaryComparison field order
+_DICT_SCORE_COLUMNS = [
     "exact_minimal", "exact_overcomplete", "fit_minimal", "fit_overcomplete",
     "bic_minimal", "bic_overcomplete", "rlct_minimal", "rlct_overcomplete",
     "bic_overcomplete_ml", "rlct_overcomplete_ml",
 ]
+
+DICT_RECORD_COLUMNS = [*KEY_COLUMNS, *_DICT_SCORE_COLUMNS]
 
 
 class ConfigError(ValueError):
@@ -228,22 +237,89 @@ def _coerce_field(key: str, value):
         raise ConfigError(f"bad value for config field {key!r}: {value!r} ({exc})")
 
 
-@dataclass(frozen=True)
-class RecordRow:
-    """One persisted (rank, seed, n) evidence cell."""
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """A study's surviving cells as columns, in record-file order.
+
+    ``rank``, ``seed`` and ``n`` are int arrays with one entry per cell;
+    ``scores`` is a float array with one row per cell and one column per
+    name of ``score_columns``, which follow :data:`KEY_COLUMNS` in the record
+    file.  ``study``, ``d`` and ``p`` are shared by every cell.  A failed
+    cell has no row; the study lists it among its failures.
+    """
 
     study: str
-    rank: int
     d: int
     p: int
-    seed: int
-    n: int
-    log_z_exact: float
-    log_lik_mle: float
-    log_z_bic: float
-    log_z_rlct: float
-    delta_bic: float
-    delta_rlct: float
+    rank: np.ndarray
+    seed: np.ndarray
+    n: np.ndarray
+    score_columns: list[str]
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    @property
+    def columns(self) -> list[str]:
+        return [*KEY_COLUMNS, *self.score_columns]
+
+    def score(self, name: str) -> np.ndarray:
+        """The score column ``name``, one value per cell."""
+        return self.scores[:, self.score_columns.index(name)]
+
+
+def _cell_table(
+    cfg: ExperimentConfig, ranks: list[int], scores: np.ndarray, score_columns: list[str]
+) -> CellTable:
+    """The cells of ``scores`` (rank, seed, n, score), one of each
+    ``ranks``, ``cfg.seeds`` and ``cfg.n_grid``, whose scores are all
+    finite; a failed cell's scores are NaN."""
+    n_seeds, n_sizes = len(cfg.seeds), len(cfg.n_grid)
+    ok = np.isfinite(scores).all(axis=-1).ravel()
+    return CellTable(
+        study=cfg.study, d=cfg.d, p=cfg.p,
+        rank=np.repeat(ranks, n_seeds * n_sizes)[ok],
+        seed=np.tile(np.repeat(cfg.seeds, n_sizes), len(ranks))[ok],
+        n=np.tile(cfg.n_grid, len(ranks) * n_seeds)[ok],
+        score_columns=list(score_columns),
+        scores=scores.reshape(ok.size, -1)[ok],
+    )
+
+
+def seed_means(
+    table: CellTable, values: np.ndarray, ranks: list[int]
+) -> list[tuple[list[int], np.ndarray, int]]:
+    """Group the cells of ``ranks`` by sample size and average over seeds.
+
+    ``values`` has one row per cell of ``table`` and one column per
+    quantity.  For each rank of ``ranks`` returns the sample sizes at which
+    it has a cell, increasing; the mean over seeds of each quantity at each
+    of them, shaped (quantities, sizes); and the number of seeds with a
+    cell.  Cells of other ranks are ignored.  Seeds are taken in the order
+    they first appear and summed along a contiguous last axis, so on a
+    complete grid each mean has the bits of ``np.mean`` over the seeds' values
+    in that order; a missing cell adds zero and leaves the count.
+    """
+    match = table.rank[:, None] == np.asarray(ranks)[None, :]
+    rows = match.any(axis=1)
+    rank_at = match.argmax(axis=1)[rows]
+    ns, n_at = np.unique(table.n[rows], return_inverse=True)
+    _, first, seed_at = np.unique(table.seed[rows], return_index=True, return_inverse=True)
+    seed_at = np.argsort(np.argsort(first))[seed_at]
+    present = np.zeros((len(ranks), len(ns), len(first)), dtype=bool)
+    present[rank_at, n_at, seed_at] = True
+    if np.count_nonzero(present) != len(rank_at):
+        raise ValueError("the table holds a (rank, seed, n) cell more than once")
+    grid = np.zeros((values.shape[1], *present.shape))
+    grid[:, rank_at, n_at, seed_at] = values[rows].T
+    sums, counts = grid.sum(axis=-1), present.sum(axis=-1)
+    out = []
+    for i in range(len(ranks)):
+        kept = counts[i] > 0
+        out.append((ns[kept].tolist(), sums[:, i, kept] / counts[i, kept],
+                    int(np.count_nonzero(present[i].any(axis=0)))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,13 +347,12 @@ class RankSummary:
 class StudyResult:
     study: str
     config: ExperimentConfig
-    records: list[RecordRow] = field(default_factory=list)
+    cells: CellTable
     failures: list[CellFailure] = field(default_factory=list)
     rank_summaries: list[RankSummary] = field(default_factory=list)
     # rank -> [(seed, slope_delta_bic, slope_delta_rlct)] for dispersion plots
     per_seed_slopes: dict[int, list[tuple[int, float, float]]] = field(default_factory=dict)
     # dictionary-study payload (None for regression studies)
-    dict_rows: list[DictionaryComparison] | None = None
     dict_table: dict[str, float] | None = None
     dict_table_n: int | None = None
     dict_gap_slopes: dict[str, SlopeFit] | None = None
@@ -289,87 +364,76 @@ class StudyResult:
 # Regression studies
 # ---------------------------------------------------------------------------
 
-def _regression_cells(cfg: ExperimentConfig) -> tuple[list[RecordRow], list[CellFailure], dict]:
-    """Records and failures of every (rank, seed, n) cell, and per rank the
+def _regression_cells(cfg: ExperimentConfig) -> tuple[CellTable, list[CellFailure], dict]:
+    """The table and failures of every (rank, seed, n) cell, and per rank the
     log-n slopes of ``delta_bic`` and ``delta_rlct`` of each seed none of
     whose cells failed.
 
-    Each seed's Wishart draws are made once and shared by every rank; each
-    rank's cells go through one :func:`evidence_batch`.
+    Each seed's Wishart draws and ``theta_star`` are made once and shared by
+    every rank; each rank forms all its statistics in one stacked call and
+    scores them in one :func:`evidence_batch`.
     """
-    records: list[RecordRow] = []
+    shape = (len(cfg.seeds), len(cfg.n_grid))
+    scores = np.full((len(cfg.ranks), *shape, len(_SCORE_COLUMNS)), np.nan)
     failures: list[CellFailure] = []
     per_seed: dict[int, list[tuple[int, float, float]]] = {}
-    draws = [sample_wishart(seed, cfg.n_grid, cfg.p + 1) for seed in cfg.seeds]
-    cells = [(seed, n) for seed in cfg.seeds for n in cfg.n_grid]
-    ns = np.array([n for _, n in cells])
-    for rank in cfg.ranks:
-        specs = [make_spec(cfg.p, cfg.d, rank, cfg.sigma2, cfg.tau2, seed=s) for s in cfg.seeds]
-        S, b, yy = (np.concatenate(parts) for parts in zip(
-            *(statistics_from_wishart(spec, W) for spec, W in zip(specs, draws))
-        ))
-        table = np.full((len(cells), len(_SCORE_COLUMNS)), np.nan)
+    W = np.stack([sample_wishart(seed, cfg.n_grid, cfg.p + 1) for seed in cfg.seeds])
+    theta = np.stack([draw_theta(cfg.d, cfg.tau2, seed) for seed in cfg.seeds])[:, None]
+    ns = np.tile(cfg.n_grid, len(cfg.seeds))
+    for rank, table in zip(cfg.ranks, scores):
+        B = np.stack([make_rank_r_factor(cfg.p, cfg.d, rank, seed) for seed in cfg.seeds])
+        S, b, yy = statistics_from_factors(B[:, None], theta, cfg.sigma2, W)
         message = "non-finite value in evidence record"
         try:
-            out = evidence_batch(ns, S, b, yy, cfg.sigma2, cfg.tau2, analytic_rlct(rank))
-            table[:] = np.column_stack([out[key] for key in _SCORE_COLUMNS])
+            out = evidence_batch(
+                ns, S.reshape(-1, cfg.d, cfg.d), b.reshape(-1, cfg.d), yy.ravel(),
+                cfg.sigma2, cfg.tau2, analytic_rlct(rank),
+            )
+            table[:] = np.stack([out[key] for key in _SCORE_COLUMNS], axis=-1).reshape(table.shape)
         except np.linalg.LinAlgError as exc:
             message = str(exc)
-        finite = np.isfinite(table).all(axis=1)
-        for (seed, n), scores, ok in zip(cells, table.tolist(), finite.tolist()):
-            if ok:
-                records.append(RecordRow(cfg.study, rank, cfg.d, cfg.p, seed, n, *scores))
-            else:
-                failures.append(CellFailure(rank=rank, seed=seed, n=n, message=message))
-        shape = (len(cfg.seeds), len(cfg.n_grid))
-        complete = finite.reshape(shape).all(axis=1)
-        deltas = table[:, _DELTA_COLUMNS].T.reshape(2, *shape)[:, complete]
+        finite = np.isfinite(table).all(axis=-1)
+        failures += [
+            CellFailure(rank=rank, seed=seed, n=n, message=message)
+            for seed, row in zip(cfg.seeds, finite.tolist())
+            for n, ok in zip(cfg.n_grid, row) if not ok
+        ]
+        complete = finite.all(axis=1)
+        deltas = np.moveaxis(table[..., _DELTA_COLUMNS], -1, 0)[:, complete]
         slopes = log_n_slopes(cfg.n_grid, deltas).T.tolist()
         seeds = [seed for seed, ok in zip(cfg.seeds, complete) if ok]
         per_seed[rank] = [(seed, sb, sr) for seed, (sb, sr) in zip(seeds, slopes)]
-    return records, failures, per_seed
+    return _cell_table(cfg, cfg.ranks, scores, _SCORE_COLUMNS), failures, per_seed
 
 
-def mean_by_n(rows, *extractors) -> tuple[list[int], list[list[float]]]:
-    """The sample sizes present in ``rows`` in increasing order, and for each
-    extractor the mean of its values over the rows at each of those sizes."""
-    by_n: dict[int, list] = {}
-    for row in rows:
-        by_n.setdefault(row.n, []).append(row)
-    ns = sorted(by_n)
-    return ns, [[float(np.mean([f(row) for row in by_n[n]])) for n in ns] for f in extractors]
-
-
-def aggregate_rank_summaries(
-    records: list[RecordRow], ranks: list[int]
-) -> list[RankSummary]:
+def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> list[RankSummary]:
     """Seed-average the error terms per n, then fit log-n slopes per rank.
 
     Averaging before slope fitting is the aggregation the studies report;
     per-seed slopes are tracked separately for dispersion diagnostics.
     """
+    values = np.column_stack([
+        table.score("delta_bic"),
+        table.score("delta_rlct"),
+        table.score("log_z_exact") - table.score("log_lik_mle"),
+    ])
     summaries = []
-    for rank in ranks:
-        rows = [rec for rec in records if rec.rank == rank]
-        if not rows:
+    for rank, (ns, (dbic, drlct, centered), n_seeds) in zip(
+        ranks, seed_means(table, values, ranks)
+    ):
+        if not ns:
             raise NumericalError(f"no surviving cells for rank {rank}")
-        ns, (dbic, drlct, centered) = mean_by_n(
-            rows,
-            lambda r: r.delta_bic,
-            lambda r: r.delta_rlct,
-            lambda r: r.log_z_exact - r.log_lik_mle,
-        )
         if len(ns) < 2:
             raise NumericalError(
                 f"rank {rank} has fewer than 2 usable grid points after failures"
             )
         summaries.append(RankSummary(
             rank=rank,
-            fit_delta_bic=fit_log_n_slope(zip(ns, dbic)),
-            fit_delta_rlct=fit_log_n_slope(zip(ns, drlct)),
-            lambda_hat=estimate_rlct_from_slope(zip(ns, centered)),
+            fit_delta_bic=fit_log_n_slope(zip(ns, dbic.tolist())),
+            fit_delta_rlct=fit_log_n_slope(zip(ns, drlct.tolist())),
+            lambda_hat=estimate_rlct_from_slope(zip(ns, centered.tolist())),
             lambda_analytic=analytic_rlct(rank),
-            n_seeds=len({r.seed for r in rows}),
+            n_seeds=n_seeds,
             n_points=len(ns),
         ))
     return summaries
@@ -377,13 +441,13 @@ def aggregate_rank_summaries(
 
 def _regression_study(cfg: ExperimentConfig) -> StudyResult:
     """Evidence records and error slopes for every configured rank."""
-    records, failures, per_seed = _regression_cells(cfg)
+    cells, failures, per_seed = _regression_cells(cfg)
     return StudyResult(
         study=cfg.study,
         config=cfg,
-        records=records,
+        cells=cells,
         failures=failures,
-        rank_summaries=aggregate_rank_summaries(records, cfg.ranks),
+        rank_summaries=aggregate_rank_summaries(cells, cfg.ranks),
         per_seed_slopes=per_seed,
     )
 
@@ -399,58 +463,58 @@ def _dict_study(cfg: ExperimentConfig) -> StudyResult:
     """Minimal vs overcomplete dictionary scores over seeds and sample sizes,
     one :func:`comparison_batch` per seed; an error it raises fails the seed."""
     r = cfg.ranks[0]
-    rows: list[DictionaryComparison] = []
+    scores = np.full((len(cfg.seeds), len(cfg.n_grid), len(_DICT_SCORE_COLUMNS)), np.nan)
     failures: list[CellFailure] = []
     spectra = None
-    for seed in cfg.seeds:
+    for seed, table in zip(cfg.seeds, scores):
         pair = make_dictionary_pair(cfg.p, r, cfg.d, seed, tau2=cfg.tau2, sigma2=cfg.sigma2)
         if spectra is None:
             spectra = (gram_spectrum(pair[0]), gram_spectrum(pair[1]))
         try:
-            table = np.column_stack(list(comparison_batch(pair, cfg.n_grid, seed).values()))
+            out = comparison_batch(pair, cfg.n_grid, seed)
         except (NumericalError, np.linalg.LinAlgError) as exc:
             failures += [CellFailure(rank=r, seed=seed, n=n, message=str(exc)) for n in cfg.n_grid]
             continue
-        finite = np.isfinite(table[:, :4]).all(axis=1)   # the exact and fit columns
-        for n, scores, ok in zip(cfg.n_grid, table.tolist(), finite):
-            if ok:
-                rows.append(DictionaryComparison(n, seed, *scores))
-            else:
-                failures.append(CellFailure(
-                    r, seed, n, "non-finite value in dictionary comparison"))
-
+        table[:] = np.column_stack([out[key] for key in _DICT_SCORE_COLUMNS])
+        failures += [
+            CellFailure(r, seed, n, "non-finite value in dictionary comparison")
+            for n, ok in zip(cfg.n_grid, np.isfinite(table).all(axis=1).tolist()) if not ok
+        ]
+    cells = _cell_table(cfg, [r], scores[None], _DICT_SCORE_COLUMNS)
     table_n = min(cfg.n_grid, key=lambda n: abs(n - _DICT_TABLE_TARGET_N))
-    # None when the table's cell (first seed, table_n) failed
-    first = next((row for row in rows if (row.seed, row.n) == (cfg.seeds[0], table_n)), None)
+    # no row when the table's cell (first seed, table_n) failed
+    first = cells.scores[(cells.seed == cfg.seeds[0]) & (cells.n == table_n)].tolist()
+    row = dict(zip(_DICT_SCORE_COLUMNS, first[0])) if first else None
     return StudyResult(
         study=cfg.study,
         config=cfg,
+        cells=cells,
         failures=failures,
-        dict_rows=rows,
-        dict_table=first and {key: getattr(first, key) for key in DICT_TABLE_QUANTITIES},
+        dict_table={key: row[key] for key in DICT_TABLE_QUANTITIES} if row else None,
         dict_table_n=table_n,
-        dict_gap_slopes=_dict_gap_slopes(rows),
+        dict_gap_slopes=_dict_gap_slopes(cells, r),
         spectra=spectra,
     )
 
 
-def _dict_gap_slopes(rows: list[DictionaryComparison]) -> dict[str, SlopeFit]:
+def _dict_gap_slopes(table: CellTable, rank: int) -> dict[str, SlopeFit]:
     """Log-n slopes of the seed-averaged minimal-minus-overcomplete gaps.
 
     ``bic_gap`` uses the common-fit scores (the non-invariance diagnostic:
     the gap is purely the penalty difference); ``bic_gap_ml`` lets each shape
     use its own ML fit; ``fit_gap`` tracks how far apart those fits are.
     """
+    col = table.score
     gaps = {
-        "exact_gap": lambda c: c.exact_minimal - c.exact_overcomplete,
-        "bic_gap": lambda c: c.bic_minimal - c.bic_overcomplete,
-        "bic_gap_ml": lambda c: c.bic_minimal - c.bic_overcomplete_ml,
-        "fit_gap": lambda c: c.fit_minimal - c.fit_overcomplete,
+        "exact_gap": col("exact_minimal") - col("exact_overcomplete"),
+        "bic_gap": col("bic_minimal") - col("bic_overcomplete"),
+        "bic_gap_ml": col("bic_minimal") - col("bic_overcomplete_ml"),
+        "fit_gap": col("fit_minimal") - col("fit_overcomplete"),
     }
-    ns, means = mean_by_n(rows, *gaps.values())
+    [(ns, means, _)] = seed_means(table, np.column_stack(list(gaps.values())), [rank])
     if len(ns) < 2:
         raise NumericalError("dictionary study has fewer than 2 usable grid points")
-    return {name: fit_log_n_slope(zip(ns, mean)) for name, mean in zip(gaps, means)}
+    return {name: fit_log_n_slope(zip(ns, mean.tolist())) for name, mean in zip(gaps, means)}
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +560,7 @@ def summarize(result: StudyResult) -> str:
         lines.append(f"comparison at n={result.dict_table_n} (first seed):")
         for key in DICT_TABLE_QUANTITIES:
             lines.append(f"  {key:<22} {result.dict_table[key]:.2f}")
-    elif result.dict_rows is not None:
+    elif result.study == "dict_compare":
         lines.append(f"comparison at n={result.dict_table_n} (first seed): cell failed, no table")
     if result.dict_gap_slopes is not None:
         gaps = result.dict_gap_slopes
@@ -515,13 +579,6 @@ def summarize(result: StudyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, plain text otherwise."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_atomic(path: Path, text: str) -> None:
     """Write via a temp file and rename, so interrupted runs leave no partials."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -536,18 +593,30 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(columns: list[str], rows: list[list]) -> str:
+def table_text(header: list[str], columns, delimiter: str = ",") -> str:
+    """CSV text of ``columns``, each formatted whole: a float array as
+    shortest round-trip decimals (``repr`` over ``.tolist()``), any other
+    column with ``str``, which is ``repr`` for a Python float too."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*map(_column_text, columns)))
     return buf.getvalue()
 
 
-def records_csv_text(records: list[RecordRow]) -> str:
-    rows = [[getattr(rec, key) for key in RECORD_COLUMNS] for rec in records]
-    return _csv_text(RECORD_COLUMNS, rows)
+def _column_text(column) -> list[str]:
+    if isinstance(column, np.ndarray):
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return list(map(str, column))
+
+
+def cell_table_csv_text(table: CellTable) -> str:
+    """The record CSV of a cell table, in :attr:`CellTable.columns` order."""
+    shared = [[value] * len(table) for value in (table.study, table.d, table.p)]
+    return table_text(
+        table.columns,
+        [shared[0], table.rank, shared[1], shared[2], table.seed, table.n, *table.scores.T],
+    )
 
 
 def slopes_csv_text(summaries: list[RankSummary]) -> str:
@@ -557,7 +626,7 @@ def slopes_csv_text(summaries: list[RankSummary]) -> str:
          s.lambda_hat, s.lambda_analytic, s.n_seeds, s.n_points]
         for s in sorted(summaries, key=lambda s: s.rank)
     ]
-    return _csv_text(SLOPE_COLUMNS, rows)
+    return table_text(SLOPE_COLUMNS, zip(*rows))
 
 
 def per_seed_slopes_csv_text(per_seed: dict[int, list[tuple[int, float, float]]]) -> str:
@@ -566,53 +635,49 @@ def per_seed_slopes_csv_text(per_seed: dict[int, list[tuple[int, float, float]]]
         for rank in sorted(per_seed)
         for seed, slope_bic, slope_rlct in per_seed[rank]
     ]
-    return _csv_text(PER_SEED_SLOPE_COLUMNS, rows)
-
-
-def dict_records_csv_text(result: StudyResult) -> str:
-    cfg = result.config
-    rows = [
-        [cfg.study, cfg.ranks[0], cfg.d, cfg.p]
-        + [getattr(c, key) for key in DICT_RECORD_COLUMNS[4:]]
-        for c in result.dict_rows or []
-    ]
-    return _csv_text(DICT_RECORD_COLUMNS, rows)
+    return table_text(PER_SEED_SLOPE_COLUMNS, zip(*rows))
 
 
 def dict_table_csv_text(table: dict[str, float]) -> str:
-    rows = [[key, table[key]] for key in DICT_TABLE_QUANTITIES]
-    return _csv_text(["quantity", "value"], rows)
+    return table_text(
+        ["quantity", "value"], [DICT_TABLE_QUANTITIES, [table[k] for k in DICT_TABLE_QUANTITIES]]
+    )
 
 
-def read_records_csv(path: Path) -> list[RecordRow]:
-    """Load persisted evidence records for offline re-analysis."""
+def read_cell_table(path: str | Path) -> CellTable:
+    """Load a record CSV (``evidence_records.csv`` or ``dict_records.csv``)
+    for offline re-analysis; its header names the score columns."""
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        out = []
-        for row in reader:
-            out.append(RecordRow(
-                study=row["study"], rank=int(row["rank"]), d=int(row["d"]),
-                p=int(row["p"]), seed=int(row["seed"]), n=int(row["n"]),
-                log_z_exact=float(row["log_z_exact"]),
-                log_lik_mle=float(row["log_lik_mle"]),
-                log_z_bic=float(row["log_z_bic"]),
-                log_z_rlct=float(row["log_z_rlct"]),
-                delta_bic=float(row["delta_bic"]),
-                delta_rlct=float(row["delta_rlct"]),
-            ))
-    return out
+        header, *rows = csv.reader(handle)
+    if header[:len(KEY_COLUMNS)] != KEY_COLUMNS:
+        raise ValueError(f"{path}: header must start with {KEY_COLUMNS}, got {header}")
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: need at least one row, each of {len(header)} fields")
+    study, rank, d, p, seed, n, *scores = zip(*rows)
+    if len(set(zip(study, d, p))) != 1:
+        raise ValueError(f"{path}: every row must share one study, d and p")
+
+    def ints(column) -> np.ndarray:
+        return np.array([int(v) for v in column])
+
+    return CellTable(
+        study=study[0], d=int(d[0]), p=int(p[0]),
+        rank=ints(rank), seed=ints(seed), n=ints(n),
+        score_columns=header[len(KEY_COLUMNS):],
+        scores=np.array([[float(v) for v in column] for column in scores]).T,
+    )
 
 
 def write_study_outputs(result: StudyResult, out_dir: str | Path) -> list[Path]:
     """Persist raw records, the slope/table summary CSV, the text summary,
     and the timestamp sidecar.  Returns the written paths."""
-    if result.dict_rows is not None:
-        files = {"dict_records.csv": dict_records_csv_text(result)}
+    if result.study == "dict_compare":
+        files = {"dict_records.csv": cell_table_csv_text(result.cells)}
         if result.dict_table is not None:
             files["dict_compare.csv"] = dict_table_csv_text(result.dict_table)
     else:
         files = {
-            "evidence_records.csv": records_csv_text(result.records),
+            "evidence_records.csv": cell_table_csv_text(result.cells),
             "slopes.csv": slopes_csv_text(result.rank_summaries),
             "per_seed_slopes.csv": per_seed_slopes_csv_text(result.per_seed_slopes),
         }
@@ -629,11 +694,6 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     ``dict_compare``, the per-rank regression cells and slopes otherwise."""
     cfg.validate()
     started = time.time()
-    if cfg.study == "dict_compare":
-        result = _dict_study(cfg)
-        n_rows = len(result.dict_rows)
-    else:
-        result = _regression_study(cfg)
-        n_rows = len(result.records)
-    result.metadata = _metadata(cfg, started, n_rows, len(result.failures))
+    result = _dict_study(cfg) if cfg.study == "dict_compare" else _regression_study(cfg)
+    result.metadata = _metadata(cfg, started, len(result.cells), len(result.failures))
     return result

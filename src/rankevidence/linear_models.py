@@ -10,7 +10,8 @@ and ``d - r`` parameter directions do not affect the likelihood.
 draws only the sufficient statistics ``(A^T A, A^T y, y^T y)``, exactly, from
 their Wishart law, at a cost that does not depend on ``n``;
 :func:`sample_wishart` and :func:`statistics_from_wishart` do the same for a
-whole sample-size grid.
+whole sample-size grid, and :func:`statistics_from_factors` for a stack of
+factors at once.
 """
 
 from __future__ import annotations
@@ -117,11 +118,16 @@ def make_spec(
     theta_star is drawn once here and frozen in the spec, so varying the
     sample size never redraws the ground truth.
     """
-    B = make_rank_r_factor(p, d, r, seed)
-    theta = math.sqrt(tau2) * substream(seed, "theta").standard_normal(d)
     return RankRegressionSpec(
-        p=p, d=d, r=r, B_star=B, theta_star=theta, sigma2=sigma2, tau2=tau2
+        p=p, d=d, r=r, B_star=make_rank_r_factor(p, d, r, seed),
+        theta_star=draw_theta(d, tau2, seed), sigma2=sigma2, tau2=tau2,
     )
+
+
+def draw_theta(d: int, tau2: float, seed: int) -> np.ndarray:
+    """``theta_star ~ N(0, tau2 I_d)`` from the seeded "theta" stream, the
+    same draw whatever the rank."""
+    return math.sqrt(tau2) * substream(seed, "theta").standard_normal(d)
 
 
 def sample_dataset(
@@ -175,24 +181,38 @@ def sample_wishart(seed: int, n_grid: list[int], q: int) -> np.ndarray:
 def statistics_from_wishart(
     spec: RankRegressionSpec, W: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(A^T A, A^T y, y^T y)`` for each ``W`` of a (k, p+1, p+1) stack.
+    """``(A^T A, A^T y, y^T y)`` for each ``W`` of a (k, p+1, p+1) stack:
+    :func:`statistics_from_factors` of the spec's factor and parameter.
+    Returns stacks of shapes (k, d, d), (k, d) and (k,).
+    """
+    return statistics_from_factors(spec.B_star, spec.theta_star, spec.sigma2, W)
+
+
+def statistics_from_factors(
+    B: np.ndarray, theta: np.ndarray, sigma2: float, W: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(A^T A, A^T y, y^T y)`` of the model ``(B, theta, sigma2)`` for
+    each ``W``, broadcast over the leading axes of ``B`` (..., p, d),
+    ``theta`` (..., d) and ``W`` (..., p+1, p+1).
 
     With ``Z = [X, eps / sigma]`` (n x (p+1), i.i.d. standard normal) and
     ``W = Z^T Z``, the three statistics are fixed linear functions of ``W``.
-    Returns stacks of shapes (k, d, d), (k, d) and (k,).
+    Returns stacks of shapes (..., d, d), (..., d) and (...).
     """
-    sigma = math.sqrt(spec.sigma2)
+    sigma = math.sqrt(sigma2)
     G = W[..., :-1, :-1]
     # a multiply, not a strided view: BLAS rounds a strided dot product
     # differently, and the persisted records keep their bits
     h = sigma * W[..., :-1, -1]
-    B, mean = spec.B_star, spec.B_star @ spec.theta_star
-    G_mean = G @ mean
+    Bt = B.swapaxes(-1, -2)
+    mean = (B @ theta[..., None])[..., 0]
+    G_mean = (G @ mean[..., None])[..., 0]
     return (
-        symmetrize(B.T @ G @ B),
-        (B.T @ (G_mean + h)[..., None])[..., 0],
-        (mean @ G_mean[..., None])[..., 0] + 2.0 * (mean @ h[..., None])[..., 0]
-        + spec.sigma2 * W[..., -1, -1],
+        symmetrize(Bt @ G @ B),
+        (Bt @ (G_mean + h)[..., None])[..., 0],
+        (mean[..., None, :] @ G_mean[..., None])[..., 0, 0]
+        + 2.0 * (mean[..., None, :] @ h[..., None])[..., 0, 0]
+        + sigma2 * W[..., -1, -1],
     )
 
 

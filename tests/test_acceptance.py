@@ -22,7 +22,7 @@ from rankevidence.evidence import (
 )
 from rankevidence.experiments import (
     ExperimentConfig,
-    read_records_csv,
+    read_cell_table,
     run_study,
     write_study_outputs,
 )
@@ -219,14 +219,17 @@ def test_criterion_9_record_identity(rank_sweep_result, tmp_path):
     """Every persisted record satisfies
     delta_bic - delta_rlct = (lambda - d/2) log n to 1e-12."""
     write_study_outputs(rank_sweep_result, tmp_path)
-    records = read_records_csv(tmp_path / "evidence_records.csv")
+    cells = read_cell_table(tmp_path / "evidence_records.csv")
     worst = 0.0
-    for rec in records:
-        lam = rec.rank / 2.0
-        gap = (lam - rec.d / 2.0) * math.log(rec.n)
-        worst = max(worst, abs((rec.delta_bic - rec.delta_rlct) - gap))
+    for rank, n, delta_bic, delta_rlct in zip(
+        cells.rank.tolist(), cells.n.tolist(),
+        cells.score("delta_bic").tolist(), cells.score("delta_rlct").tolist(),
+    ):
+        lam = rank / 2.0
+        gap = (lam - cells.d / 2.0) * math.log(n)
+        worst = max(worst, abs((delta_bic - delta_rlct) - gap))
     _report(
         "criterion 9 (record identity, tol 1e-12)",
-        worst < 1e-12 and len(records) == 6 * 20 * 9,
-        f"{len(records)} persisted records, max deviation {worst:.3e}",
+        worst < 1e-12 and len(cells) == 6 * 20 * 9,
+        f"{len(cells)} persisted records, max deviation {worst:.3e}",
     )

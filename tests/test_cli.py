@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -260,7 +261,9 @@ class TestEmitPlotData:
     def test_empty_result_errors_before_writing(self, tmp_path):
         cfg = ExperimentConfig(study="rank_sweep", ranks=[1], seeds=[0], n_grid=[50, 100])
         res = run_study(cfg)
-        res.records = []
+        cells = res.cells
+        res.cells = replace(cells, rank=cells.rank[:0], seed=cells.seed[:0], n=cells.n[:0],
+                            scores=cells.scores[:0])
         with pytest.raises(ValueError):
             emit_plot_data(res, tmp_path)
         assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -12,13 +14,21 @@ from rankevidence._rng import substream, wishart_factor
 from rankevidence.evidence import GRAM_RANK_RTOL, LOG_2PI
 from rankevidence.dictionary import make_dictionary_pair, marginal_covariance
 from rankevidence.linear_models import make_spec
-from rankevidence.rlct import analytic_rlct, log_n_slopes
+from rankevidence.rlct import (
+    analytic_rlct,
+    estimate_rlct_from_slope,
+    fit_log_n_slope,
+    log_n_slopes,
+)
 from rankevidence.experiments import (
     ConfigError,
     ExperimentConfig,
+    RankSummary,
     aggregate_rank_summaries,
-    read_records_csv,
+    cell_table_csv_text,
+    read_cell_table,
     run_study,
+    slopes_csv_text,
     summarize,
     write_study_outputs,
 )
@@ -92,6 +102,83 @@ def _per_cell_comparison(pair, n, seed) -> list[float]:
         fit_min - lam * log_n, fit_min - lam * log_n,
         fit_over - 0.5 * overcomplete.d * log_n, fit_over - lam * log_n,
     ]
+
+
+def _rows(cells) -> list[dict]:
+    """One dict per cell of a table, keyed by record column."""
+    return [
+        dict(zip(cells.columns, (cells.study, rank, cells.d, cells.p, seed, n, *scores)))
+        for rank, seed, n, scores in zip(
+            cells.rank.tolist(), cells.seed.tolist(), cells.n.tolist(), cells.scores.tolist()
+        )
+    ]
+
+
+def _fmt(value) -> str:
+    """Shortest round-trip decimal for floats, plain text otherwise."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _row_csv_text(cells) -> str:
+    """The record CSV written row by row, one value at a time: the writer
+    the columnar one replaced, kept here as its reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cells.columns)
+    for rank, seed, n, scores in zip(cells.rank, cells.seed, cells.n, cells.scores):
+        row = [cells.study, int(rank), cells.d, cells.p, int(seed), int(n), *scores]
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def _mean_by_n(rows, *extractors) -> tuple[list[int], list[list[float]]]:
+    """The sample sizes present in ``rows`` in increasing order, and for each
+    extractor the mean of its values over the rows at each of those sizes:
+    the list-based grouping the columnar ``seed_means`` replaced."""
+    by_n: dict[int, list] = {}
+    for row in rows:
+        by_n.setdefault(row["n"], []).append(row)
+    ns = sorted(by_n)
+    return ns, [[float(np.mean([f(row) for row in by_n[n]])) for n in ns] for f in extractors]
+
+
+def _reference_slopes_csv(cells, ranks) -> str:
+    """slopes.csv from the list-based aggregation over the table's rows."""
+    rows = _rows(cells)
+    summaries = []
+    for rank in ranks:
+        mine = [row for row in rows if row["rank"] == rank]
+        ns, (dbic, drlct, centered) = _mean_by_n(
+            mine,
+            lambda r: r["delta_bic"],
+            lambda r: r["delta_rlct"],
+            lambda r: r["log_z_exact"] - r["log_lik_mle"],
+        )
+        summaries.append(RankSummary(
+            rank=rank,
+            fit_delta_bic=fit_log_n_slope(zip(ns, dbic)),
+            fit_delta_rlct=fit_log_n_slope(zip(ns, drlct)),
+            lambda_hat=estimate_rlct_from_slope(zip(ns, centered)),
+            lambda_analytic=analytic_rlct(rank),
+            n_seeds=len({row["seed"] for row in mine}),
+            n_points=len(ns),
+        ))
+    return slopes_csv_text(summaries)
+
+
+def _assert_same_table(a, b) -> None:
+    """Equal key columns and bit-equal scores."""
+    assert (a.study, a.d, a.p, a.columns) == (b.study, b.d, b.p, b.columns)
+    for name in ("rank", "seed", "n", "scores"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _without(cells, keep):
+    """The table's rows where ``keep`` is true."""
+    return replace(cells, rank=cells.rank[keep], seed=cells.seed[keep], n=cells.n[keep],
+                   scores=cells.scores[keep])
 
 
 def tiny_config(**kwargs) -> ExperimentConfig:
@@ -185,8 +272,9 @@ class TestRankSweep:
     def test_cell_coverage(self):
         cfg = tiny_config()
         res = run_study(cfg)
-        keys = {(r.rank, r.seed, r.n) for r in res.records}
-        assert len(res.records) == len(keys) == 2 * 2 * 3
+        cells = res.cells
+        keys = set(zip(cells.rank.tolist(), cells.seed.tolist(), cells.n.tolist()))
+        assert len(cells) == len(keys) == 2 * 2 * 3
         assert not res.failures
 
     def test_single_seed_two_points_is_legal(self):
@@ -199,9 +287,9 @@ class TestRankSweep:
     def test_record_identity_in_all_cells(self):
         cfg = tiny_config()
         res = run_study(cfg)
-        for rec in res.records:
-            gap = (rec.rank / 2.0 - cfg.d / 2.0) * math.log(rec.n)
-            assert abs((rec.delta_bic - rec.delta_rlct) - gap) < 1e-12
+        for rec in _rows(res.cells):
+            gap = (rec["rank"] / 2.0 - cfg.d / 2.0) * math.log(rec["n"])
+            assert abs((rec["delta_bic"] - rec["delta_rlct"]) - gap) < 1e-12
 
     def test_run_study_dispatch(self):
         res = run_study(tiny_config(ranks=[1], seeds=[0], n_grid=[50, 100]))
@@ -211,7 +299,7 @@ class TestRankSweep:
         """One poisoned cell must not abort the sweep; it is surfaced in the
         failure list and the summary."""
         cfg = tiny_config(ranks=[1, 2], seeds=[0], n_grid=[50, 100, 200])
-        clean = run_study(cfg).records
+        clean = run_study(cfg).cells
         real = experiments.evidence_batch
 
         def poisoned(n, S, b, yy, sigma2, tau2, lam):
@@ -229,7 +317,40 @@ class TestRankSweep:
         assert "failed cells: 1" in text
         assert "rank=1 seed=0 n=100" in text
         # every other cell, in the poisoned batch and out of it, keeps its bits
-        assert res.records == [r for r in clean if (r.rank, r.n) != (1, 100)]
+        _assert_same_table(res.cells, _without(clean, (clean.rank != 1) | (clean.n != 100)))
+        # one seed: the failed cell's n drops out of rank 1's mean exactly
+        assert slopes_csv_text(res.rank_summaries) == _reference_slopes_csv(res.cells, cfg.ranks)
+
+    def test_aggregation_matches_list_based_reference(self, monkeypatch):
+        """slopes.csv equals the list-based group-by-n aggregation bit for bit
+        on complete grids, seeds in config order or not.  With a failed cell
+        among 12 seeds the zero-filled seed sum groups the other 11 values
+        differently from np.mean over them: the complete rank stays exact
+        and the failed rank's slopes move by at most 4.4e-16 (measured over
+        18 poisoned cells, 9 to 20 seeds)."""
+        for cfg in (ExperimentConfig(),
+                    ExperimentConfig(ranks=[3, 1], seeds=[5, 3, 9, 1, 0, 2, 7, 4, 8, 6, 11])):
+            res = run_study(cfg)
+            assert slopes_csv_text(res.rank_summaries) == _reference_slopes_csv(res.cells, cfg.ranks)
+
+        cfg = ExperimentConfig(ranks=[1, 2], seeds=list(range(12)))
+        real = experiments.evidence_batch
+
+        def poisoned(n, S, b, yy, sigma2, tau2, lam):
+            out = real(n, S, b, yy, sigma2, tau2, lam)
+            if lam == 0.5:   # rank 1, seed 3, n = 100
+                out["delta_bic"][3 * len(cfg.n_grid) + cfg.n_grid.index(100)] = float("nan")
+            return out
+
+        monkeypatch.setattr(experiments, "evidence_batch", poisoned)
+        res = run_study(cfg)
+        assert [(f.rank, f.seed, f.n) for f in res.failures] == [(1, 3, 100)]
+        got = slopes_csv_text(res.rank_summaries).splitlines()
+        ref = _reference_slopes_csv(res.cells, cfg.ranks).splitlines()
+        assert got[0] == ref[0] and got[2] == ref[2]   # header and the complete rank 2
+        got, ref = ([float(v) for v in text[1].split(",")] for text in (got, ref))
+        assert got[0] == ref[0] and got[-2:] == ref[-2:] == [12, 9]
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-15
 
     def test_clean_run_has_no_failure_section(self):
         text = summarize(run_study(tiny_config()))
@@ -250,12 +371,12 @@ class TestRankSweep:
             return real(n, S, b, yy, sigma2, tau2, lam)
 
         monkeypatch.setattr(experiments, "evidence_batch", failing)
-        records, failures, _ = experiments._regression_cells(tiny_config())
+        cells, failures, _ = experiments._regression_cells(tiny_config())
         assert [(f.rank, f.seed, f.n) for f in failures] == [
             (1, seed, n) for seed in (0, 1) for n in (50, 100, 200)
         ]
         assert {f.message for f in failures} == {"Eigenvalues did not converge"}
-        assert len(records) == 6 and {r.rank for r in records} == {2}
+        assert len(cells) == 6 and set(cells.rank.tolist()) == {2}
 
     def test_records_match_per_cell_reference_bitwise(self):
         """Every score of every cell equals the one-cell-at-a-time arithmetic
@@ -271,8 +392,8 @@ class TestRankSweep:
                 spec = make_spec(cfg.p, cfg.d, rank, cfg.sigma2, cfg.tau2, seed=seed)
                 for n in grid:
                     expected.append(_per_cell_scores(spec, n, seed, rank / 2.0))
-        got = [[getattr(r, key) for key in experiments._SCORE_COLUMNS] for r in res.records]
-        assert got == expected
+        assert res.cells.score_columns == experiments.RECORD_COLUMNS[6:]
+        assert res.cells.scores.tolist() == expected
 
     def test_one_draw_per_seed_and_n_and_one_eigh_per_rank(self, monkeypatch):
         """Structural guard: the default sweep draws each (seed, n) Wishart
@@ -291,9 +412,30 @@ class TestRankSweep:
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         cfg = ExperimentConfig()
         res = run_study(cfg)
-        assert len(res.records) == len(cfg.ranks) * len(cfg.seeds) * len(cfg.n_grid)
+        assert len(res.cells) == len(cfg.ranks) * len(cfg.seeds) * len(cfg.n_grid)
         assert counts["factor"] == len(cfg.seeds) * len(cfg.n_grid) == 180
         assert 1 <= counts["eigh"] <= len(cfg.ranks)
+
+    def test_one_rank_check_per_factor_and_one_theta_per_seed(self, monkeypatch):
+        """Work guard: the default sweep computes each of its 120 factors'
+        rank once (no second check through a spec) and draws theta_star once
+        per seed for every rank: 180 Wishart + 120 factor + 20 theta streams."""
+        counts = {"svd": 0, "substream": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(
+            linear_models, "substream", counting("substream", linear_models.substream)
+        )
+        res = run_study(ExperimentConfig())
+        assert len(res.cells) == 1080 and not res.failures
+        assert counts["svd"] <= 120
+        assert counts["substream"] <= 320
 
     def test_large_n_grid_recovers_lambda(self):
         """At n = 1e6..1e9 the finite-n bias is gone: every rank's lambda_hat
@@ -352,7 +494,7 @@ class TestDictCompare:
             study="dict_compare", p=8, d=6, ranks=[3], seeds=[0, 1], n_grid=[50, 100, 200]
         )
         res = run_study(cfg)
-        assert len(res.dict_rows) == 2 * 3
+        assert len(res.cells) == 2 * 3
         assert res.dict_table_n == 200
         assert set(res.dict_table) == set(experiments.DICT_TABLE_QUANTITIES)
         assert set(res.dict_gap_slopes) == {"exact_gap", "bic_gap", "bic_gap_ml", "fit_gap"}
@@ -368,8 +510,9 @@ class TestDictCompare:
         assert not res.failures
         assert abs(res.dict_gap_slopes["exact_gap"].slope) < 1e-6
         assert abs(res.dict_gap_slopes["bic_gap"].slope - 1.5) < 1e-5
-        for row in res.dict_rows:
-            assert abs(row.exact_minimal - row.exact_overcomplete) <= 1e-12 * abs(row.exact_minimal)
+        for row in _rows(res.cells):
+            assert (abs(row["exact_minimal"] - row["exact_overcomplete"])
+                    <= 1e-12 * abs(row["exact_minimal"]))
 
 
     def test_rows_match_per_cell_reference_bitwise(self):
@@ -384,7 +527,10 @@ class TestDictCompare:
         for seed in cfg.seeds:
             pair = make_dictionary_pair(cfg.p, cfg.ranks[0], cfg.d, seed)
             expected += [[n, seed, *_per_cell_comparison(pair, n, seed)] for n in grid]
-        got = [list(vars(row).values()) for row in res.dict_rows]
+        cells = res.cells
+        assert cells.score_columns == experiments.DICT_RECORD_COLUMNS[6:]
+        got = [[n, seed, *scores] for n, seed, scores in
+               zip(cells.n.tolist(), cells.seed.tolist(), cells.scores.tolist())]
         assert got == expected
 
     def test_one_factor_per_member_and_one_eigvalsh_per_seed(self, monkeypatch):
@@ -405,7 +551,7 @@ class TestDictCompare:
         monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         res = run_study(ExperimentConfig.default_for("dict_compare"))
-        assert len(res.dict_rows) == 180 and not res.failures
+        assert len(res.cells) == 180 and not res.failures
         assert counts["factor"] == 180
         assert counts["cholesky"] <= 40
         assert counts["eigvalsh"] <= 23
@@ -416,7 +562,7 @@ class TestDictCompare:
         cfg = ExperimentConfig(
             study="dict_compare", p=8, d=6, ranks=[3], seeds=[0, 1], n_grid=[50, 100, 200]
         )
-        clean = run_study(cfg).dict_rows
+        clean = run_study(cfg).cells
         real_substream, real_factor = dictionary.substream, dictionary.wishart_factor
         poisoned = []
 
@@ -434,7 +580,7 @@ class TestDictCompare:
         monkeypatch.setattr(dictionary, "wishart_factor", nan_factor)
         res = run_study(cfg)
         assert [(f.seed, f.n) for f in res.failures] == [(1, 100)]
-        assert res.dict_rows == [row for row in clean if (row.seed, row.n) != (1, 100)]
+        _assert_same_table(res.cells, _without(clean, (clean.seed != 1) | (clean.n != 100)))
 
     def test_batch_error_fails_its_seed(self, monkeypatch):
         real = experiments.comparison_batch
@@ -451,7 +597,9 @@ class TestDictCompare:
         res = run_study(cfg)
         assert [(f.seed, f.n) for f in res.failures] == [(1, 50), (1, 100), (1, 200)]
         assert {f.message for f in res.failures} == {"Cholesky factorization failed in probe"}
-        assert [(row.seed, row.n) for row in res.dict_rows] == [(0, 50), (0, 100), (0, 200)]
+        assert list(zip(res.cells.seed.tolist(), res.cells.n.tolist())) == [
+            (0, 50), (0, 100), (0, 200)
+        ]
 
 
 class TestPersistence:
@@ -473,14 +621,50 @@ class TestPersistence:
         header = (tmp_path / "slopes.csv").read_text().splitlines()[0]
         assert header == ",".join(experiments.SLOPE_COLUMNS)
 
-        back = read_records_csv(tmp_path / "evidence_records.csv")
-        assert back == res.records   # repr round-trip is exact
+        back = read_cell_table(tmp_path / "evidence_records.csv")
+        _assert_same_table(back, res.cells)   # repr round-trip is exact
+
+    @pytest.mark.parametrize("study", ["rank_sweep", "dict_compare"])
+    @pytest.mark.parametrize("grid", [
+        None, [10**6, 10**7, 10**8, 10**9], [2, 3, 5, 7, 10, 50],
+    ], ids=["default", "large-n", "n-below-p"])
+    def test_columnar_writer_matches_row_writer(self, tmp_path, study, grid):
+        """The column-wise record CSV equals the row-by-row one byte for
+        byte, and reads back into the same table with exact floats."""
+        cfg = ExperimentConfig.default_for(study)
+        if grid is not None:
+            cfg = replace(cfg, n_grid=grid)
+        res = run_study(cfg)
+        assert not res.failures
+        text = cell_table_csv_text(res.cells)
+        assert text == _row_csv_text(res.cells)
+        write_study_outputs(res, tmp_path)
+        name = "dict_records.csv" if study == "dict_compare" else "evidence_records.csv"
+        assert (tmp_path / name).read_text() == text
+        _assert_same_table(read_cell_table(tmp_path / name), res.cells)
+
+    def test_reader_rejects_malformed_files(self, tmp_path):
+        path = tmp_path / "records.csv"
+        header = ",".join(experiments.RECORD_COLUMNS)
+        row = "rank_sweep,1,6,6,0,50," + ",".join(["0.5"] * 6)
+        for text in (
+            header + "\n",                                   # no cells
+            "rank,study,d,p,seed,n\n" + row + "\n",          # keys out of order
+            header + "\n" + row + ",0.5\n",                  # ragged row
+            header + "\n" + row + "\n" + row.replace(",6,6,", ",5,6,") + "\n",
+        ):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                read_cell_table(path)
+        path.write_text(header + "\n" + row + "\n" + row + "\n")
+        with pytest.raises(ValueError, match="more than once"):
+            aggregate_rank_summaries(read_cell_table(path), [1])
 
     def test_aggregation_reproducible_from_persisted_records(self, tmp_path):
         cfg = tiny_config()
         res = run_study(cfg)
         write_study_outputs(res, tmp_path)
-        back = read_records_csv(tmp_path / "evidence_records.csv")
+        back = read_cell_table(tmp_path / "evidence_records.csv")
         again = aggregate_rank_summaries(back, cfg.ranks)
         for a, b in zip(sorted(res.rank_summaries, key=lambda s: s.rank), again):
             assert abs(a.fit_delta_bic.slope - b.fit_delta_bic.slope) < 1e-10
