@@ -55,7 +55,6 @@ from .linear_models import (  # noqa: F401
 from .rlct import (
     SlopeFit,
     analytic_rlct,
-    estimate_rlct_from_slope,
     fit_log_n_slope,
     log_n_slopes,
     predicted_bic_error_slope,
@@ -411,14 +410,14 @@ def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> list[RankSum
 
     Averaging before slope fitting is the aggregation the studies report;
     per-seed slopes are tracked separately for dispersion diagnostics.
+    ``lambda_hat`` is the slope of the seed-mean centered term
+    ``log_lik_mle - log_z_exact``, read as ``lambda + slope(delta_rlct)``
+    because ``delta_rlct`` is that term minus ``lambda log n``: the records'
+    ``log_z_exact - log_lik_mle`` would subtract two O(n) numbers.
     """
-    values = np.column_stack([
-        table.score("delta_bic"),
-        table.score("delta_rlct"),
-        table.score("log_z_exact") - table.score("log_lik_mle"),
-    ])
+    values = np.column_stack([table.score("delta_bic"), table.score("delta_rlct")])
     summaries = []
-    for rank, (ns, (dbic, drlct, centered), n_seeds) in zip(
+    for rank, (ns, (dbic, drlct), n_seeds) in zip(
         ranks, seed_means(table, values, ranks)
     ):
         if not ns:
@@ -427,11 +426,12 @@ def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> list[RankSum
             raise NumericalError(
                 f"rank {rank} has fewer than 2 usable grid points after failures"
             )
+        fit_delta_rlct = fit_log_n_slope(zip(ns, drlct.tolist()))
         summaries.append(RankSummary(
             rank=rank,
             fit_delta_bic=fit_log_n_slope(zip(ns, dbic.tolist())),
-            fit_delta_rlct=fit_log_n_slope(zip(ns, drlct.tolist())),
-            lambda_hat=estimate_rlct_from_slope(zip(ns, centered.tolist())),
+            fit_delta_rlct=fit_delta_rlct,
+            lambda_hat=analytic_rlct(rank) + fit_delta_rlct.slope,
             lambda_analytic=analytic_rlct(rank),
             n_seeds=n_seeds,
             n_points=len(ns),

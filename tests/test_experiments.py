@@ -14,12 +14,7 @@ from rankevidence._rng import substream, wishart_factor
 from rankevidence.evidence import GRAM_RANK_RTOL, LOG_2PI
 from rankevidence.dictionary import make_dictionary_pair, marginal_covariance
 from rankevidence.linear_models import make_spec
-from rankevidence.rlct import (
-    analytic_rlct,
-    estimate_rlct_from_slope,
-    fit_log_n_slope,
-    log_n_slopes,
-)
+from rankevidence.rlct import analytic_rlct, fit_log_n_slope, log_n_slopes
 from rankevidence.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -150,17 +145,15 @@ def _reference_slopes_csv(cells, ranks) -> str:
     summaries = []
     for rank in ranks:
         mine = [row for row in rows if row["rank"] == rank]
-        ns, (dbic, drlct, centered) = _mean_by_n(
-            mine,
-            lambda r: r["delta_bic"],
-            lambda r: r["delta_rlct"],
-            lambda r: r["log_z_exact"] - r["log_lik_mle"],
+        ns, (dbic, drlct) = _mean_by_n(
+            mine, lambda r: r["delta_bic"], lambda r: r["delta_rlct"]
         )
+        fit_delta_rlct = fit_log_n_slope(zip(ns, drlct))
         summaries.append(RankSummary(
             rank=rank,
             fit_delta_bic=fit_log_n_slope(zip(ns, dbic)),
-            fit_delta_rlct=fit_log_n_slope(zip(ns, drlct)),
-            lambda_hat=estimate_rlct_from_slope(zip(ns, centered)),
+            fit_delta_rlct=fit_delta_rlct,
+            lambda_hat=analytic_rlct(rank) + fit_delta_rlct.slope,
             lambda_analytic=analytic_rlct(rank),
             n_seeds=len({row["seed"] for row in mine}),
             n_points=len(ns),
@@ -448,10 +441,11 @@ class TestRankSweep:
     def test_lambda_hat_at_large_n_against_mpmath(self):
         """For r < d at n = 2**28..2**32 - 1, lambda_hat matches the slope of
         the rank-r centered term evaluated at 50 digits from the same float
-        statistics.  The tolerance is twice the worst-case rounding of the
-        records' O(n) fit-minus-evidence subtraction carried into the slope
-        (9.5e-8); the measured residual is 4.1e-8.  Summing the null
-        eigenvalues' eps * top noise into the centered term costs 4.3e-6."""
+        statistics.  lambda_hat is lambda + slope(delta_rlct), which
+        subtracts no O(n) numbers; the measured residual is 5.8e-15 (the
+        records' log_z_exact - log_lik_mle gave 4.1e-8), and the tolerance
+        leaves about 170x over it.  Summing the null eigenvalues' eps * top
+        noise into the centered term costs 4.3e-6."""
         mpmath = pytest.importorskip("mpmath")
         grid = [2**28, 2**29, 2**30, 2**31, 2**32 - 1]
         cfg = ExperimentConfig(ranks=[1, 3], seeds=[0, 1], n_grid=grid)
@@ -476,7 +470,7 @@ class TestRankSweep:
                             / (2 * cfg.sigma2)
                         )
             expected = float(log_n_slopes(grid, centered.mean(axis=0)))
-            assert abs(summary.lambda_hat - expected) < 2e-7, (rank, summary.lambda_hat, expected)
+            assert abs(summary.lambda_hat - expected) < 1e-12, (rank, summary.lambda_hat, expected)
 
 
 class TestRegularVsSingular:
