@@ -148,14 +148,10 @@ def build_config(study: str, args: argparse.Namespace) -> ExperimentConfig:
 # Plot-data emission
 # ---------------------------------------------------------------------------
 
-def _tsv(columns: tuple[str, ...], rows: list[list]) -> str:
-    return table_text(list(columns), zip(*rows), delimiter="\t")
-
-
 def _log_n_curve(table: CellTable, rank: int, *columns: np.ndarray) -> list[list]:
     """Rows of n, log n and the seed mean of each per-cell column at each n
     where ``rank`` has a cell."""
-    [(ns, means, _)] = seed_means(table, np.column_stack(columns), [rank])
+    ns, means, _ = seed_means(table, np.column_stack(columns), rank)
     return [[n, math.log(n), *values] for n, values in zip(ns, means.T.tolist())]
 
 
@@ -163,16 +159,6 @@ def _error_curve(result: StudyResult, rank: int) -> list[list]:
     """Seed-mean BIC and corrected error curves of one rank."""
     cells = result.cells
     return _log_n_curve(cells, rank, cells.score("delta_bic"), cells.score("delta_rlct"))
-
-
-def _gap_curve(result: StudyResult) -> list[list]:
-    """Seed-mean minimal-minus-overcomplete exact and BIC gaps."""
-    col = result.cells.score
-    return _log_n_curve(
-        result.cells, result.config.ranks[0],
-        col("exact_minimal") - col("exact_overcomplete"),
-        col("bic_minimal") - col("bic_overcomplete"),
-    )
 
 
 def _spectra_rows(result: StudyResult) -> list[list]:
@@ -242,7 +228,11 @@ _FIGURES = (
     _Figure(
         ("dict_compare",), "fig4_dict_evidence_gap",
         ("n", "log_n", "exact_gap_mean", "bic_gap_mean"),
-        _gap_curve,
+        lambda res: _log_n_curve(
+            res.cells, res.config.ranks[0],
+            res.cells.score("exact_minimal") - res.cells.score("exact_overcomplete"),
+            res.cells.score("bic_minimal") - res.cells.score("bic_overcomplete"),
+        ),
         "log_n", (("exact_gap_mean", "exact gap"), ("bic_gap_mean", "BIC gap")),
         "Minimal minus overcomplete scores vs log n", "log n", "score gap",
     ),
@@ -282,7 +272,7 @@ def emit_plot_data(result: StudyResult, out_dir: str | Path, plot: bool = False)
     charts: dict[str, str] = {}
     for fig in figures:
         rows = fig.rows(result)
-        texts[f"{fig.stem}.tsv"] = _tsv(fig.columns, rows)
+        texts[f"{fig.stem}.tsv"] = table_text(list(fig.columns), zip(*rows), delimiter="\t")
         if plot:
             charts[f"{fig.stem}.svg"] = _chart(fig, rows, result.config)
     out = Path(out_dir)
@@ -323,8 +313,7 @@ def _run_evidence_command(args: argparse.Namespace) -> int:
         f"{'n':>7}  {'log_z_exact':>14}  {'log_lik_mle':>14}  {'log_z_bic':>14}  "
         f"{'log_z_rlct':>14}  {'delta_bic':>10}  {'delta_rlct':>10}\n"
     )
-    cells = result.cells
-    # one rank and seed: the cells run along n_grid, which increases
+    cells = result.cells   # one rank and seed, so the cells run along n_grid
     for n, (z, fit, bic, rlct, d_bic, d_rlct) in zip(cells.n.tolist(), cells.scores.tolist()):
         sys.stdout.write(
             f"{n:>7}  {z:>14.4f}  {fit:>14.4f}  {bic:>14.4f}  {rlct:>14.4f}  "

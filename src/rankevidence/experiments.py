@@ -9,14 +9,12 @@ overcomplete dictionary for the same subspace on shared data.
 ``estimate_rlct`` reuses the sweep cells and reports the slope-based
 effective-dimension estimates.  :func:`run_study` runs any of them.
 
-A study keeps its cells in one :class:`CellTable`: the key columns (rank,
-seed, n) as int arrays and the scores as one float array, filled once from
-the batch.  The aggregation, the record CSV and the figure tables all read
-it; :func:`seed_means` is the one group-by-n step, and
-:func:`read_cell_table` reads either record CSV back into a table.  Raw
-records are persisted before any aggregation, floats are written as shortest
-round-trip decimals, and timestamps live in a sidecar file, so identical
-configs produce byte-identical raw CSVs.
+A study keeps its cells in one columnar :class:`CellTable`, filled once from
+the batch and read by the aggregation (through :func:`seed_means`), the
+record CSV and the figures; :func:`read_cell_table` reads either record CSV
+back.  Raw records are persisted before any aggregation, floats are written
+as shortest round-trip decimals, and timestamps live in a sidecar file, so
+identical configs produce byte-identical raw CSVs.
 """
 
 from __future__ import annotations
@@ -69,8 +67,6 @@ KEY_COLUMNS = ["study", "rank", "d", "p", "seed", "n"]
 _SCORE_COLUMNS = [
     "log_z_exact", "log_lik_mle", "log_z_bic", "log_z_rlct", "delta_bic", "delta_rlct",
 ]
-
-# where delta_bic and delta_rlct sit among them
 _DELTA_COLUMNS = [_SCORE_COLUMNS.index("delta_bic"), _SCORE_COLUMNS.index("delta_rlct")]
 
 RECORD_COLUMNS = [*KEY_COLUMNS, *_SCORE_COLUMNS]
@@ -238,14 +234,10 @@ def _coerce_field(key: str, value):
 
 @dataclass(frozen=True, eq=False)
 class CellTable:
-    """A study's surviving cells as columns, in record-file order.
-
-    ``rank``, ``seed`` and ``n`` are int arrays with one entry per cell;
-    ``scores`` is a float array with one row per cell and one column per
-    name of ``score_columns``, which follow :data:`KEY_COLUMNS` in the record
-    file.  ``study``, ``d`` and ``p`` are shared by every cell.  A failed
-    cell has no row; the study lists it among its failures.
-    """
+    """A study's surviving cells as columns, in record-file order: int
+    arrays ``rank``, ``seed`` and ``n``, and a float array ``scores`` with one
+    row per cell and one column per name of ``score_columns``.  ``study``,
+    ``d`` and ``p`` are shared by every cell; a failed cell has no row."""
 
     study: str
     d: int
@@ -259,66 +251,51 @@ class CellTable:
     def __len__(self) -> int:
         return len(self.n)
 
-    @property
-    def columns(self) -> list[str]:
-        return [*KEY_COLUMNS, *self.score_columns]
-
     def score(self, name: str) -> np.ndarray:
-        """The score column ``name``, one value per cell."""
         return self.scores[:, self.score_columns.index(name)]
 
 
-def _cell_table(
-    cfg: ExperimentConfig, ranks: list[int], scores: np.ndarray, score_columns: list[str]
-) -> CellTable:
-    """The cells of ``scores`` (rank, seed, n, score), one of each
-    ``ranks``, ``cfg.seeds`` and ``cfg.n_grid``, whose scores are all
-    finite; a failed cell's scores are NaN."""
+def _cell_table(cfg: ExperimentConfig, ranks: list[int], scores: np.ndarray,
+                columns: list[str], messages: list) -> tuple[CellTable, list[CellFailure]]:
+    """The finite cells of ``scores`` (rank, seed, n, score) over ``ranks``,
+    ``cfg.seeds`` and ``cfg.n_grid``, and a failure for each other cell with
+    the message of its (rank, seed) batch; a failed cell's scores are NaN."""
+    finite = np.isfinite(scores).all(axis=-1)
+    failures = [
+        CellFailure(rank, seed, n, message)
+        for rank, rank_ok, rank_messages in zip(ranks, finite.tolist(), messages)
+        for seed, seed_ok, message in zip(cfg.seeds, rank_ok, rank_messages)
+        for n, ok in zip(cfg.n_grid, seed_ok) if not ok
+    ]
+    ok = finite.ravel()
     n_seeds, n_sizes = len(cfg.seeds), len(cfg.n_grid)
-    ok = np.isfinite(scores).all(axis=-1).ravel()
     return CellTable(
-        study=cfg.study, d=cfg.d, p=cfg.p,
+        cfg.study, cfg.d, cfg.p,
         rank=np.repeat(ranks, n_seeds * n_sizes)[ok],
         seed=np.tile(np.repeat(cfg.seeds, n_sizes), len(ranks))[ok],
         n=np.tile(cfg.n_grid, len(ranks) * n_seeds)[ok],
-        score_columns=list(score_columns),
+        score_columns=columns,
         scores=scores.reshape(ok.size, -1)[ok],
-    )
+    ), failures
 
 
-def seed_means(
-    table: CellTable, values: np.ndarray, ranks: list[int]
-) -> list[tuple[list[int], np.ndarray, int]]:
-    """Group the cells of ``ranks`` by sample size and average over seeds.
-
-    ``values`` has one row per cell of ``table`` and one column per
-    quantity.  For each rank of ``ranks`` returns the sample sizes at which
-    it has a cell, increasing; the mean over seeds of each quantity at each
-    of them, shaped (quantities, sizes); and the number of seeds with a
-    cell.  Cells of other ranks are ignored.  Seeds are taken in the order
-    they first appear and summed along a contiguous last axis, so on a
-    complete grid each mean has the bits of ``np.mean`` over the seeds' values
-    in that order; a missing cell adds zero and leaves the count.
-    """
-    match = table.rank[:, None] == np.asarray(ranks)[None, :]
-    rows = match.any(axis=1)
-    rank_at = match.argmax(axis=1)[rows]
+def seed_means(table: CellTable, values: np.ndarray, rank: int) -> tuple[list, np.ndarray, int]:
+    """The sample sizes at which ``rank`` has a cell, increasing; the mean
+    over seeds of each column of ``values`` (one row per cell) at each,
+    shaped (columns, sizes); and the number of seeds with a cell.  Seeds are
+    summed in order of first appearance along a contiguous last axis, which
+    gives ``np.mean``'s bits on a complete grid; a missing cell adds zero."""
+    rows = table.rank == rank
     ns, n_at = np.unique(table.n[rows], return_inverse=True)
     _, first, seed_at = np.unique(table.seed[rows], return_index=True, return_inverse=True)
     seed_at = np.argsort(np.argsort(first))[seed_at]
-    present = np.zeros((len(ranks), len(ns), len(first)), dtype=bool)
-    present[rank_at, n_at, seed_at] = True
-    if np.count_nonzero(present) != len(rank_at):
-        raise ValueError("the table holds a (rank, seed, n) cell more than once")
+    present = np.zeros((len(ns), len(first)), dtype=bool)
+    present[n_at, seed_at] = True
+    if np.count_nonzero(present) != len(n_at):
+        raise ValueError(f"rank {rank} has a (seed, n) cell more than once")
     grid = np.zeros((values.shape[1], *present.shape))
-    grid[:, rank_at, n_at, seed_at] = values[rows].T
-    sums, counts = grid.sum(axis=-1), present.sum(axis=-1)
-    out = []
-    for i in range(len(ranks)):
-        kept = counts[i] > 0
-        out.append((ns[kept].tolist(), sums[:, i, kept] / counts[i, kept],
-                    int(np.count_nonzero(present[i].any(axis=0)))))
-    return out
+    grid[:, n_at, seed_at] = values[rows].T
+    return ns.tolist(), grid.sum(axis=-1) / present.sum(axis=-1), len(first)
 
 
 @dataclass(frozen=True)
@@ -349,8 +326,8 @@ class StudyResult:
     cells: CellTable
     failures: list[CellFailure] = field(default_factory=list)
     rank_summaries: list[RankSummary] = field(default_factory=list)
-    # rank -> [(seed, slope_delta_bic, slope_delta_rlct)] for dispersion plots
-    per_seed_slopes: dict[int, list[tuple[int, float, float]]] = field(default_factory=dict)
+    # (rank, seed, slope_delta_bic, slope_delta_rlct) rows for dispersion plots
+    per_seed_slopes: list[tuple[int, int, float, float]] = field(default_factory=list)
     # dictionary-study payload (None for regression studies)
     dict_table: dict[str, float] | None = None
     dict_table_n: int | None = None
@@ -363,19 +340,13 @@ class StudyResult:
 # Regression studies
 # ---------------------------------------------------------------------------
 
-def _regression_cells(cfg: ExperimentConfig) -> tuple[CellTable, list[CellFailure], dict]:
-    """The table and failures of every (rank, seed, n) cell, and per rank the
-    log-n slopes of ``delta_bic`` and ``delta_rlct`` of each seed none of
-    whose cells failed.
-
-    Each seed's Wishart draws and ``theta_star`` are made once and shared by
-    every rank; each rank forms all its statistics in one stacked call and
-    scores them in one :func:`evidence_batch`.
-    """
-    shape = (len(cfg.seeds), len(cfg.n_grid))
-    scores = np.full((len(cfg.ranks), *shape, len(_SCORE_COLUMNS)), np.nan)
-    failures: list[CellFailure] = []
-    per_seed: dict[int, list[tuple[int, float, float]]] = {}
+def _regression_study(cfg: ExperimentConfig) -> StudyResult:
+    """Every (rank, seed, n) cell, its failures and the per-seed slopes of
+    each seed none of whose cells failed.  Each seed's Wishart draws and
+    ``theta_star`` are shared by every rank; a rank forms its statistics in
+    one stacked call and scores them in one :func:`evidence_batch`."""
+    scores = np.full((len(cfg.ranks), len(cfg.seeds), len(cfg.n_grid), len(_SCORE_COLUMNS)), np.nan)
+    messages, per_seed = [], []
     W = np.stack([sample_wishart(seed, cfg.n_grid, cfg.p + 1) for seed in cfg.seeds])
     theta = np.stack([draw_theta(cfg.d, cfg.tau2, seed) for seed in cfg.seeds])[:, None]
     ns = np.tile(cfg.n_grid, len(cfg.seeds))
@@ -391,35 +362,30 @@ def _regression_cells(cfg: ExperimentConfig) -> tuple[CellTable, list[CellFailur
             table[:] = np.stack([out[key] for key in _SCORE_COLUMNS], axis=-1).reshape(table.shape)
         except np.linalg.LinAlgError as exc:
             message = str(exc)
-        finite = np.isfinite(table).all(axis=-1)
-        failures += [
-            CellFailure(rank=rank, seed=seed, n=n, message=message)
-            for seed, row in zip(cfg.seeds, finite.tolist())
-            for n, ok in zip(cfg.n_grid, row) if not ok
-        ]
-        complete = finite.all(axis=1)
+        messages.append([message] * len(cfg.seeds))
+        complete = np.isfinite(table).all(axis=(1, 2))
+        # a fancy index copies: log_n_slopes rounds a strided reduction differently
         deltas = np.moveaxis(table[..., _DELTA_COLUMNS], -1, 0)[:, complete]
-        slopes = log_n_slopes(cfg.n_grid, deltas).T.tolist()
         seeds = [seed for seed, ok in zip(cfg.seeds, complete) if ok]
-        per_seed[rank] = [(seed, sb, sr) for seed, (sb, sr) in zip(seeds, slopes)]
-    return _cell_table(cfg, cfg.ranks, scores, _SCORE_COLUMNS), failures, per_seed
+        per_seed += [(rank, seed, *slopes) for seed, slopes
+                     in zip(seeds, log_n_slopes(cfg.n_grid, deltas).T.tolist())]
+    cells, failures = _cell_table(cfg, cfg.ranks, scores, _SCORE_COLUMNS, messages)
+    per_seed.sort(key=lambda row: row[0])
+    return StudyResult(cfg.study, cfg, cells, failures, per_seed_slopes=per_seed)
 
 
 def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> list[RankSummary]:
     """Seed-average the error terms per n, then fit log-n slopes per rank.
 
-    Averaging before slope fitting is the aggregation the studies report;
-    per-seed slopes are tracked separately for dispersion diagnostics.
-    ``lambda_hat`` is the slope of the seed-mean centered term
-    ``log_lik_mle - log_z_exact``, read as ``lambda + slope(delta_rlct)``
-    because ``delta_rlct`` is that term minus ``lambda log n``: the records'
-    ``log_z_exact - log_lik_mle`` would subtract two O(n) numbers.
+    ``lambda_hat``, the slope of the centered term, is read as
+    ``lambda + slope(delta_rlct)``: ``delta_rlct`` is that term minus
+    ``lambda log n``, while ``log_z_exact - log_lik_mle`` subtracts O(n)
+    numbers.  Per-seed slopes are tracked separately for dispersion.
     """
     values = np.column_stack([table.score("delta_bic"), table.score("delta_rlct")])
     summaries = []
-    for rank, (ns, (dbic, drlct), n_seeds) in zip(
-        ranks, seed_means(table, values, ranks)
-    ):
+    for rank in ranks:
+        ns, (dbic, drlct), n_seeds = seed_means(table, values, rank)
         if not ns:
             raise NumericalError(f"no surviving cells for rank {rank}")
         if len(ns) < 2:
@@ -439,19 +405,6 @@ def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> list[RankSum
     return summaries
 
 
-def _regression_study(cfg: ExperimentConfig) -> StudyResult:
-    """Evidence records and error slopes for every configured rank."""
-    cells, failures, per_seed = _regression_cells(cfg)
-    return StudyResult(
-        study=cfg.study,
-        config=cfg,
-        cells=cells,
-        failures=failures,
-        rank_summaries=aggregate_rank_summaries(cells, cfg.ranks),
-        per_seed_slopes=per_seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Dictionary study
 # ---------------------------------------------------------------------------
@@ -464,7 +417,7 @@ def _dict_study(cfg: ExperimentConfig) -> StudyResult:
     one :func:`comparison_batch` per seed; an error it raises fails the seed."""
     r = cfg.ranks[0]
     scores = np.full((len(cfg.seeds), len(cfg.n_grid), len(_DICT_SCORE_COLUMNS)), np.nan)
-    failures: list[CellFailure] = []
+    messages = []
     spectra = None
     for seed, table in zip(cfg.seeds, scores):
         pair = make_dictionary_pair(cfg.p, r, cfg.d, seed, tau2=cfg.tau2, sigma2=cfg.sigma2)
@@ -472,24 +425,17 @@ def _dict_study(cfg: ExperimentConfig) -> StudyResult:
             spectra = (gram_spectrum(pair[0]), gram_spectrum(pair[1]))
         try:
             out = comparison_batch(pair, cfg.n_grid, seed)
+            table[:] = np.column_stack([out[key] for key in _DICT_SCORE_COLUMNS])
+            messages.append("non-finite value in dictionary comparison")
         except (NumericalError, np.linalg.LinAlgError) as exc:
-            failures += [CellFailure(rank=r, seed=seed, n=n, message=str(exc)) for n in cfg.n_grid]
-            continue
-        table[:] = np.column_stack([out[key] for key in _DICT_SCORE_COLUMNS])
-        failures += [
-            CellFailure(r, seed, n, "non-finite value in dictionary comparison")
-            for n, ok in zip(cfg.n_grid, np.isfinite(table).all(axis=1).tolist()) if not ok
-        ]
-    cells = _cell_table(cfg, [r], scores[None], _DICT_SCORE_COLUMNS)
+            messages.append(str(exc))
+    cells, failures = _cell_table(cfg, [r], scores[None], _DICT_SCORE_COLUMNS, [messages])
     table_n = min(cfg.n_grid, key=lambda n: abs(n - _DICT_TABLE_TARGET_N))
     # no row when the table's cell (first seed, table_n) failed
     first = cells.scores[(cells.seed == cfg.seeds[0]) & (cells.n == table_n)].tolist()
     row = dict(zip(_DICT_SCORE_COLUMNS, first[0])) if first else None
     return StudyResult(
-        study=cfg.study,
-        config=cfg,
-        cells=cells,
-        failures=failures,
+        cfg.study, cfg, cells, failures,
         dict_table={key: row[key] for key in DICT_TABLE_QUANTITIES} if row else None,
         dict_table_n=table_n,
         dict_gap_slopes=_dict_gap_slopes(cells, r),
@@ -511,7 +457,7 @@ def _dict_gap_slopes(table: CellTable, rank: int) -> dict[str, SlopeFit]:
         "bic_gap_ml": col("bic_minimal") - col("bic_overcomplete_ml"),
         "fit_gap": col("fit_minimal") - col("fit_overcomplete"),
     }
-    [(ns, means, _)] = seed_means(table, np.column_stack(list(gaps.values())), [rank])
+    ns, means, _ = seed_means(table, np.column_stack(list(gaps.values())), rank)
     if len(ns) < 2:
         raise NumericalError("dictionary study has fewer than 2 usable grid points")
     return {name: fit_log_n_slope(zip(ns, mean.tolist())) for name, mean in zip(gaps, means)}
@@ -594,9 +540,8 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def table_text(header: list[str], columns, delimiter: str = ",") -> str:
-    """CSV text of ``columns``, each formatted whole: a float array as
-    shortest round-trip decimals (``repr`` over ``.tolist()``), any other
-    column with ``str``, which is ``repr`` for a Python float too."""
+    """CSV text of ``columns``, each formatted whole: ``repr`` (shortest
+    round trip) over a float array's ``.tolist()``, else ``str`` per value."""
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
     writer.writerow(header)
@@ -611,10 +556,10 @@ def _column_text(column) -> list[str]:
 
 
 def cell_table_csv_text(table: CellTable) -> str:
-    """The record CSV of a cell table, in :attr:`CellTable.columns` order."""
+    """The record CSV of a cell table: the key columns, then the scores."""
     shared = [[value] * len(table) for value in (table.study, table.d, table.p)]
     return table_text(
-        table.columns,
+        [*KEY_COLUMNS, *table.score_columns],
         [shared[0], table.rank, shared[1], shared[2], table.seed, table.n, *table.scores.T],
     )
 
@@ -629,21 +574,6 @@ def slopes_csv_text(summaries: list[RankSummary]) -> str:
     return table_text(SLOPE_COLUMNS, zip(*rows))
 
 
-def per_seed_slopes_csv_text(per_seed: dict[int, list[tuple[int, float, float]]]) -> str:
-    rows = [
-        [rank, seed, slope_bic, slope_rlct]
-        for rank in sorted(per_seed)
-        for seed, slope_bic, slope_rlct in per_seed[rank]
-    ]
-    return table_text(PER_SEED_SLOPE_COLUMNS, zip(*rows))
-
-
-def dict_table_csv_text(table: dict[str, float]) -> str:
-    return table_text(
-        ["quantity", "value"], [DICT_TABLE_QUANTITIES, [table[k] for k in DICT_TABLE_QUANTITIES]]
-    )
-
-
 def read_cell_table(path: str | Path) -> CellTable:
     """Load a record CSV (``evidence_records.csv`` or ``dict_records.csv``)
     for offline re-analysis; its header names the score columns."""
@@ -656,13 +586,9 @@ def read_cell_table(path: str | Path) -> CellTable:
     study, rank, d, p, seed, n, *scores = zip(*rows)
     if len(set(zip(study, d, p))) != 1:
         raise ValueError(f"{path}: every row must share one study, d and p")
-
-    def ints(column) -> np.ndarray:
-        return np.array([int(v) for v in column])
-
+    rank, seed, n = (np.array([int(v) for v in column]) for column in (rank, seed, n))
     return CellTable(
-        study=study[0], d=int(d[0]), p=int(p[0]),
-        rank=ints(rank), seed=ints(seed), n=ints(n),
+        study[0], int(d[0]), int(p[0]), rank, seed, n,
         score_columns=header[len(KEY_COLUMNS):],
         scores=np.array([[float(v) for v in column] for column in scores]).T,
     )
@@ -674,12 +600,13 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path) -> list[Path]:
     if result.study == "dict_compare":
         files = {"dict_records.csv": cell_table_csv_text(result.cells)}
         if result.dict_table is not None:
-            files["dict_compare.csv"] = dict_table_csv_text(result.dict_table)
+            files["dict_compare.csv"] = table_text(["quantity", "value"], [
+                DICT_TABLE_QUANTITIES, [result.dict_table[k] for k in DICT_TABLE_QUANTITIES]])
     else:
         files = {
             "evidence_records.csv": cell_table_csv_text(result.cells),
             "slopes.csv": slopes_csv_text(result.rank_summaries),
-            "per_seed_slopes.csv": per_seed_slopes_csv_text(result.per_seed_slopes),
+            "per_seed_slopes.csv": table_text(PER_SEED_SLOPE_COLUMNS, zip(*result.per_seed_slopes)),
         }
     files["summary.txt"] = summarize(result)
     files["run_meta.json"] = json.dumps(result.metadata, indent=2) + "\n"
@@ -694,6 +621,10 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     ``dict_compare``, the per-rank regression cells and slopes otherwise."""
     cfg.validate()
     started = time.time()
-    result = _dict_study(cfg) if cfg.study == "dict_compare" else _regression_study(cfg)
+    if cfg.study == "dict_compare":
+        result = _dict_study(cfg)
+    else:
+        result = _regression_study(cfg)
+        result.rank_summaries = aggregate_rank_summaries(result.cells, cfg.ranks)
     result.metadata = _metadata(cfg, started, len(result.cells), len(result.failures))
     return result

@@ -9,9 +9,8 @@ and ``d - r`` parameter directions do not affect the likelihood.
 :func:`sample_dataset` draws the data themselves.  :func:`sample_statistics`
 draws only the sufficient statistics ``(A^T A, A^T y, y^T y)``, exactly, from
 their Wishart law, at a cost that does not depend on ``n``;
-:func:`sample_wishart` and :func:`statistics_from_wishart` do the same for a
-whole sample-size grid, and :func:`statistics_from_factors` for a stack of
-factors at once.
+:func:`sample_wishart` and :func:`statistics_from_factors` do the same for a
+whole sample-size grid and a stack of models.
 """
 
 from __future__ import annotations
@@ -181,23 +180,18 @@ def sample_wishart(seed: int, n_grid: list[int], q: int) -> np.ndarray:
 def statistics_from_wishart(
     spec: RankRegressionSpec, W: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(A^T A, A^T y, y^T y)`` for each ``W`` of a (k, p+1, p+1) stack:
-    :func:`statistics_from_factors` of the spec's factor and parameter.
-    Returns stacks of shapes (k, d, d), (k, d) and (k,).
-    """
+    """:func:`statistics_from_factors` of the spec's model."""
     return statistics_from_factors(spec.B_star, spec.theta_star, spec.sigma2, W)
 
 
 def statistics_from_factors(
     B: np.ndarray, theta: np.ndarray, sigma2: float, W: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(A^T A, A^T y, y^T y)`` of the model ``(B, theta, sigma2)`` for
-    each ``W``, broadcast over the leading axes of ``B`` (..., p, d),
-    ``theta`` (..., d) and ``W`` (..., p+1, p+1).
-
-    With ``Z = [X, eps / sigma]`` (n x (p+1), i.i.d. standard normal) and
-    ``W = Z^T Z``, the three statistics are fixed linear functions of ``W``.
-    Returns stacks of shapes (..., d, d), (..., d) and (...).
+    """``(A^T A, A^T y, y^T y)``, shapes (..., d, d), (..., d) and (...),
+    of the model ``(B, theta, sigma2)`` for each ``W``, broadcast over the
+    leading axes of ``B`` (..., p, d), ``theta`` (..., d) and ``W``
+    (..., p+1, p+1).  With ``Z = [X, eps / sigma]`` (n x (p+1), i.i.d.
+    standard normal) and ``W = Z^T Z``, they are linear functions of ``W``.
     """
     sigma = math.sqrt(sigma2)
     G = W[..., :-1, :-1]

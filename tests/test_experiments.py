@@ -99,10 +99,14 @@ def _per_cell_comparison(pair, n, seed) -> list[float]:
     ]
 
 
+def _columns(cells) -> list[str]:
+    return [*experiments.KEY_COLUMNS, *cells.score_columns]
+
+
 def _rows(cells) -> list[dict]:
     """One dict per cell of a table, keyed by record column."""
     return [
-        dict(zip(cells.columns, (cells.study, rank, cells.d, cells.p, seed, n, *scores)))
+        dict(zip(_columns(cells), (cells.study, rank, cells.d, cells.p, seed, n, *scores)))
         for rank, seed, n, scores in zip(
             cells.rank.tolist(), cells.seed.tolist(), cells.n.tolist(), cells.scores.tolist()
         )
@@ -121,7 +125,7 @@ def _row_csv_text(cells) -> str:
     the columnar one replaced, kept here as its reference."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cells.columns)
+    writer.writerow(_columns(cells))
     for rank, seed, n, scores in zip(cells.rank, cells.seed, cells.n, cells.scores):
         row = [cells.study, int(rank), cells.d, cells.p, int(seed), int(n), *scores]
         writer.writerow([_fmt(v) for v in row])
@@ -163,7 +167,7 @@ def _reference_slopes_csv(cells, ranks) -> str:
 
 def _assert_same_table(a, b) -> None:
     """Equal key columns and bit-equal scores."""
-    assert (a.study, a.d, a.p, a.columns) == (b.study, b.d, b.p, b.columns)
+    assert (a.study, a.d, a.p, a.score_columns) == (b.study, b.d, b.p, b.score_columns)
     for name in ("rank", "seed", "n", "scores"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -364,7 +368,8 @@ class TestRankSweep:
             return real(n, S, b, yy, sigma2, tau2, lam)
 
         monkeypatch.setattr(experiments, "evidence_batch", failing)
-        cells, failures, _ = experiments._regression_cells(tiny_config())
+        res = experiments._regression_study(tiny_config())
+        cells, failures = res.cells, res.failures
         assert [(f.rank, f.seed, f.n) for f in failures] == [
             (1, seed, n) for seed in (0, 1) for n in (50, 100, 200)
         ]
