@@ -549,10 +549,11 @@ def table_text(header: list[str], columns, delimiter: str = ",") -> str:
     return buf.getvalue()
 
 
-def _column_text(column) -> list[str]:
+def _column_text(column):
+    # lazy, so writerows holds one row's strings at a time, not the table's
     if isinstance(column, np.ndarray):
-        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    return list(map(str, column))
+        return map(repr if column.dtype.kind == "f" else str, column.tolist())
+    return map(str, column)
 
 
 def cell_table_csv_text(table: CellTable) -> str:
