@@ -321,10 +321,11 @@ class TestRankSweep:
     def test_aggregation_matches_list_based_reference(self, monkeypatch):
         """slopes.csv equals the list-based group-by-n aggregation bit for bit
         on complete grids, seeds in config order or not.  With a failed cell
-        among 12 seeds the zero-filled seed sum groups the other 11 values
-        differently from np.mean over them: the complete rank stays exact
-        and the failed rank's slopes move by at most 4.4e-16 (measured over
-        18 poisoned cells, 9 to 20 seeds)."""
+        the zero-filled seed sum can group the other seeds' values
+        differently from np.mean over them: over 18 poisoned cells (9 to 20
+        seeds) 13 stayed exact and the others moved a slope by at most
+        4.4e-16, the value this case (seed 0, n = 50, 12 seeds) measures.
+        The complete rank stays exact."""
         for cfg in (ExperimentConfig(),
                     ExperimentConfig(ranks=[3, 1], seeds=[5, 3, 9, 1, 0, 2, 7, 4, 8, 6, 11])):
             res = run_study(cfg)
@@ -335,13 +336,13 @@ class TestRankSweep:
 
         def poisoned(n, S, b, yy, sigma2, tau2, lam):
             out = real(n, S, b, yy, sigma2, tau2, lam)
-            if lam == 0.5:   # rank 1, seed 3, n = 100
-                out["delta_bic"][3 * len(cfg.n_grid) + cfg.n_grid.index(100)] = float("nan")
+            if lam == 0.5:   # rank 1, seed 0, n = 50
+                out["delta_bic"][0] = float("nan")
             return out
 
         monkeypatch.setattr(experiments, "evidence_batch", poisoned)
         res = run_study(cfg)
-        assert [(f.rank, f.seed, f.n) for f in res.failures] == [(1, 3, 100)]
+        assert [(f.rank, f.seed, f.n) for f in res.failures] == [(1, 0, 50)]
         got = slopes_csv_text(res.rank_summaries).splitlines()
         ref = _reference_slopes_csv(res.cells, cfg.ranks).splitlines()
         assert got[0] == ref[0] and got[2] == ref[2]   # header and the complete rank 2
