@@ -110,9 +110,8 @@ def parse_overrides(chunks: list[str]) -> dict:
                 raise ConfigError(
                     f"unknown override field {key!r}; valid fields: {_OVERRIDABLE}"
                 )
-            kind = FIELD_TYPES[key]
-            try:
-                out[key] = _parse_int_list(value) if kind == list[int] else kind(value)
+            try:   # a scalar stays a string: validate() coerces it with every field
+                out[key] = _parse_int_list(value) if FIELD_TYPES[key] == list[int] else value
             except ValueError as exc:
                 raise ConfigError(f"bad override value for {key!r}: {value!r} ({exc})")
     return out
@@ -133,9 +132,7 @@ def _load_config_file(path: str) -> dict:
 
 def build_config(study: str, args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then config file, then overrides, then the output-dir flag/env."""
-    merged = ExperimentConfig.default_for(study).to_dict()
-    if args.config:
-        merged.update(_load_config_file(args.config))
+    merged = _load_config_file(args.config) if args.config else {}
     merged.update(parse_overrides(args.overrides))
     merged["study"] = study
     output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
@@ -300,7 +297,6 @@ def _run_study_command(command: str, args: argparse.Namespace) -> int:
 
 def _run_evidence_command(args: argparse.Namespace) -> int:
     cfg = build_config("rank_sweep", args)
-    cfg.validate()
     cfg.ranks = cfg.ranks[:1]
     cfg.seeds = cfg.seeds[:1]
     result = run_study(cfg)
@@ -402,11 +398,11 @@ def _build_parser() -> _Parser:
             help="config overrides; list values accept a..b, a..bxK, or v1+v2",
         )
         p.add_argument("--output-dir", help=f"output directory (else ${OUTPUT_DIR_ENV})")
-        p.add_argument("--plot", action="store_true", help="also render SVG charts")
 
     for command, study in _STUDY_BY_COMMAND.items():
         sp = sub.add_parser(command, help=f"run the {study} study")
         add_common(sp)
+        sp.add_argument("--plot", action="store_true", help="also render SVG charts")
     sp = sub.add_parser("evidence", help="print the evidence curve for one configuration")
     add_common(sp)
     sub.add_parser("verify", help="run the brute-force oracle verification suite")

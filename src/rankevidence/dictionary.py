@@ -186,8 +186,6 @@ def make_dictionary_pair(
     mix_rng = substream(seed, "dict-mix")
     Q, _ = np.linalg.qr(mix_rng.standard_normal((d_over, r)))
     M = Q.T   # (r, d_over), rows orthonormal
-    if numerical_rank(M) != r:
-        raise ValueError("mixing matrix lost row rank; perturb the seed")
     D_over = D_min @ M
     minimal = DictionarySpec(p=p, d=r, D=D_min, tau2=tau2, sigma2=sigma2, r=r)
     overcomplete = DictionarySpec(

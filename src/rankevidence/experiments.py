@@ -117,15 +117,17 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def validate(self) -> None:
+        """Coerce every field to its type in place (:func:`_coerce_field`),
+        then check the ranges; every config a study runs passes here."""
+        for key in FIELD_TYPES:
+            setattr(self, key, _coerce_field(key, getattr(self, key)))
         if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}; choose from {STUDIES}")
         if self.d < 1 or self.p < 1:
             raise ConfigError(f"dimensions must be positive, got d={self.d}, p={self.p}")
         for name in ("sigma2", "tau2"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value) or value <= 0):
-                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not self.ranks:
             raise ConfigError("need at least one rank")
         if len(set(self.ranks)) != len(self.ranks):
@@ -178,14 +180,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "ExperimentConfig":
-        """Study defaults overlaid with ``mapping``, each value coerced to
-        its field's type."""
+        """Study defaults overlaid with ``mapping``, validated."""
         unknown = set(mapping) - set(FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        values = {key: _coerce_field(key, value) for key, value in mapping.items()}
-        base = values.get("study")
-        return replace(cls.default_for(base) if base else cls(), **values)
+        cfg = replace(cls.default_for(mapping.get("study", cls.study)), **mapping)
+        cfg.validate()
+        return cfg
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -510,7 +511,7 @@ def summarize(result: StudyResult) -> str:
         lines.append(f"comparison at n={result.dict_table_n} (first seed): cell failed, no table")
     if result.dict_gap_slopes is not None:
         gaps = result.dict_gap_slopes
-        over_minus_min = (cfg.d - cfg.ranks[0]) / 2.0
+        over_minus_min = -predicted_bic_error_slope(cfg.d, cfg.ranks[0])
         lines.append(
             "gap slopes vs log n: "
             f"exact={gaps['exact_gap'].slope:.4f} (pred 0.00), "

@@ -33,13 +33,12 @@ class TestOverrideGrammar:
         assert _parse_int_list("3") == [3]
 
     def test_parse_overrides(self):
-        out = parse_overrides(["seeds=0..2,n_grid=50..200x2", "d=4", "sigma2=0.5"])
-        assert out == {
-            "seeds": [0, 1, 2],
-            "n_grid": [50, 100, 200],
-            "d": 4,
-            "sigma2": 0.5,
-        }
+        cfg = ExperimentConfig.from_dict(
+            parse_overrides(["seeds=0..2,n_grid=50..200x2", "d=4,ranks=1+4", "sigma2=0.5"])
+        )
+        assert (cfg.seeds, cfg.n_grid, cfg.d, cfg.ranks, cfg.sigma2) == (
+            [0, 1, 2], [50, 100, 200], 4, [1, 4], 0.5,
+        )
 
     def test_unknown_field_rejected(self):
         for item in ("widgets=3", "study=dict_compare", "output_dir=zz"):
@@ -50,7 +49,7 @@ class TestOverrideGrammar:
         with pytest.raises(ConfigError):
             parse_overrides(["seeds"])
         with pytest.raises(ConfigError):
-            parse_overrides(["d=abc"])
+            ExperimentConfig.from_dict(parse_overrides(["d=abc"]))
 
 
 class TestMain:
@@ -310,13 +309,13 @@ sys.modules["scipy"] = None          # any scipy import now raises ImportError
 from rankevidence import cli
 out = sys.argv[1]
 runs = [
-    ["rank-sweep", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
-    ["regular-vs-singular", "--overrides", "ranks=4+6,seeds=0,n_grid=100+200"],
-    ["estimate-rlct", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
+    ["rank-sweep", "--plot", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
+    ["regular-vs-singular", "--plot", "--overrides", "ranks=4+6,seeds=0,n_grid=100+200"],
+    ["estimate-rlct", "--plot", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
     ["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..200x2"],
-    ["dict-compare", "--overrides", "seeds=0,n_grid=100..400x2"],
+    ["dict-compare", "--plot", "--overrides", "seeds=0,n_grid=100..400x2"],
 ]
-codes = [cli.main([*run, "--output-dir", f"{out}/{run[0]}", "--plot"]) for run in runs]
+codes = [cli.main([*run, "--output-dir", f"{out}/{run[0]}"]) for run in runs]
 checks = [passed for *_, passed in cli.run_verification()]
 loaded = sorted(m for m in sys.modules
                 if m.startswith(("scipy", "xml.sax", "urllib.request")))

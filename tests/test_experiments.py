@@ -234,6 +234,17 @@ class TestConfig:
             cfg.validate()
         tiny_config(study="regular_vs_singular", ranks=[4, 6]).validate()
 
+    def test_library_configs_pass_the_same_gate(self):
+        """A config built in Python is coerced and checked like one from the
+        CLI or a JSON file before a study runs it."""
+        loose = run_study(tiny_config(ranks=[1.0, 2], n_grid=[50.0, 100, 200], d="6"))
+        strict = run_study(tiny_config())
+        assert cell_table_csv_text(loose.cells) == cell_table_csv_text(strict.cells)
+        assert loose.config.config_hash() == strict.config.config_hash()
+        for patch in ({"seeds": [0, 0.5]}, {"ranks": [True, 2]}, {"d": "x"}, {"n_grid": 100}):
+            with pytest.raises(ConfigError):
+                run_study(tiny_config(**patch))
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"study": "rank_sweep", "widgets": 3})
