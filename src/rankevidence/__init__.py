@@ -11,7 +11,6 @@ from .dictionary import (
     dictionary_comparison,
     gram_spectrum,
     make_dictionary_pair,
-    make_dictionary_spec,
     marginal_covariance,
     ml_fit_term,
     sample_dictionary_data,

@@ -1,13 +1,13 @@
 """Command-line front end for the studies and verification suite.
 
 Subcommands mirror the studies (``rank-sweep``, ``regular-vs-singular``,
-``dict-compare``, ``estimate-rlct``) plus ``evidence`` for inspecting one
-configuration's evidence curve and ``verify`` for the brute-force oracle
-checks.  Effective configuration is resolved as: built-in defaults, then the
-``--config`` JSON file, then ``--overrides``; the output directory honors
-``--output-dir``, else the RANKEVIDENCE_OUTPUT_DIR environment variable, else
-the config value.  Every run writes ``effective_config.json`` next to its
-outputs so the run can be reproduced by pointing ``--config`` at it.
+``dict-compare``) plus ``evidence`` for inspecting one configuration's
+evidence curve and ``verify`` for the brute-force oracle checks.  Effective
+configuration is resolved as: built-in defaults, then the ``--config`` JSON
+file, then ``--overrides``; the output directory honors ``--output-dir``, else
+the RANKEVIDENCE_OUTPUT_DIR environment variable, else the config value.
+Every run writes ``effective_config.json`` next to its outputs so the run can
+be reproduced by pointing ``--config`` at it.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 numerical failure that
 aborted a study.
@@ -175,10 +175,10 @@ def _by_rank(result: StudyResult):
 
 @dataclass(frozen=True)
 class _Figure:
-    """One figure: the studies that emit it, its TSV, and the chart drawn
+    """One figure: the study that emits it, its TSV, and the chart drawn
     from the TSV rows (``x`` against each ``(column, legend)`` of ``ys``)."""
 
-    studies: tuple[str, ...]
+    study: str
     stem: str
     columns: tuple[str, ...]
     rows: Callable[[StudyResult], list[list]]
@@ -195,7 +195,7 @@ _ERROR_CURVE_YLABEL = "approximate - exact log evidence"
 
 _FIGURES = (
     _Figure(
-        ("rank_sweep", "estimate_rlct"), "fig1_rank_sweep",
+        "rank_sweep", "fig1_rank_sweep",
         ("rank", "slope_bic", "slope_rlct", "stderr_bic", "stderr_rlct"),
         lambda res: [
             [s.rank, s.fit_delta_bic.slope, s.fit_delta_rlct.slope,
@@ -206,24 +206,24 @@ _FIGURES = (
         "Approximation error slopes vs intrinsic rank", "intrinsic rank r", "slope vs log n",
     ),
     _Figure(
-        ("estimate_rlct",), "lambda_vs_rank",
+        "rank_sweep", "lambda_vs_rank",
         ("rank", "lambda_hat", "lambda_analytic"),
         lambda res: [[s.rank, s.lambda_hat, s.lambda_analytic] for s in _by_rank(res)],
         "rank", (("lambda_hat", "slope estimate"), ("lambda_analytic", "analytic r/2")),
         "Effective dimension from evidence slopes", "intrinsic rank r", "lambda",
     ),
     _Figure(
-        ("regular_vs_singular",), "fig2_regular_error", _ERROR_CURVE_COLUMNS,
+        "regular_vs_singular", "fig2_regular_error", _ERROR_CURVE_COLUMNS,
         lambda res: _error_curve(res, max(res.config.ranks)), "log_n", _ERROR_CURVE_SERIES,
         "Approximation error vs log n (d={d}, r={regular})", "log n", _ERROR_CURVE_YLABEL,
     ),
     _Figure(
-        ("regular_vs_singular",), "fig3_singular_error", _ERROR_CURVE_COLUMNS,
+        "regular_vs_singular", "fig3_singular_error", _ERROR_CURVE_COLUMNS,
         lambda res: _error_curve(res, min(res.config.ranks)), "log_n", _ERROR_CURVE_SERIES,
         "Approximation error vs log n (d={d}, r={singular})", "log n", _ERROR_CURVE_YLABEL,
     ),
     _Figure(
-        ("dict_compare",), "fig4_dict_evidence_gap",
+        "dict_compare", "fig4_dict_evidence_gap",
         ("n", "log_n", "exact_gap_mean", "bic_gap_mean"),
         lambda res: _log_n_curve(
             res.cells, res.config.ranks[0],
@@ -234,7 +234,7 @@ _FIGURES = (
         "Minimal minus overcomplete scores vs log n", "log n", "score gap",
     ),
     _Figure(
-        ("dict_compare",), "fig5_eigenspectra",
+        "dict_compare", "fig5_eigenspectra",
         ("index", "eig_minimal", "eig_overcomplete"),
         _spectra_rows,
         "index", (("eig_minimal", "minimal"), ("eig_overcomplete", "overcomplete")),
@@ -260,7 +260,7 @@ def emit_plot_data(result: StudyResult, out_dir: str | Path, plot: bool = False)
     Raises ValueError on an empty result before touching the filesystem, and
     writes atomically, so no partial file set is left behind.
     """
-    figures = [fig for fig in _FIGURES if result.study in fig.studies]
+    figures = [fig for fig in _FIGURES if fig.study == result.study]
     if not figures:
         raise ValueError(f"no plot data defined for study {result.study!r}")
     if not len(result.cells):
@@ -323,11 +323,12 @@ def _run_evidence_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_verification(seed: int = 2024) -> list[tuple[str, float, float, bool]]:
+def run_verification() -> list[tuple[str, float, float, bool]]:
     """Deterministic oracle sweep: (name, worst value, tolerance, passed).
 
     The quadrature is checked against both closed forms: the Cholesky one on
     the data and the eigendecomposition record the studies compute."""
+    seed = 2024   # fixed: other seeds' problem mixes differ in run time by up to 36 %
     rng = np.random.default_rng(seed)
     quad_worst = 0.0
     for _ in range(100):

@@ -16,6 +16,7 @@ the one-cell functions are calls of the same array code.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,23 +36,32 @@ from .rlct import analytic_rlct
 
 @dataclass(frozen=True)
 class DictionarySpec:
-    """A dictionary with its latent and noise scales and span dimension."""
+    """A dictionary with its latent and noise scales.  The observation
+    dimension ``p``, the column count ``d`` and the span dimension ``r`` are
+    read off ``D``."""
 
-    p: int              # observation dimension
-    d: int              # number of columns
     D: np.ndarray       # (p, d) dictionary
     tau2: float         # latent prior variance
     sigma2: float       # noise variance
-    r: int              # dimension of the column span (numerical rank of D)
 
     def __post_init__(self) -> None:
-        if self.D.shape != (self.p, self.d):
-            raise ValueError(f"D shape {self.D.shape} != ({self.p}, {self.d})")
+        if self.D.ndim != 2 or not self.D.size:
+            raise ValueError(f"D must be a nonempty matrix, got shape {self.D.shape}")
         if self.sigma2 <= 0 or self.tau2 <= 0:
             raise ValueError("sigma2 and tau2 must be positive")
-        got = numerical_rank(self.D)
-        if got != self.r:
-            raise ValueError(f"D has numerical rank {got}, expected {self.r}")
+
+    @property
+    def p(self) -> int:
+        return self.D.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.D.shape[1]
+
+    @functools.cached_property
+    def r(self) -> int:
+        """The numerical rank of ``D``, computed on first read."""
+        return numerical_rank(self.D)
 
 
 @dataclass(frozen=True)
@@ -80,13 +90,6 @@ class DictionaryDataset:
     def statistics(self) -> DictionaryStatistics:
         """The scatter ``Y^T Y`` that every likelihood and fit here reads."""
         return DictionaryStatistics(n=self.n, YY=self.Y.T @ self.Y)
-
-
-def make_dictionary_spec(D: np.ndarray, tau2: float, sigma2: float) -> DictionarySpec:
-    """Wrap a dictionary matrix, computing its span dimension."""
-    D = np.asarray(D, dtype=float)
-    p, d = D.shape
-    return DictionarySpec(p=p, d=d, D=D, tau2=tau2, sigma2=sigma2, r=numerical_rank(D))
 
 
 def marginal_covariance(spec: DictionarySpec) -> np.ndarray:
@@ -187,11 +190,7 @@ def make_dictionary_pair(
     Q, _ = np.linalg.qr(mix_rng.standard_normal((d_over, r)))
     M = Q.T   # (r, d_over), rows orthonormal
     D_over = D_min @ M
-    minimal = DictionarySpec(p=p, d=r, D=D_min, tau2=tau2, sigma2=sigma2, r=r)
-    overcomplete = DictionarySpec(
-        p=p, d=d_over, D=D_over, tau2=tau2, sigma2=sigma2, r=r
-    )
-    return minimal, overcomplete
+    return DictionarySpec(D_min, tau2, sigma2), DictionarySpec(D_over, tau2, sigma2)
 
 
 def gram_spectrum(spec: DictionarySpec) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Study orchestration: seed ensembles over sample-size grids, aggregation,
 and CSV persistence.
 
-Four studies are built in.  ``rank_sweep`` varies the intrinsic rank at
-fixed ambient dimension and fits the log-n slopes of the BIC and corrected
-approximation errors.  ``regular_vs_singular`` contrasts a full-rank with a
+Three studies are built in.  ``rank_sweep`` varies the intrinsic rank at
+fixed ambient dimension, fits the log-n slopes of the BIC and corrected
+approximation errors and reports the slope-based effective-dimension
+estimates.  ``regular_vs_singular`` contrasts a full-rank with a
 rank-deficient configuration.  ``dict_compare`` scores a minimal and an
 overcomplete dictionary for the same subspace on shared data.
-``estimate_rlct`` reuses the sweep cells and reports the slope-based
-effective-dimension estimates.  :func:`run_study` runs any of them.
+:func:`run_study` runs any of them.
 
 A study keeps its cells in one columnar :class:`CellTable`, filled once from
 the batch and read by the aggregation (through :func:`seed_means`), the
@@ -25,7 +25,6 @@ import io
 import json
 import math
 import os
-import tempfile
 import time
 import typing
 from dataclasses import asdict, dataclass, field, replace
@@ -58,7 +57,7 @@ from .rlct import (
     predicted_bic_error_slope,
 )
 
-STUDIES = ("rank_sweep", "regular_vs_singular", "dict_compare", "estimate_rlct")
+STUDIES = ("rank_sweep", "regular_vs_singular", "dict_compare")
 
 # the columns that identify a cell in both record files
 KEY_COLUMNS = ["study", "rank", "d", "p", "seed", "n"]
@@ -174,7 +173,7 @@ class ExperimentConfig:
             return cls(study=study, ranks=[4, 6])
         if study == "dict_compare":
             return cls(study=study, p=8, d=6, ranks=[3])
-        if study in ("rank_sweep", "estimate_rlct"):
+        if study == "rank_sweep":
             return cls(study=study)
         raise ConfigError(f"unknown study {study!r}; choose from {STUDIES}")
 
@@ -204,14 +203,14 @@ FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 def _as_int(value) -> int:
     """An int, integral float or integer string as int; bools and fractions rejected."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, np.bool_)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError("expected an integer")
     return int(value)
 
 
 def _as_float(value) -> float:
     """A number or numeric string as a finite float; bools, nan and inf rejected."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         raise ValueError("expected a number")
     out = float(value)
     if not math.isfinite(out):
@@ -226,9 +225,9 @@ def _coerce_field(key: str, value):
             if not isinstance(value, (list, tuple)):
                 raise TypeError("expected a list")
             return [_as_int(v) for v in value]
-        if kind is float:
-            return _as_float(value)
-        return _as_int(value) if kind is int else kind(value)
+        if kind is str and not isinstance(value, (str, os.PathLike)):
+            raise TypeError("expected a string or path")
+        return {int: _as_int, float: _as_float, str: os.fspath}[kind](value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for config field {key!r}: {value!r} ({exc})")
 
@@ -272,9 +271,9 @@ def _cell_table(cfg: ExperimentConfig, ranks: list[int], scores: np.ndarray,
     n_seeds, n_sizes = len(cfg.seeds), len(cfg.n_grid)
     return CellTable(
         cfg.study, cfg.d, cfg.p,
-        rank=np.repeat(ranks, n_seeds * n_sizes)[ok],
-        seed=np.tile(np.repeat(cfg.seeds, n_sizes), len(ranks))[ok],
-        n=np.tile(cfg.n_grid, len(ranks) * n_seeds)[ok],
+        rank=np.repeat(np.array(ranks, dtype=int), n_seeds * n_sizes)[ok],
+        seed=np.tile(np.repeat(np.array(cfg.seeds, dtype=np.uint64), n_sizes), len(ranks))[ok],
+        n=np.tile(np.array(cfg.n_grid, dtype=int), len(ranks) * n_seeds)[ok],
         score_columns=columns,
         scores=scores.reshape(ok.size, -1)[ok],
     ), failures
@@ -527,16 +526,16 @@ def summarize(result: StudyResult) -> str:
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write via a temp file and rename, so interrupted runs leave no partials."""
+    """Write via a temp file and rename, so interrupted runs leave no
+    partials.  The file gets the mode ``open`` gives, 0666 less the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with open(tmp, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -588,7 +587,8 @@ def read_cell_table(path: str | Path) -> CellTable:
     study, rank, d, p, seed, n, *scores = zip(*rows)
     if len(set(zip(study, d, p))) != 1:
         raise ValueError(f"{path}: every row must share one study, d and p")
-    rank, seed, n = (np.array([int(v) for v in column]) for column in (rank, seed, n))
+    rank, seed, n = (np.array([int(v) for v in column], dtype=dtype)
+                     for column, dtype in ((rank, int), (seed, np.uint64), (n, int)))
     return CellTable(
         study[0], int(d[0]), int(p[0]), rank, seed, n,
         score_columns=header[len(KEY_COLUMNS):],

@@ -15,6 +15,7 @@ whole sample-size grid and a stack of models.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,30 +30,34 @@ _MAX_FACTOR_ATTEMPTS = 8
 
 @dataclass(frozen=True)
 class RankRegressionSpec:
-    """Ground truth for one rank-r regression model."""
+    """Ground truth for one regression model.  The covariate and parameter
+    dimensions ``p`` and ``d`` and the rank ``r`` are read off ``B_star``."""
 
-    p: int                   # covariate dimension
-    d: int                   # parameter dimension
-    r: int                   # intrinsic rank, 0 < r <= min(p, d)
-    B_star: np.ndarray       # (p, d) factor of exact numerical rank r
+    B_star: np.ndarray       # (p, d) factor
     theta_star: np.ndarray   # (d,) true parameter
     sigma2: float            # noise variance
     tau2: float              # prior variance
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.d < 1:
-            raise ValueError(f"dimensions must be positive, got p={self.p}, d={self.d}")
-        if not 0 < self.r <= min(self.p, self.d):
-            raise ValueError(f"rank r={self.r} outside (0, min(p, d)={min(self.p, self.d)}]")
-        if self.B_star.shape != (self.p, self.d):
-            raise ValueError(f"B_star shape {self.B_star.shape} != ({self.p}, {self.d})")
+        if self.B_star.ndim != 2 or not self.B_star.size:
+            raise ValueError(f"B_star must be a nonempty matrix, got shape {self.B_star.shape}")
         if self.theta_star.shape != (self.d,):
             raise ValueError(f"theta_star shape {self.theta_star.shape} != ({self.d},)")
         if self.sigma2 <= 0 or self.tau2 <= 0:
             raise ValueError("sigma2 and tau2 must be positive")
-        got = numerical_rank(self.B_star)
-        if got != self.r:
-            raise ValueError(f"B_star has numerical rank {got}, expected {self.r}")
+
+    @property
+    def p(self) -> int:
+        return self.B_star.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.B_star.shape[1]
+
+    @functools.cached_property
+    def r(self) -> int:
+        """The numerical rank of ``B_star``, computed on first read."""
+        return numerical_rank(self.B_star)
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ def make_spec(
     sample size never redraws the ground truth.
     """
     return RankRegressionSpec(
-        p=p, d=d, r=r, B_star=make_rank_r_factor(p, d, r, seed),
+        B_star=make_rank_r_factor(p, d, r, seed),
         theta_star=draw_theta(d, tau2, seed), sigma2=sigma2, tau2=tau2,
     )
 
@@ -153,9 +158,10 @@ def sample_statistics(
 ) -> SufficientStatistics:
     """Draw the sufficient statistics of an n-observation dataset directly:
     the one-point case of :func:`sample_wishart` and
-    :func:`statistics_from_wishart`.  They have the law of
+    :func:`statistics_from_factors`.  They have the law of
     :func:`sample_dataset`'s statistics but are not the same draw."""
-    S, b, yy = statistics_from_wishart(spec, sample_wishart(cfg.seed, [n], spec.p + 1))
+    W = sample_wishart(cfg.seed, [n], spec.p + 1)
+    S, b, yy = statistics_from_factors(spec.B_star, spec.theta_star, spec.sigma2, W)
     return SufficientStatistics(
         n=n, S=S[0], b=b[0], yy=yy[0].item(), sigma2=spec.sigma2, tau2=spec.tau2
     )
@@ -175,13 +181,6 @@ def sample_wishart(seed: int, n_grid: list[int], q: int) -> np.ndarray:
         raise ValueError(f"sample sizes must be >= 1, got {n_grid}")
     factors = (wishart_factor(substream(seed, "wishart", n), n, q) for n in n_grid)
     return np.stack([T @ T.T for T in factors])
-
-
-def statistics_from_wishart(
-    spec: RankRegressionSpec, W: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`statistics_from_factors` of the spec's model."""
-    return statistics_from_factors(spec.B_star, spec.theta_star, spec.sigma2, W)
 
 
 def statistics_from_factors(

@@ -61,10 +61,11 @@ class TestMain:
         ])
         assert code == 0
         for name in ("evidence_records.csv", "slopes.csv", "effective_config.json",
-                     "fig1_rank_sweep.tsv", "run_meta.json", "summary.txt"):
+                     "fig1_rank_sweep.tsv", "lambda_vs_rank.tsv", "run_meta.json",
+                     "summary.txt"):
             assert (tmp_path / name).exists(), name
         out = capsys.readouterr().out
-        assert "rank_sweep" in out
+        assert "rank_sweep" in out and "lambda_hat" in out
 
     def test_effective_config_roundtrips(self, tmp_path):
         out_a = tmp_path / "a"
@@ -82,6 +83,20 @@ class TestMain:
         a = (out_a / "evidence_records.csv").read_bytes()
         b = (out_b / "evidence_records.csv").read_bytes()
         assert a == b
+
+    def test_saved_config_of_the_retired_estimate_rlct_study_runs(self, tmp_path):
+        """The subcommand sets the study, so an effective_config.json that
+        names estimate_rlct still runs through --config; the library no
+        longer knows that study."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"study": "estimate_rlct", "ranks": [1], "seeds": [0], "n_grid": [50, 100]}))
+        out = tmp_path / "run"
+        assert main(["rank-sweep", "--config", str(cfg_path), "--output-dir", str(out)]) == 0
+        assert json.loads((out / "effective_config.json").read_text())["study"] == "rank_sweep"
+        assert (out / "lambda_vs_rank.tsv").exists()
+        with pytest.raises(ConfigError, match="unknown study"):
+            ExperimentConfig(study="estimate_rlct").validate()
 
     def test_override_beats_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -143,16 +158,6 @@ class TestMain:
         assert "comparison at n=200 (first seed): cell failed, no table" in summary
         assert "gap slopes vs log n: " in summary
         assert "failed cells: 1" in summary and "rank=3 seed=0 n=200" in summary
-
-    def test_estimate_rlct_prints_lambda(self, tmp_path, capsys):
-        assert main([
-            "estimate-rlct",
-            "--overrides", "seeds=0..2,n_grid=50..800x2,ranks=2",
-            "--output-dir", str(tmp_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "lambda_hat" in out
-        assert (tmp_path / "lambda_vs_rank.tsv").exists()
 
     def test_evidence_subcommand(self, capsys):
         assert main(["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..200x2"]) == 0
@@ -237,8 +242,8 @@ class TestEmitPlotData:
     @pytest.mark.parametrize(
         "command, overrides, stems",
         [
-            ("rank-sweep", "ranks=1+2", ["fig1_rank_sweep"]),
-            ("estimate-rlct", "ranks=1+2", ["fig1_rank_sweep", "lambda_vs_rank"]),
+            ("rank-sweep", "ranks=1+2", ["fig1_rank_sweep", "lambda_vs_rank"]),
+            ("rank-sweep", "ranks=2", ["fig1_rank_sweep", "lambda_vs_rank"]),
             ("regular-vs-singular", "ranks=4+6",
              ["fig2_regular_error", "fig3_singular_error"]),
             ("dict-compare", "ranks=3", ["fig4_dict_evidence_gap", "fig5_eigenspectra"]),
@@ -311,7 +316,6 @@ out = sys.argv[1]
 runs = [
     ["rank-sweep", "--plot", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
     ["regular-vs-singular", "--plot", "--overrides", "ranks=4+6,seeds=0,n_grid=100+200"],
-    ["estimate-rlct", "--plot", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
     ["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..200x2"],
     ["dict-compare", "--plot", "--overrides", "seeds=0,n_grid=100..400x2"],
 ]
@@ -334,8 +338,9 @@ def test_runs_without_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0] * 5
+    assert result["codes"] == [0] * 4
     assert result["checks"] == [True] * 4
     assert result["loaded"] == ["scipy"]      # the None placeholder itself
-    for svg in ("rank-sweep/fig1_rank_sweep.svg", "dict-compare/fig5_eigenspectra.svg"):
+    for svg in ("rank-sweep/fig1_rank_sweep.svg", "rank-sweep/lambda_vs_rank.svg",
+                "dict-compare/fig5_eigenspectra.svg"):
         assert (tmp_path / svg).read_text().startswith("<svg"), svg

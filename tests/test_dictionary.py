@@ -6,12 +6,12 @@ import scipy.stats
 
 from rankevidence.dictionary import (
     DictionaryDataset,
+    DictionarySpec,
     DictionaryStatistics,
     dict_log_likelihood,
     dictionary_comparison,
     gram_spectrum,
     make_dictionary_pair,
-    make_dictionary_spec,
     marginal_covariance,
     ml_fit_term,
     sample_dictionary_data,
@@ -25,11 +25,11 @@ LOG_2PI = math.log(2 * math.pi)
 
 class TestMarginalCovariance:
     def test_zero_dictionary(self):
-        spec = make_dictionary_spec(np.zeros((3, 2)), tau2=1.0, sigma2=2.0)
+        spec = DictionarySpec(np.zeros((3, 2)), tau2=1.0, sigma2=2.0)
         np.testing.assert_allclose(marginal_covariance(spec), 2.0 * np.eye(3), rtol=1e-14)
 
     def test_unit_column(self):
-        spec = make_dictionary_spec(np.array([[1.0], [0.0]]), tau2=1.0, sigma2=1.0)
+        spec = DictionarySpec(np.array([[1.0], [0.0]]), tau2=1.0, sigma2=1.0)
         np.testing.assert_allclose(marginal_covariance(spec), np.diag([2.0, 1.0]), rtol=1e-14)
 
     def test_invariant_under_right_rotation(self):
@@ -37,14 +37,14 @@ class TestMarginalCovariance:
         rng = np.random.default_rng(0)
         D = rng.standard_normal((5, 3))
         R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        a = marginal_covariance(make_dictionary_spec(D, 1.0, 1.0))
-        b = marginal_covariance(make_dictionary_spec(D @ R, 1.0, 1.0))
+        a = marginal_covariance(DictionarySpec(D, 1.0, 1.0))
+        b = marginal_covariance(DictionarySpec(D @ R, 1.0, 1.0))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestDictLogLikelihood:
     def test_zero_dictionary_zero_data(self):
-        spec = make_dictionary_spec(np.zeros((4, 2)), tau2=1.0, sigma2=1.0)
+        spec = DictionarySpec(np.zeros((4, 2)), tau2=1.0, sigma2=1.0)
         data = DictionaryDataset(n=1, Y=np.zeros((1, 4)))
         np.testing.assert_allclose(
             dict_log_likelihood(spec, data), -2.0 * math.log(2 * math.pi), rtol=1e-13
@@ -52,7 +52,7 @@ class TestDictLogLikelihood:
 
     def test_scalar_case(self):
         """p = d = 1 with D = 1 and unit variances: y ~ N(0, 2)."""
-        spec = make_dictionary_spec(np.array([[1.0]]), tau2=1.0, sigma2=1.0)
+        spec = DictionarySpec(np.array([[1.0]]), tau2=1.0, sigma2=1.0)
         data = DictionaryDataset(n=1, Y=np.zeros((1, 1)))
         np.testing.assert_allclose(
             dict_log_likelihood(spec, data), -0.5 * math.log(4 * math.pi), rtol=1e-13
@@ -62,7 +62,7 @@ class TestDictLogLikelihood:
         """Naive dense det/inverse evaluation must agree."""
         rng = np.random.default_rng(4)
         D = rng.standard_normal((5, 3))
-        spec = make_dictionary_spec(D, tau2=0.8, sigma2=1.3)
+        spec = DictionarySpec(D, tau2=0.8, sigma2=1.3)
         Y = rng.standard_normal((3, 5))
         data = DictionaryDataset(n=3, Y=Y)
         sigma_y = 0.8 * D @ D.T + 1.3 * np.eye(5)
@@ -77,15 +77,15 @@ class TestDictLogLikelihood:
         rng = np.random.default_rng(5)
         D = rng.standard_normal((6, 4))
         R, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        spec_a = make_dictionary_spec(D, 1.0, 1.0)
-        spec_b = make_dictionary_spec(D @ R, 1.0, 1.0)
+        spec_a = DictionarySpec(D, 1.0, 1.0)
+        spec_b = DictionarySpec(D @ R, 1.0, 1.0)
         data = sample_dictionary_data(spec_a, 40, seed=9)
         a = dict_log_likelihood(spec_a, data)
         b = dict_log_likelihood(spec_b, data)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
     def test_dimension_mismatch_rejected(self):
-        spec = make_dictionary_spec(np.zeros((4, 2)), 1.0, 1.0)
+        spec = DictionarySpec(np.zeros((4, 2)), 1.0, 1.0)
         with pytest.raises(ValueError):
             dict_log_likelihood(spec, DictionaryDataset(n=2, Y=np.zeros((2, 5))))
 
@@ -109,13 +109,13 @@ class TestDictLogLikelihood:
 
 class TestSampleDictionaryData:
     def test_determinism(self):
-        spec = make_dictionary_spec(np.eye(3), 1.0, 1.0)
+        spec = DictionarySpec(np.eye(3), 1.0, 1.0)
         a = sample_dictionary_data(spec, 25, seed=2)
         b = sample_dictionary_data(spec, 25, seed=2)
         np.testing.assert_array_equal(a.Y, b.Y)
 
     def test_small_scales_give_small_output(self):
-        spec = make_dictionary_spec(np.eye(3), tau2=1e-12, sigma2=1e-12)
+        spec = DictionarySpec(np.eye(3), tau2=1e-12, sigma2=1e-12)
         data = sample_dictionary_data(spec, 100, seed=3)
         assert np.max(np.abs(data.Y)) < 1e-4
 
@@ -123,7 +123,7 @@ class TestSampleDictionaryData:
         """100k samples: empirical second moment within 5% of the marginal."""
         rng = np.random.default_rng(6)
         D = rng.standard_normal((4, 2))
-        spec = make_dictionary_spec(D, tau2=1.5, sigma2=0.7)
+        spec = DictionarySpec(D, tau2=1.5, sigma2=0.7)
         data = sample_dictionary_data(spec, 100_000, seed=6)
         emp = data.Y.T @ data.Y / data.n
         target = marginal_covariance(spec)
@@ -162,7 +162,7 @@ class TestSampleDictionaryStatistics:
 
     def test_law_of_large_numbers_at_1e9(self):
         rng = np.random.default_rng(11)
-        spec = make_dictionary_spec(rng.standard_normal((5, 2)), tau2=1.5, sigma2=0.7)
+        spec = DictionarySpec(rng.standard_normal((5, 2)), tau2=1.5, sigma2=0.7)
         stats = sample_dictionary_statistics(spec, 10**9, seed=11)
         target = marginal_covariance(spec)
         np.testing.assert_allclose(stats.YY / stats.n, target, rtol=0,
@@ -245,7 +245,7 @@ class TestGramSpectrum:
         assert np.max(np.abs(eigs[3:])) < 1e-12
 
     def test_zero_dictionary(self):
-        spec = make_dictionary_spec(np.zeros((4, 3)), 1.0, 1.0)
+        spec = DictionarySpec(np.zeros((4, 3)), 1.0, 1.0)
         np.testing.assert_array_equal(gram_spectrum(spec), np.zeros(3))
         assert spectrum_rank(gram_spectrum(spec), 4) == 0
 

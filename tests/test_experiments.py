@@ -1,7 +1,10 @@
 import csv
 import io
 import math
+import os
+import stat
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,9 +244,13 @@ class TestConfig:
         strict = run_study(tiny_config())
         assert cell_table_csv_text(loose.cells) == cell_table_csv_text(strict.cells)
         assert loose.config.config_hash() == strict.config.config_hash()
-        for patch in ({"seeds": [0, 0.5]}, {"ranks": [True, 2]}, {"d": "x"}, {"n_grid": 100}):
+        for patch in ({"seeds": [0, 0.5]}, {"ranks": [True, 2]}, {"d": "x"}, {"n_grid": 100},
+                      {"ranks": [np.True_, 2]}, {"sigma2": np.True_}, {"output_dir": None}):
             with pytest.raises(ConfigError):
                 run_study(tiny_config(**patch))
+        cfg = tiny_config(output_dir=Path("out"))
+        cfg.validate()
+        assert cfg.output_dir == "out"
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -473,8 +480,9 @@ class TestRankSweep:
             centered = np.zeros((len(cfg.seeds), len(grid)))
             for i, seed in enumerate(cfg.seeds):
                 spec = make_spec(cfg.p, cfg.d, rank, cfg.sigma2, cfg.tau2, seed=seed)
-                S, b, _ = linear_models.statistics_from_wishart(
-                    spec, linear_models.sample_wishart(seed, grid, cfg.p + 1)
+                S, b, _ = linear_models.statistics_from_factors(
+                    spec.B_star, spec.theta_star, spec.sigma2,
+                    linear_models.sample_wishart(seed, grid, cfg.p + 1),
                 )
                 for j in range(len(grid)):
                     with mpmath.workdps(50):
@@ -653,6 +661,33 @@ class TestPersistence:
         name = "dict_records.csv" if study == "dict_compare" else "evidence_records.csv"
         assert (tmp_path / name).read_text() == text
         _assert_same_table(read_cell_table(tmp_path / name), res.cells)
+
+    @pytest.mark.parametrize("study", ["rank_sweep", "dict_compare"])
+    def test_seeds_either_side_of_2_63_stay_integers(self, tmp_path, study):
+        """Seeds up to 2**64 - 1 are written as the exact integers and read
+        back as such; as floats the two large ones would be one seed."""
+        seeds = [1, 2**63 + 5, 2**63 + 6]
+        cfg = replace(ExperimentConfig.default_for(study), seeds=seeds, n_grid=[50, 100])
+        res = run_study(cfg)
+        assert not res.failures
+        write_study_outputs(res, tmp_path)
+        name = "dict_records.csv" if study == "dict_compare" else "evidence_records.csv"
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        assert sorted({int(row.split(",")[4]) for row in rows}) == seeds
+        back = read_cell_table(tmp_path / name)
+        _assert_same_table(back, res.cells)
+        assert sorted(set(back.seed.tolist())) == seeds
+
+    def test_outputs_get_the_mode_open_gives(self, tmp_path):
+        """Under umask 022 every output is -rw-r--r--, and no temp file is
+        left beside them."""
+        umask = os.umask(0o022)
+        try:
+            paths = write_study_outputs(run_study(tiny_config()), tmp_path)
+        finally:
+            os.umask(umask)
+        assert {stat.S_IMODE(path.stat().st_mode) for path in paths} == {0o644}
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
 
     def test_reader_rejects_malformed_files(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
 
+import rankevidence.linear_models as linear_models
+from rankevidence._linalg import numerical_rank
 from rankevidence.evidence import GaussianLinearProblem, evidence_record
 from rankevidence.linear_models import (
     DataGenConfig,
@@ -42,21 +46,42 @@ class TestMakeRankRFactor:
 
 
 class TestSpec:
-    def test_wrong_rank_matrix_rejected(self):
-        B = np.zeros((4, 4))
-        B[0, 0] = 1.0   # rank 1, claimed rank 2
-        with pytest.raises(ValueError, match="rank"):
-            RankRegressionSpec(
-                p=4, d=4, r=2, B_star=B, theta_star=np.zeros(4), sigma2=1.0, tau2=1.0
-            )
+    def test_dimensions_and_rank_read_off_the_factor(self):
+        """A spec built by hand has the shape and rank of its factor, a zero
+        factor rank 0; a factor that is not a nonempty matrix, or a
+        theta_star of the wrong length, is rejected."""
+        B = np.zeros((4, 3))
+        B[0, 0] = 1.0
+        spec = RankRegressionSpec(B_star=B, theta_star=np.zeros(3), sigma2=1.0, tau2=1.0)
+        assert (spec.p, spec.d, spec.r) == (4, 3, 1)
+        assert replace(spec, B_star=np.zeros((4, 3))).r == 0
+        for bad in ({"B_star": np.zeros(3)}, {"B_star": np.zeros((0, 3))},
+                    {"theta_star": np.zeros(4)}):
+            with pytest.raises(ValueError):
+                replace(spec, **bad)
+
+    def test_rank_is_computed_once_and_only_when_read(self, monkeypatch):
+        """make_spec checks its factor's rank once; the spec computes r on
+        first read and keeps it."""
+        calls = []
+
+        def counting(M):
+            calls.append(M.shape)
+            return numerical_rank(M)
+
+        monkeypatch.setattr(linear_models, "numerical_rank", counting)
+        spec = make_spec(6, 5, 3, seed=2)
+        assert len(calls) == 1
+        assert spec.r == spec.r == 3
+        assert len(calls) == 2
 
     def test_nonpositive_variances_rejected(self):
         B = make_rank_r_factor(3, 3, 2, seed=1)
         theta = np.zeros(3)
         with pytest.raises(ValueError):
-            RankRegressionSpec(p=3, d=3, r=2, B_star=B, theta_star=theta, sigma2=0.0, tau2=1.0)
+            RankRegressionSpec(B_star=B, theta_star=theta, sigma2=0.0, tau2=1.0)
         with pytest.raises(ValueError):
-            RankRegressionSpec(p=3, d=3, r=2, B_star=B, theta_star=theta, sigma2=1.0, tau2=-1.0)
+            RankRegressionSpec(B_star=B, theta_star=theta, sigma2=1.0, tau2=-1.0)
 
     def test_theta_star_frozen_across_sample_sizes(self):
         spec = make_spec(6, 6, 3, seed=11)
@@ -197,9 +222,7 @@ class TestPopulationGram:
         Q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
         B = np.zeros((6, 4))
         B[:, :2] = Q
-        spec = RankRegressionSpec(
-            p=6, d=4, r=2, B_star=B, theta_star=np.zeros(4), sigma2=1.0, tau2=1.0
-        )
+        spec = RankRegressionSpec(B_star=B, theta_star=np.zeros(4), sigma2=1.0, tau2=1.0)
         eigs = np.sort(np.linalg.eigvalsh(population_gram(spec)))[::-1]
         np.testing.assert_allclose(eigs[:2], 1.0, atol=1e-12)
         np.testing.assert_allclose(eigs[2:], 0.0, atol=1e-12)
