@@ -120,6 +120,7 @@ class PosteriorGaussian:
 
     precision: np.ndarray   # (d, d), symmetric positive definite
     mean: np.ndarray        # (d,)
+    chol: np.ndarray        # (d, d), lower Cholesky factor of precision
 
 
 @dataclass(frozen=True)
@@ -211,13 +212,18 @@ def log_joint(stats: SufficientStatistics, theta: np.ndarray) -> np.ndarray:
     """``log p(y | theta) + log prior(theta)`` for parameters stacked along
     the last axis of ``theta`` (shape ``(..., d)``, result ``(...)``), from the
     statistics alone: the residual sum of squares is
-    ``yy - 2 theta^T b + theta^T S theta``."""
-    rss = stats.yy - 2.0 * (theta @ stats.b) + np.einsum(
-        "...i,ij,...j->...", theta, stats.S, theta
+    ``yy - 2 theta^T b + theta^T S theta``.  The statistics may be a stack
+    whose fields broadcast against ``theta``: the scalars against ``(...)``,
+    ``S`` against ``(..., d, d)`` and ``b`` against ``(..., 1, d)``."""
+    b = np.asarray(stats.b)
+    rss = stats.yy - 2.0 * (theta @ b.reshape(b.shape[:-2] + (-1, 1)))[..., 0] + np.einsum(
+        "...i,...ij,...j->...", theta, stats.S, theta
     )
+    # math.log for one problem: np.log rounds some values differently.
+    log = np.log if isinstance(stats.sigma2, np.ndarray) else math.log
     return -0.5 * (
-        stats.n * (LOG_2PI + math.log(stats.sigma2))
-        + stats.d * (LOG_2PI + math.log(stats.tau2))
+        stats.n * (LOG_2PI + log(stats.sigma2))
+        + theta.shape[-1] * (LOG_2PI + log(stats.tau2))
         + rss / stats.sigma2
         + np.einsum("...i,...i->...", theta, theta) / stats.tau2
     )
@@ -228,7 +234,7 @@ def posterior(stats: SufficientStatistics) -> PosteriorGaussian:
     precision = stats.S / stats.sigma2 + np.eye(stats.d) / stats.tau2
     L = spd_cholesky(precision, context="posterior")
     mean = chol_solve(L, stats.b / stats.sigma2)
-    return PosteriorGaussian(precision=precision, mean=mean)
+    return PosteriorGaussian(precision=precision, mean=mean, chol=L)
 
 
 def full_laplace_log_evidence(stats: SufficientStatistics) -> float:
@@ -239,8 +245,7 @@ def full_laplace_log_evidence(stats: SufficientStatistics) -> float:
     quadratic here, this equals :func:`exact_log_evidence` up to rounding.
     """
     post = posterior(stats)
-    L = spd_cholesky(post.precision, context="full_laplace_log_evidence")
-    return float(log_joint(stats, post.mean)) + 0.5 * stats.d * LOG_2PI - 0.5 * chol_logdet(L)
+    return float(log_joint(stats, post.mean)) + 0.5 * stats.d * LOG_2PI - 0.5 * chol_logdet(post.chol)
 
 
 def evidence_record(

@@ -587,10 +587,11 @@ def read_cell_table(path: str | Path) -> CellTable:
     study, rank, d, p, seed, n, *scores = zip(*rows)
     if len(set(zip(study, d, p))) != 1:
         raise ValueError(f"{path}: every row must share one study, d and p")
-    rank, seed, n = (np.array([int(v) for v in column], dtype=dtype)
-                     for column, dtype in ((rank, int), (seed, np.uint64), (n, int)))
+    rank, seed, n = ([int(v) for v in column] for column in (rank, seed, n))
+    if not all(0 <= s < 2**64 for s in seed):
+        raise ValueError(f"{path}: seeds must lie in [0, 2**64)")
     return CellTable(
-        study[0], int(d[0]), int(p[0]), rank, seed, n,
+        study[0], int(d[0]), int(p[0]), np.array(rank), np.array(seed, dtype=np.uint64), np.array(n),
         score_columns=header[len(KEY_COLUMNS):],
         scores=np.array([[float(v) for v in column] for column in scores]).T,
     )

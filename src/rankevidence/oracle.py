@@ -9,17 +9,19 @@ since the n log sigma2 terms reach magnitudes where naive exponentiation
 underflows.  The cubature domain is a box centered at the posterior mean
 with a radius measured in posterior standard deviations; the integrand is
 the raw joint density at every node, so the posterior only places the box.
-The cubature is plain numpy: a batched tensor-product Gauss-Legendre rule,
-refined box by box.
+The cubature is plain numpy: each round of box refinement evaluates the
+open boxes of every problem of one d together, each tagged with its problem,
+in chunks of a fixed node count, so the working set stays bounded.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from ._linalg import chol_logdet, spd_cholesky
+from ._linalg import chol_logdet
 from ._rng import substream
 from .evidence import LOG_2PI, GaussianLinearProblem, SufficientStatistics, log_joint, posterior
 
@@ -30,6 +32,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 REL_TOL = 1e-9      # relative accuracy of the cubature
 MAX_BOXES = 200     # boxes in the cubature partition before it gives up
 RADIUS = 12.0       # box half-width, in posterior standard deviations
+_CHUNK_NODES = 8192  # nodes per array evaluation: bounds the working set
 
 
 class OracleError(RuntimeError):
@@ -37,79 +40,108 @@ class OracleError(RuntimeError):
 
 
 def quadrature_log_evidence(stats: SufficientStatistics) -> float:
-    """log of the evidence integral by adaptive cubature (d <= 2).
+    """log of the evidence integral by adaptive cubature (d <= 2): the
+    one-problem call of :func:`quadrature_batch`."""
+    return float(quadrature_batch([stats])[0])
 
-    The domain is the box ``[-RADIUS, RADIUS]^d`` in coordinates whitened by
-    the posterior covariance factor.  Each round applies a tensor-product
-    20-point Gauss-Legendre rule to every open box and to its ``2^d`` halves
-    in one array evaluation; a box whose two values differ by at most
-    ``REL_TOL * |estimate| * vol_box / vol_total`` is accepted at the finer
-    value, the others are split.  The integrand is the true joint density at
-    every node, so a misplaced box cannot bias the value inside it; the mass
-    it leaves outside shows as a joint density on its faces above ``REL_TOL``
-    times the centre value, which raises :class:`OracleError` rather than
-    returning a doubtful number, as does non-convergence within
-    ``MAX_BOXES`` boxes.
+
+def quadrature_batch(stats: list[SufficientStatistics]) -> np.ndarray:
+    """log of the evidence integral of each problem by adaptive cubature.
+
+    A problem's domain is the box ``[-RADIUS, RADIUS]^d`` in coordinates
+    whitened by its posterior covariance factor.  For the problems of one
+    d <= 2, each round applies a tensor-product 20-point Gauss-Legendre rule
+    to the ``2^d`` halves of every open box in one array evaluation; a box
+    whose two values differ by at most ``REL_TOL * |estimate| * vol_box /
+    vol_total`` of its problem is accepted at the finer value, the others are
+    split.  The integrand is the true joint density at every node, so a
+    misplaced box cannot bias the value inside it; the mass it leaves outside
+    shows as a joint density on its faces above ``REL_TOL`` times the centre
+    value.  That, more than ``MAX_BOXES`` boxes, a non-positive mass or an
+    error over budget raises :class:`OracleError` naming the problem.
     """
-    d = stats.d
-    if d > 2:
-        raise ValueError(f"quadrature oracle supports d <= 2, got d={d}")
-    post = posterior(stats)
-    mu = post.mean
-    log_peak = float(log_joint(stats, mu))
-    L = spd_cholesky(post.precision, context="quadrature domain")
+    dims = np.array([s.d for s in stats], dtype=int)
+    if np.any(dims > 2):
+        raise ValueError(f"quadrature oracle supports d <= 2, got d={dims.max()}")
+    out = np.empty(len(stats))
+    for d in sorted(set(dims.tolist())):   # not np.unique: it loads numpy.ma, 1.5 MiB
+        index = np.flatnonzero(dims == d)
+        out[index] = _cubature([stats[i] for i in index], d, index)
+    return out
+
+
+def _cubature(group: list[SufficientStatistics], d: int, index: np.ndarray) -> np.ndarray:
+    posts = [posterior(s) for s in group]
+    mu, L = np.stack([p.mean for p in posts]), np.stack([p.chol for p in posts])
     # theta = mu + L^{-T} u maps the unit ball of the posterior metric to the
     # u coordinates; |det L^{-T}| = 1/prod(diag L).
-    log_jacobian = -float(np.sum(np.log(np.diag(L))))
-    T = np.linalg.solve(L.T, np.eye(d))
+    T = np.linalg.solve(L.swapaxes(-1, -2), np.eye(d))
+    log_jacobian = -np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    # One row of statistics per problem, to broadcast against (problem, node, d).
+    rows = {f: np.array([getattr(s, f) for s in group])[:, None]
+            for f in ("n", "S", "b", "yy", "sigma2", "tau2")}
+    log_peak = log_joint(SimpleNamespace(**rows), mu[:, None, :])[:, 0]
+
+    def evaluate(owner, centres, half, points, reduce):
+        """``reduce`` of each box's log joint over its problem's peak, by chunks."""
+        step, parts = max(1, _CHUNK_NODES // len(points)), []
+        for lo in range(0, len(owner), step):
+            who, c = owner[lo:lo + step], centres[lo:lo + step]
+            # Coordinate planes (d, boxes, nodes) keep numpy's inner loops long.
+            u = c.T[:, :, None] + half * points.T[:, None, :]
+            theta = mu.T[:, who, None] + np.einsum("bij,jbk->ibk", T[who], u)
+            stack = SimpleNamespace(**{f: x[who] for f, x in rows.items()})
+            parts.append(reduce(log_joint(stack, theta.transpose(1, 2, 0)) - log_peak[who, None]))
+        return np.concatenate(parts)
+
+    def refuse(bad, message):
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise OracleError(f"problem {index[i]}: {message(i)}")
+
+    def per_problem(owner, values=None):
+        return np.bincount(owner, values, minlength=len(group))
 
     # The rule's nodes on the box faces, with the corners.
     ring = _tensor_grid(np.concatenate([[-1.0], _GL_NODES, [1.0]]), d)
     faces = RADIUS * ring[np.abs(ring).max(axis=1) == 1.0]
-    log_edge = float(np.max(log_joint(stats, mu + faces @ T.T)))
-    if log_edge > log_peak + math.log(REL_TOL):
-        raise OracleError(
-            f"the integration box does not hold the mass: the joint density on "
-            f"its faces reaches {math.exp(log_edge - log_peak):.3e} of its centre value"
-        )
+    owner, centres, half = np.arange(len(group)), np.zeros((len(group), d)), RADIUS
+    log_edge = evaluate(owner, centres, 1.0, faces, lambda x: x.max(axis=1))
+    refuse(log_edge > math.log(REL_TOL), lambda i: (
+        f"the integration box does not hold the mass: the joint density on "
+        f"its faces reaches {math.exp(log_edge[i]):.3e} of its centre value"))
 
     # The tensor rule on [-1, 1]^d, and the centres of a box's 2^d halves in
-    # units of its half-width.
+    # units of its half-width.  All open boxes of a round have one width.
     nodes, halves = _tensor_grid(_GL_NODES, d), _tensor_grid([-0.5, 0.5], d)
     weights = np.prod(_tensor_grid(_GL_WEIGHTS, d), axis=1)
 
-    def rule(centres: np.ndarray, half: float) -> np.ndarray:
-        """The rule on each box of half-width ``half`` about ``centres`` (m, d)."""
-        theta = mu + (centres[:, None, :] + half * nodes) @ T.T
-        return np.exp(log_joint(stats, theta) - log_peak) @ weights * half**d
+    def rule(owner, centres, half):
+        return evaluate(owner, centres, half, nodes, lambda x: np.exp(x) @ weights) * half**d
 
-    centres, half = np.zeros((1, d)), RADIUS
-    coarse = rule(centres, half)
-    value = abserr = 0.0            # accepted mass and its error estimate
-    n_boxes = 1
+    coarse = rule(owner, centres, half)
+    value, abserr = np.zeros(len(group)), np.zeros(len(group))   # accepted mass, its error
+    n_boxes = np.ones(len(group), dtype=int)
     while coarse.size:
         centres = (centres[:, None, :] + half * halves).reshape(-1, d)
         half /= 2.0
-        fine = rule(centres, half).reshape(-1, 2**d)
+        split = np.repeat(owner, 2**d)
+        fine = rule(split, centres, half).reshape(-1, 2**d)
         err = np.abs(fine.sum(axis=1) - coarse)
-        estimate = value + float(fine.sum())
-        done = err <= REL_TOL * abs(estimate) * (2.0 * half / RADIUS) ** d
-        value += float(fine[done].sum())
-        abserr += float(err[done].sum())
-        n_boxes += (2**d - 1) * int(np.count_nonzero(~done))
-        if n_boxes > MAX_BOXES:
-            raise OracleError(f"quadrature did not converge within {MAX_BOXES} boxes")
+        estimate = value + per_problem(owner, fine.sum(axis=1))
+        done = err <= REL_TOL * np.abs(estimate[owner]) * (2.0 * half / RADIUS) ** d
+        value += per_problem(owner[done], fine[done].sum(axis=1))
+        abserr += per_problem(owner[done], err[done])
+        n_boxes += (2**d - 1) * per_problem(owner[~done])
+        refuse(n_boxes > MAX_BOXES, lambda i: f"quadrature did not converge within {MAX_BOXES} boxes")
         centres = centres.reshape(-1, 2**d, d)[~done].reshape(-1, d)
-        coarse = fine[~done].ravel()
+        owner, coarse = split.reshape(-1, 2**d)[~done].ravel(), fine[~done].ravel()
 
-    if not value > 0.0 or not np.isfinite(value):
-        raise OracleError(f"quadrature returned a non-positive mass {value}")
-    if abserr > 10.0 * REL_TOL * value:
-        raise OracleError(
-            f"quadrature error estimate {abserr:.3e} exceeds budget "
-            f"for mass {value:.6e}"
-        )
-    return log_peak + log_jacobian + math.log(value)
+    refuse(~((value > 0.0) & np.isfinite(value)),
+           lambda i: f"quadrature returned a non-positive mass {value[i]}")
+    refuse(abserr > 10.0 * REL_TOL * value, lambda i: (
+        f"quadrature error estimate {abserr[i]:.3e} exceeds budget for mass {value[i]:.6e}"))
+    return log_peak + log_jacobian + np.log(value)
 
 
 def _tensor_grid(points, d: int) -> np.ndarray:
@@ -137,7 +169,7 @@ def importance_log_weights(
     if proposal_scale <= 0:
         raise ValueError("proposal_scale must be positive")
     post = posterior(stats)
-    L = spd_cholesky(post.precision, context="importance proposal")
+    L = post.chol
     z = substream(seed, "importance").standard_normal((n_samples, d))
     # x = mu + scale * L^{-T} z has covariance scale^2 * precision^{-1}.
     offsets = np.linalg.solve(L.T, z.T).T
@@ -158,12 +190,16 @@ def importance_log_evidence(
     proposal_scale: float = 1.0,
 ) -> tuple[float, float]:
     """Self-normalized importance estimate of the log evidence and its stderr."""
-    logw = importance_log_weights(stats, n_samples, seed, proposal_scale)
+    return importance_estimate(importance_log_weights(stats, n_samples, seed, proposal_scale))
+
+
+def importance_estimate(logw: np.ndarray) -> tuple[float, float]:
+    """The estimate and stderr of :func:`importance_log_evidence` from its log weights."""
     peak = float(logw.max())
     w = np.exp(logw - peak)
     mean_w = float(w.mean())
     estimate = peak + math.log(mean_w)
-    stderr = float(w.std(ddof=1)) / (mean_w * math.sqrt(n_samples))
+    stderr = float(w.std(ddof=1)) / (mean_w * math.sqrt(logw.size))
     return estimate, stderr
 
 

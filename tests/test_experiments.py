@@ -706,6 +706,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match="more than once"):
             aggregate_rank_summaries(read_cell_table(path), [1])
 
+    def test_reader_rejects_seeds_outside_uint64(self, tmp_path):
+        """A seed below 0 or at 2**64 is a malformed file, not an overflow."""
+        path = tmp_path / "records.csv"
+        header = ",".join(experiments.RECORD_COLUMNS)
+        for seed in (-1, 2**64):
+            path.write_text(header + f"\nrank_sweep,1,6,6,{seed},50," + ",".join(["0.5"] * 6) + "\n")
+            with pytest.raises(ValueError, match="records.csv: seeds must lie in"):
+                read_cell_table(path)
+
     def test_aggregation_reproducible_from_persisted_records(self, tmp_path):
         cfg = tiny_config()
         res = run_study(cfg)

@@ -27,9 +27,16 @@ from rankevidence.oracle import (
     OracleError,
     importance_log_evidence,
     importance_log_weights,
+    quadrature_batch,
     quadrature_log_evidence,
     random_problem,
 )
+
+
+def _verify_problems() -> list:
+    """The statistics of the 100 quadrature problems ``rankevidence verify`` draws."""
+    rng = np.random.default_rng(2024)
+    return [random_problem(rng, max_d=2, max_n=50).statistics() for _ in range(100)]
 
 
 def _nested_quad_log_evidence(prob: GaussianLinearProblem) -> float:
@@ -184,6 +191,45 @@ class TestQuadrature:
             quadrature_log_evidence(prob.statistics())
         monkeypatch.setattr(oracle, "MAX_BOXES", 2)
         assert abs(quadrature_log_evidence(prob.statistics()) - exact_log_evidence(prob)) < 1e-9
+
+
+class TestQuadratureBatch:
+    def test_batch_equals_one_problem_calls(self):
+        """Integrating the verify problems of both d together gives each
+        problem its own value.  Worst measured: 3.6e-15."""
+        stats = _verify_problems()
+        assert {s.d for s in stats} == {1, 2}
+        for s, value in zip(stats, quadrature_batch(stats)):
+            assert abs(value - quadrature_log_evidence(s)) <= 1e-13
+
+    def test_chunk_size_does_not_move_the_values(self, monkeypatch):
+        """One box per node chunk gives the values of the default chunks.
+        Worst measured: 7.1e-15."""
+        stats = _verify_problems()
+        values = quadrature_batch(stats)
+        monkeypatch.setattr(oracle, "_CHUNK_NODES", 1)
+        np.testing.assert_allclose(quadrature_batch(stats), values, rtol=0.0, atol=1e-14)
+
+    def test_refusal_names_the_problem(self, monkeypatch):
+        """A box centred 30 posterior standard deviations off one problem's
+        mean refuses that problem, by its index in the batch, and returns no
+        value for the others."""
+        stats = _verify_problems()[:10]
+        bad = stats[3]
+
+        def shifted(s):
+            post = posterior(s)
+            if s is not bad:
+                return post
+            step = np.full(s.d, 30.0 / math.sqrt(s.d))
+            return replace(post, mean=post.mean + np.linalg.solve(post.chol.T, step))
+
+        monkeypatch.setattr(oracle, "posterior", shifted)
+        with pytest.raises(OracleError, match=r"^problem 3: the integration box"):
+            quadrature_batch(stats)
+        monkeypatch.setattr(oracle, "MAX_BOXES", 1)
+        with pytest.raises(OracleError, match=r"^problem \d+: quadrature did not converge"):
+            quadrature_batch(stats[:3])
 
 
 class TestOraclesOnStudyCells:
