@@ -1,13 +1,14 @@
 """Command-line front end for the studies and verification suite.
 
-Subcommands mirror the studies (``rank-sweep``, ``regular-vs-singular``,
-``dict-compare``) plus ``evidence`` for inspecting one configuration's
-evidence curve and ``verify`` for the brute-force oracle checks.  Effective
-configuration is resolved as: built-in defaults, then the ``--config`` JSON
-file, then ``--overrides``; the output directory honors ``--output-dir``, else
-the RANKEVIDENCE_OUTPUT_DIR environment variable, else the config value.
-Every run writes ``effective_config.json`` next to its outputs so the run can
-be reproduced by pointing ``--config`` at it.
+Subcommands mirror the studies (``rank-sweep``, which also draws the
+regular-vs-singular curves, and ``dict-compare``) plus ``evidence`` for
+inspecting one configuration's evidence curve and ``verify`` for the
+brute-force oracle checks.  Effective configuration is resolved as: built-in
+defaults, then the ``--config`` JSON file, then ``--overrides``; the output
+directory honors ``--output-dir``, else the RANKEVIDENCE_OUTPUT_DIR
+environment variable, else the config value.  Every run writes
+``effective_config.json`` next to its outputs so the run can be reproduced
+by pointing ``--config`` at it.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 numerical failure that
 aborted a study.
@@ -176,7 +177,8 @@ def _by_rank(result: StudyResult):
 @dataclass(frozen=True)
 class _Figure:
     """One figure: the study that emits it, its TSV, and the chart drawn
-    from the TSV rows (``x`` against each ``(column, legend)`` of ``ys``)."""
+    from the TSV rows (``x`` against each ``(column, legend)`` of ``ys``);
+    ``when`` says which of the study's configs get it."""
 
     study: str
     stem: str
@@ -187,11 +189,18 @@ class _Figure:
     title: str          # formatted with d and the regular and singular ranks
     xlabel: str
     ylabel: str
+    when: Callable[[ExperimentConfig], bool] = lambda cfg: True
 
 
 _ERROR_CURVE_COLUMNS = ("n", "log_n", "delta_bic_mean", "delta_rlct_mean")
 _ERROR_CURVE_SERIES = (("delta_bic_mean", "BIC error"), ("delta_rlct_mean", "corrected error"))
 _ERROR_CURVE_YLABEL = "approximate - exact log evidence"
+
+
+def _has_contrast(cfg: ExperimentConfig) -> bool:
+    """The largest rank is the regular rank d and the smallest is below it."""
+    return max(cfg.ranks) == cfg.d > min(cfg.ranks)
+
 
 _FIGURES = (
     _Figure(
@@ -213,14 +222,16 @@ _FIGURES = (
         "Effective dimension from evidence slopes", "intrinsic rank r", "lambda",
     ),
     _Figure(
-        "regular_vs_singular", "fig2_regular_error", _ERROR_CURVE_COLUMNS,
+        "rank_sweep", "fig2_regular_error", _ERROR_CURVE_COLUMNS,
         lambda res: _error_curve(res, max(res.config.ranks)), "log_n", _ERROR_CURVE_SERIES,
         "Approximation error vs log n (d={d}, r={regular})", "log n", _ERROR_CURVE_YLABEL,
+        _has_contrast,
     ),
     _Figure(
-        "regular_vs_singular", "fig3_singular_error", _ERROR_CURVE_COLUMNS,
+        "rank_sweep", "fig3_singular_error", _ERROR_CURVE_COLUMNS,
         lambda res: _error_curve(res, min(res.config.ranks)), "log_n", _ERROR_CURVE_SERIES,
         "Approximation error vs log n (d={d}, r={singular})", "log n", _ERROR_CURVE_YLABEL,
+        _has_contrast,
     ),
     _Figure(
         "dict_compare", "fig4_dict_evidence_gap",
@@ -260,7 +271,7 @@ def emit_plot_data(result: StudyResult, out_dir: str | Path, plot: bool = False)
     Raises ValueError on an empty result before touching the filesystem, and
     writes atomically, so no partial file set is left behind.
     """
-    figures = [fig for fig in _FIGURES if fig.study == result.study]
+    figures = [fig for fig in _FIGURES if fig.study == result.study and fig.when(result.config)]
     if not figures:
         raise ValueError(f"no plot data defined for study {result.study!r}")
     if not len(result.cells):

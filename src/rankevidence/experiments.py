@@ -1,13 +1,12 @@
 """Study orchestration: seed ensembles over sample-size grids, aggregation,
 and CSV persistence.
 
-Three studies are built in.  ``rank_sweep`` varies the intrinsic rank at
+Two studies are built in.  ``rank_sweep`` varies the intrinsic rank at
 fixed ambient dimension, fits the log-n slopes of the BIC and corrected
 approximation errors and reports the slope-based effective-dimension
-estimates.  ``regular_vs_singular`` contrasts a full-rank with a
-rank-deficient configuration.  ``dict_compare`` scores a minimal and an
-overcomplete dictionary for the same subspace on shared data.
-:func:`run_study` runs any of them.
+estimates; the regular-vs-singular contrast is two of its ranks, d and one
+below it.  ``dict_compare`` scores a minimal and an overcomplete dictionary
+for the same subspace on shared data.  :func:`run_study` runs either.
 
 A study keeps its cells in one columnar :class:`CellTable`, filled once from
 the batch and read by the aggregation (through :func:`seed_means`), the
@@ -57,7 +56,7 @@ from .rlct import (
     predicted_bic_error_slope,
 )
 
-STUDIES = ("rank_sweep", "regular_vs_singular", "dict_compare")
+STUDIES = ("rank_sweep", "dict_compare")
 
 # the columns that identify a cell in both record files
 KEY_COLUMNS = ["study", "rank", "d", "p", "seed", "n"]
@@ -152,11 +151,6 @@ class ExperimentConfig:
             raise ConfigError("seeds must lie in [0, 2**64)")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")
-        if self.study == "regular_vs_singular":
-            if len(self.ranks) != 2 or self.d not in self.ranks:
-                raise ConfigError(
-                    "regular_vs_singular needs exactly two ranks, one equal to d"
-                )
         if self.study == "dict_compare":
             if len(self.ranks) != 1:
                 raise ConfigError("dict_compare uses a single span dimension in ranks")
@@ -169,8 +163,6 @@ class ExperimentConfig:
     @classmethod
     def default_for(cls, study: str) -> "ExperimentConfig":
         """Study-appropriate defaults (dictionary runs observe in 8 dimensions)."""
-        if study == "regular_vs_singular":
-            return cls(study=study, ranks=[4, 6])
         if study == "dict_compare":
             return cls(study=study, p=8, d=6, ranks=[3])
         if study == "rank_sweep":
@@ -286,16 +278,19 @@ def seed_means(table: CellTable, values: np.ndarray, rank: int) -> tuple[list, n
     summed in order of first appearance along a contiguous last axis, which
     gives ``np.mean``'s bits on a complete grid; a missing cell adds zero."""
     rows = table.rank == rank
-    ns, n_at = np.unique(table.n[rows], return_inverse=True)
-    _, first, seed_at = np.unique(table.seed[rows], return_index=True, return_inverse=True)
-    seed_at = np.argsort(np.argsort(first))[seed_at]
-    present = np.zeros((len(ns), len(first)), dtype=bool)
+    n, seed = table.n[rows], table.seed[rows]
+    ns = sorted(set(n.tolist()))   # not np.unique: it loads numpy.ma
+    n_at = np.searchsorted(ns, n)
+    seeds = np.array(list(dict.fromkeys(seed.tolist())), dtype=seed.dtype)
+    order = np.argsort(seeds)
+    seed_at = order[np.searchsorted(seeds, seed, sorter=order)]
+    present = np.zeros((len(ns), len(seeds)), dtype=bool)
     present[n_at, seed_at] = True
     if np.count_nonzero(present) != len(n_at):
         raise ValueError(f"rank {rank} has a (seed, n) cell more than once")
     grid = np.zeros((values.shape[1], *present.shape))
     grid[:, n_at, seed_at] = values[rows].T
-    return ns.tolist(), grid.sum(axis=-1) / present.sum(axis=-1), len(first)
+    return ns, grid.sum(axis=-1) / present.sum(axis=-1), len(seeds)
 
 
 @dataclass(frozen=True)
@@ -579,7 +574,7 @@ def read_cell_table(path: str | Path) -> CellTable:
     """Load a record CSV (``evidence_records.csv`` or ``dict_records.csv``)
     for offline re-analysis; its header names the score columns."""
     with open(path, newline="") as handle:
-        header, *rows = csv.reader(handle)
+        header, *rows = [*csv.reader(handle)] or [[]]   # an empty file has an empty header
     if header[:len(KEY_COLUMNS)] != KEY_COLUMNS:
         raise ValueError(f"{path}: header must start with {KEY_COLUMNS}, got {header}")
     if not rows or any(len(row) != len(header) for row in rows):
@@ -587,13 +582,16 @@ def read_cell_table(path: str | Path) -> CellTable:
     study, rank, d, p, seed, n, *scores = zip(*rows)
     if len(set(zip(study, d, p))) != 1:
         raise ValueError(f"{path}: every row must share one study, d and p")
-    rank, seed, n = ([int(v) for v in column] for column in (rank, seed, n))
+    try:
+        rank, seed, n, (d, p) = ([int(v) for v in col] for col in (rank, seed, n, (d[0], p[0])))
+        scores = np.array([[float(v) for v in column] for column in scores]).T
+    except ValueError as exc:   # a field that is not a number
+        raise ValueError(f"{path}: {exc}") from None
     if not all(0 <= s < 2**64 for s in seed):
         raise ValueError(f"{path}: seeds must lie in [0, 2**64)")
     return CellTable(
-        study[0], int(d[0]), int(p[0]), np.array(rank), np.array(seed, dtype=np.uint64), np.array(n),
-        score_columns=header[len(KEY_COLUMNS):],
-        scores=np.array([[float(v) for v in column] for column in scores]).T,
+        study[0], d, p, np.array(rank), np.array(seed, dtype=np.uint64), np.array(n),
+        score_columns=header[len(KEY_COLUMNS):], scores=scores,
     )
 
 

@@ -24,7 +24,6 @@ class SlopeFit:
     intercept: float
     stderr_slope: float
     n_points: int
-    r_squared: float
 
 
 def analytic_rlct(r: int) -> float:
@@ -47,7 +46,7 @@ def log_n_slopes(ns: list[int] | np.ndarray, values: np.ndarray) -> np.ndarray:
     ns = np.asarray(ns, dtype=float)
     if np.any(ns < 2):
         raise ValueError("all sample sizes must be >= 2")
-    if np.unique(ns).size < 2:
+    if len(set(ns.tolist())) < 2:   # not np.unique: it loads numpy.ma
         raise ValueError("need at least 2 distinct sample sizes to fit a slope")
     x = np.log(ns)
     xc = x - x.mean()
@@ -75,16 +74,7 @@ def fit_log_n_slope(points: Iterable[tuple[int, float]]) -> SlopeFit:
     sxx = float(np.sum((x - x.mean()) ** 2))
     dof = k - 2
     stderr = math.sqrt(rss / dof / sxx) if dof > 0 else 0.0
-
-    tss = float(np.sum((vals - vals.mean()) ** 2))
-    r_squared = 1.0 if tss == 0.0 else min(1.0, max(0.0, 1.0 - rss / tss))
-    return SlopeFit(
-        slope=slope,
-        intercept=intercept,
-        stderr_slope=stderr,
-        n_points=k,
-        r_squared=r_squared,
-    )
+    return SlopeFit(slope=slope, intercept=intercept, stderr_slope=stderr, n_points=k)
 
 
 def estimate_rlct_from_slope(evidence_points: Iterable[tuple[int, float]]) -> float:

@@ -171,8 +171,9 @@ class TestMain:
         assert out.count("PASS") == 4 and "FAIL" not in out
 
     def test_unknown_subcommand_exits_1(self, capsys):
-        assert main(["bogus"]) == 1
-        assert "error" in capsys.readouterr().err
+        for command in ("bogus", "regular-vs-singular"):   # a retired study: see rank-sweep
+            assert main([command]) == 1
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["rank-sweep", "--frobnicate"]) == 1
@@ -244,14 +245,16 @@ class TestEmitPlotData:
         [
             ("rank-sweep", "ranks=1+2", ["fig1_rank_sweep", "lambda_vs_rank"]),
             ("rank-sweep", "ranks=2", ["fig1_rank_sweep", "lambda_vs_rank"]),
-            ("regular-vs-singular", "ranks=4+6",
-             ["fig2_regular_error", "fig3_singular_error"]),
+            ("rank-sweep", "ranks=4+6", ["fig1_rank_sweep", "lambda_vs_rank",
+                                         "fig2_regular_error", "fig3_singular_error"]),
             ("dict-compare", "ranks=3", ["fig4_dict_evidence_gap", "fig5_eigenspectra"]),
         ],
     )
     def test_plot_files_per_study(self, tmp_path, command, overrides, stems):
         """Every study writes exactly its figure TSVs, each with its pinned
-        header and, under --plot, an SVG beside it."""
+        header and, under --plot, an SVG beside it; rank-sweep adds the
+        regular and singular error curves only when its ranks reach d = 6
+        from below."""
         assert main([
             command, "--overrides", f"{overrides},seeds=0,n_grid=100+200",
             "--output-dir", str(tmp_path), "--plot",
@@ -284,7 +287,7 @@ class TestEmitPlotData:
 
     def test_regular_vs_singular_curves(self, tmp_path):
         cfg = ExperimentConfig(
-            study="regular_vs_singular", ranks=[4, 6], seeds=[0], n_grid=[50, 100, 200]
+            study="rank_sweep", ranks=[4, 6], seeds=[0], n_grid=[50, 100, 200]
         )
         res = run_study(cfg)
         emit_plot_data(res, tmp_path, plot=True)
@@ -313,24 +316,24 @@ import json, sys
 sys.modules["scipy"] = None          # any scipy import now raises ImportError
 from rankevidence import cli
 out = sys.argv[1]
-runs = [
-    ["rank-sweep", "--plot", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
-    ["regular-vs-singular", "--plot", "--overrides", "ranks=4+6,seeds=0,n_grid=100+200"],
-    ["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..200x2"],
-    ["dict-compare", "--plot", "--overrides", "seeds=0,n_grid=100..400x2"],
-]
-codes = [cli.main([*run, "--output-dir", f"{out}/{run[0]}"]) for run in runs]
+runs = {
+    "rank-sweep": ["rank-sweep", "--plot", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
+    "contrast": ["rank-sweep", "--plot", "--overrides", "ranks=4+6,seeds=0,n_grid=100+200"],
+    "evidence": ["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..200x2"],
+    "dict-compare": ["dict-compare", "--plot", "--overrides", "seeds=0,n_grid=100..400x2"],
+}
+codes = [cli.main([*run, "--output-dir", f"{out}/{name}"]) for name, run in runs.items()]
 checks = [passed for *_, passed in cli.run_verification()]
-loaded = sorted(m for m in sys.modules
-                if m.startswith(("scipy", "xml.sax", "urllib.request")))
+loaded = sorted(m for m in sys.modules if m == "numpy.ma"
+                or m.startswith(("scipy", "xml.sax", "urllib.request", "numpy.ma.")))
 print(json.dumps({"codes": codes, "checks": checks, "loaded": loaded}))
 """
 
 
 def test_runs_without_scipy(tmp_path):
     """The runtime is numpy only: every subcommand and the verify sweep run
-    in an interpreter where importing scipy fails, and neither xml.sax nor
-    urllib.request gets loaded on the way."""
+    in an interpreter where importing scipy fails, and none of xml.sax,
+    urllib.request and numpy.ma gets loaded on the way."""
     src = str(Path(rankevidence.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -342,5 +345,6 @@ def test_runs_without_scipy(tmp_path):
     assert result["checks"] == [True] * 4
     assert result["loaded"] == ["scipy"]      # the None placeholder itself
     for svg in ("rank-sweep/fig1_rank_sweep.svg", "rank-sweep/lambda_vs_rank.svg",
+                "contrast/fig2_regular_error.svg", "contrast/fig3_singular_error.svg",
                 "dict-compare/fig5_eigenspectra.svg"):
         assert (tmp_path / svg).read_text().startswith("<svg"), svg

@@ -222,6 +222,7 @@ class TestConfig:
             {"tau2": True},
             {"n_grid": [50, 2**32]},        # beyond the per-size stream index
             {"seeds": [2**64]},
+            {"study": "regular_vs_singular", "ranks": [4, 6]},   # retired: ranks of rank_sweep
         ],
     )
     def test_invalid_configs_rejected(self, patch):
@@ -230,12 +231,6 @@ class TestConfig:
             setattr(cfg, key, value)
         with pytest.raises(ConfigError):
             cfg.validate()
-
-    def test_regular_vs_singular_needs_regular_rank(self):
-        cfg = tiny_config(study="regular_vs_singular", ranks=[2, 4])
-        with pytest.raises(ConfigError):
-            cfg.validate()
-        tiny_config(study="regular_vs_singular", ranks=[4, 6]).validate()
 
     def test_library_configs_pass_the_same_gate(self):
         """A config built in Python is coerced and checked like one from the
@@ -368,6 +363,20 @@ class TestRankSweep:
         assert got[0] == ref[0] and got[-2:] == ref[-2:] == [12, 9]
         assert np.max(np.abs(np.subtract(got, ref))) <= 1e-15
 
+    def test_seed_means_with_unsorted_seeds_and_a_missing_cell(self):
+        """Seeds listed out of sorted order, one cell gone: the means at each n
+        equal the list-based reference bit for bit, and every seed counts."""
+        cells = run_study(tiny_config(seeds=[7, 2, 5])).cells
+        cells = _without(cells, (cells.rank != 1) | (cells.seed != 2) | (cells.n != 100))
+        values = np.column_stack([cells.score("delta_bic"), cells.score("delta_rlct")])
+        for rank in (1, 2):
+            ns, means, n_seeds = experiments.seed_means(cells, values, rank)
+            mine = [row for row in _rows(cells) if row["rank"] == rank]
+            ref_ns, ref = _mean_by_n(mine, lambda r: r["delta_bic"], lambda r: r["delta_rlct"])
+            assert ns == ref_ns == [50, 100, 200]
+            assert means.tolist() == ref
+            assert n_seeds == 3
+
     def test_clean_run_has_no_failure_section(self):
         text = summarize(run_study(tiny_config()))
         assert "failed cells" not in text
@@ -496,15 +505,6 @@ class TestRankSweep:
                         )
             expected = float(log_n_slopes(grid, centered.mean(axis=0)))
             assert abs(summary.lambda_hat - expected) < 1e-12, (rank, summary.lambda_hat, expected)
-
-
-class TestRegularVsSingular:
-    def test_small_run_produces_both_summaries(self):
-        cfg = ExperimentConfig(
-            study="regular_vs_singular", ranks=[4, 6], seeds=[0, 1], n_grid=[50, 100, 200]
-        )
-        res = run_study(cfg)
-        assert sorted(s.rank for s in res.rank_summaries) == [4, 6]
 
 
 class TestDictCompare:
@@ -690,17 +690,24 @@ class TestPersistence:
         assert sorted(tmp_path.iterdir()) == sorted(paths)
 
     def test_reader_rejects_malformed_files(self, tmp_path):
+        """Every malformed file raises a ValueError that names the file."""
         path = tmp_path / "records.csv"
         header = ",".join(experiments.RECORD_COLUMNS)
         row = "rank_sweep,1,6,6,0,50," + ",".join(["0.5"] * 6)
+        not_numbers = [   # rank, d, p, seed, n and a score that do not parse
+            ",".join(row.split(",")[:i] + [bad] + row.split(",")[i + 1:])
+            for i, bad in ((1, "1.5"), (2, "six"), (3, "6.0"), (4, "x"), (5, "5e1"), (6, "y"))
+        ]
         for text in (
+            "",                                              # empty file
             header + "\n",                                   # no cells
             "rank,study,d,p,seed,n\n" + row + "\n",          # keys out of order
             header + "\n" + row + ",0.5\n",                  # ragged row
             header + "\n" + row + "\n" + row.replace(",6,6,", ",5,6,") + "\n",
+            *(header + "\n" + bad + "\n" for bad in not_numbers),
         ):
             path.write_text(text)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"records\.csv: "):
                 read_cell_table(path)
         path.write_text(header + "\n" + row + "\n" + row + "\n")
         with pytest.raises(ValueError, match="more than once"):

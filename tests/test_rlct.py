@@ -37,14 +37,12 @@ class TestFitLogNSlope:
         np.testing.assert_allclose(fit.slope, -2.0, rtol=1e-12)
         np.testing.assert_allclose(fit.intercept, 3.0, rtol=1e-10)
         assert fit.stderr_slope < 1e-8
-        np.testing.assert_allclose(fit.r_squared, 1.0, atol=1e-12)
 
     def test_two_points(self):
         fit = fit_log_n_slope([(10, 1.0), (100, 3.0)])
         np.testing.assert_allclose(fit.slope, 2.0 / (math.log(100) - math.log(10)), rtol=1e-12)
         assert fit.stderr_slope == 0.0
         assert fit.n_points == 2
-        np.testing.assert_allclose(fit.r_squared, 1.0, atol=1e-12)
 
     def test_residuals_orthogonal_to_regressors(self):
         rng = np.random.default_rng(0)
@@ -96,6 +94,8 @@ class TestFitLogNSlope:
             fit_log_n_slope([(100, 1.0), (100, 2.0)])
         with pytest.raises(ValueError):
             fit_log_n_slope([(1, 1.0), (100, 2.0)])
+        with pytest.raises(ValueError, match="distinct"):
+            log_n_slopes([100, 100, 100], np.zeros((2, 3)))
 
 
 class TestLogNSlopes:
