@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
 
@@ -34,11 +35,10 @@ from .experiments import (
     STUDIES,
     ConfigError,
     ExperimentConfig,
-    CellTable,
     StudyResult,
     cell_table_csv_text,
+    failure_lines,
     run_study,
-    seed_means,
     summarize,
     table_text,
     write_atomic,
@@ -136,42 +136,29 @@ def build_config(study: str, args: argparse.Namespace) -> ExperimentConfig:
     merged = _load_config_file(args.config) if args.config else {}
     merged.update(parse_overrides(args.overrides))
     merged["study"] = study
-    output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
-    if output_dir:
+    if output_dir := _output_dir(args):
         merged["output_dir"] = output_dir
     return ExperimentConfig.from_dict(merged)
+
+
+def _output_dir(args: argparse.Namespace) -> str | None:
+    """``--output-dir``, else the environment variable; None when neither is set."""
+    return args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or None
 
 
 # ---------------------------------------------------------------------------
 # Plot-data emission
 # ---------------------------------------------------------------------------
 
-def _log_n_curve(table: CellTable, rank: int, *columns: np.ndarray) -> list[list]:
-    """Rows of n, log n and the seed mean of each per-cell column at each n
-    where ``rank`` has a cell."""
-    ns, means, _ = seed_means(table, np.column_stack(columns), rank)
-    return [[n, math.log(n), *values] for n, values in zip(ns, means.T.tolist())]
-
-
-def _error_curve(result: StudyResult, rank: int) -> list[list]:
-    """Seed-mean BIC and corrected error curves of one rank."""
-    cells = result.cells
-    return _log_n_curve(cells, rank, cells.score("delta_bic"), cells.score("delta_rlct"))
+def _log_n_rows(curve: dict[str, list], *names: str) -> list[list]:
+    """Rows of n, log n and each named seed-mean column of a kept curve."""
+    return [[n, math.log(n), *values] for n, *values in zip(*(curve[k] for k in ("n", *names)))]
 
 
 def _spectra_rows(result: StudyResult) -> list[list]:
     """Index and both Gram spectra, blank past the end of the shorter one."""
-    eig_min, eig_over = result.spectra
-    return [
-        [i,
-         float(eig_min[i]) if i < len(eig_min) else "",
-         float(eig_over[i]) if i < len(eig_over) else ""]
-        for i in range(max(len(eig_min), len(eig_over)))
-    ]
-
-
-def _by_rank(result: StudyResult):
-    return sorted(result.rank_summaries, key=lambda s: s.rank)
+    spectra = zip_longest(*(eig.tolist() for eig in result.spectra), fillvalue="")
+    return [[i, *eigs] for i, eigs in enumerate(spectra)]
 
 
 @dataclass(frozen=True)
@@ -209,7 +196,7 @@ _FIGURES = (
         lambda res: [
             [s.rank, s.fit_delta_bic.slope, s.fit_delta_rlct.slope,
              s.fit_delta_bic.stderr_slope, s.fit_delta_rlct.stderr_slope]
-            for s in _by_rank(res)
+            for s in res.rank_summaries
         ],
         "rank", (("slope_bic", "BIC error slope"), ("slope_rlct", "corrected error slope")),
         "Approximation error slopes vs intrinsic rank", "intrinsic rank r", "slope vs log n",
@@ -217,30 +204,29 @@ _FIGURES = (
     _Figure(
         "rank_sweep", "lambda_vs_rank",
         ("rank", "lambda_hat", "lambda_analytic"),
-        lambda res: [[s.rank, s.lambda_hat, s.lambda_analytic] for s in _by_rank(res)],
+        lambda res: [[s.rank, s.lambda_hat, s.lambda_analytic] for s in res.rank_summaries],
         "rank", (("lambda_hat", "slope estimate"), ("lambda_analytic", "analytic r/2")),
         "Effective dimension from evidence slopes", "intrinsic rank r", "lambda",
     ),
     _Figure(
         "rank_sweep", "fig2_regular_error", _ERROR_CURVE_COLUMNS,
-        lambda res: _error_curve(res, max(res.config.ranks)), "log_n", _ERROR_CURVE_SERIES,
+        # the summaries run in increasing rank
+        lambda res: _log_n_rows(res.rank_summaries[-1].curve, "delta_bic", "delta_rlct"),
+        "log_n", _ERROR_CURVE_SERIES,
         "Approximation error vs log n (d={d}, r={regular})", "log n", _ERROR_CURVE_YLABEL,
         _has_contrast,
     ),
     _Figure(
         "rank_sweep", "fig3_singular_error", _ERROR_CURVE_COLUMNS,
-        lambda res: _error_curve(res, min(res.config.ranks)), "log_n", _ERROR_CURVE_SERIES,
+        lambda res: _log_n_rows(res.rank_summaries[0].curve, "delta_bic", "delta_rlct"),
+        "log_n", _ERROR_CURVE_SERIES,
         "Approximation error vs log n (d={d}, r={singular})", "log n", _ERROR_CURVE_YLABEL,
         _has_contrast,
     ),
     _Figure(
         "dict_compare", "fig4_dict_evidence_gap",
         ("n", "log_n", "exact_gap_mean", "bic_gap_mean"),
-        lambda res: _log_n_curve(
-            res.cells, res.config.ranks[0],
-            res.cells.score("exact_minimal") - res.cells.score("exact_overcomplete"),
-            res.cells.score("bic_minimal") - res.cells.score("bic_overcomplete"),
-        ),
+        lambda res: _log_n_rows(res.dict_gap_curve, "exact_gap", "bic_gap"),
         "log_n", (("exact_gap_mean", "exact gap"), ("bic_gap_mean", "BIC gap")),
         "Minimal minus overcomplete scores vs log n", "log n", "score gap",
     ),
@@ -326,8 +312,9 @@ def _run_evidence_command(args: argparse.Namespace) -> int:
             f"{n:>7}  {z:>14.4f}  {fit:>14.4f}  {bic:>14.4f}  {rlct:>14.4f}  "
             f"{d_bic:>10.4f}  {d_rlct:>10.4f}\n"
         )
-    if args.output_dir:
-        out = Path(args.output_dir)
+    sys.stdout.writelines(f"{line}\n" for line in failure_lines(result.failures))
+    if _output_dir(args):
+        out = Path(cfg.output_dir)
         write_atomic(out / "evidence_records.csv", cell_table_csv_text(result.cells))
         write_atomic(out / "effective_config.json", json.dumps(cfg.to_dict(), indent=2) + "\n")
         sys.stdout.write(f"records written to {out}\n")

@@ -9,11 +9,12 @@ below it.  ``dict_compare`` scores a minimal and an overcomplete dictionary
 for the same subspace on shared data.  :func:`run_study` runs either.
 
 A study keeps its cells in one columnar :class:`CellTable`, filled once from
-the batch and read by the aggregation (through :func:`seed_means`), the
-record CSV and the figures; :func:`read_cell_table` reads either record CSV
-back.  Raw records are persisted before any aggregation, floats are written
-as shortest round-trip decimals, and timestamps live in a sidecar file, so
-identical configs produce byte-identical raw CSVs.
+the batch and read by the record CSV and the aggregation, which groups each
+(study, rank) once (:func:`seed_grid`) and keeps the curves the figures
+draw; :func:`read_cell_table` reads either record CSV back.  Raw records
+are persisted before any aggregation, floats are written as shortest
+round-trip decimals, and timestamps live in a sidecar file, so identical
+configs produce byte-identical raw CSVs.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ KEY_COLUMNS = ["study", "rank", "d", "p", "seed", "n"]
 _SCORE_COLUMNS = [
     "log_z_exact", "log_lik_mle", "log_z_bic", "log_z_rlct", "delta_bic", "delta_rlct",
 ]
-_DELTA_COLUMNS = [_SCORE_COLUMNS.index("delta_bic"), _SCORE_COLUMNS.index("delta_rlct")]
 
 RECORD_COLUMNS = [*KEY_COLUMNS, *_SCORE_COLUMNS]
 
@@ -271,12 +271,13 @@ def _cell_table(cfg: ExperimentConfig, ranks: list[int], scores: np.ndarray,
     ), failures
 
 
-def seed_means(table: CellTable, values: np.ndarray, rank: int) -> tuple[list, np.ndarray, int]:
-    """The sample sizes at which ``rank`` has a cell, increasing; the mean
-    over seeds of each column of ``values`` (one row per cell) at each,
-    shaped (columns, sizes); and the number of seeds with a cell.  Seeds are
-    summed in order of first appearance along a contiguous last axis, which
-    gives ``np.mean``'s bits on a complete grid; a missing cell adds zero."""
+def seed_grid(table: CellTable, columns: dict[str, np.ndarray], rank: int) -> tuple[dict, ...]:
+    """The group step of one rank: its curve (the sizes at which it has a
+    cell, increasing, as ``n``, and the seed mean of each of ``columns``,
+    one value per cell); its seeds, by first appearance; the columns laid
+    out (columns, sizes, seeds), zero where a cell is missing; and the mask
+    of present cells.  A mean sums the contiguous seed axis (``np.mean``'s
+    bits on a complete grid) and divides by the count."""
     rows = table.rank == rank
     n, seed = table.n[rows], table.seed[rows]
     ns = sorted(set(n.tolist()))   # not np.unique: it loads numpy.ma
@@ -288,9 +289,10 @@ def seed_means(table: CellTable, values: np.ndarray, rank: int) -> tuple[list, n
     present[n_at, seed_at] = True
     if np.count_nonzero(present) != len(n_at):
         raise ValueError(f"rank {rank} has a (seed, n) cell more than once")
-    grid = np.zeros((values.shape[1], *present.shape))
-    grid[:, n_at, seed_at] = values[rows].T
-    return ns, grid.sum(axis=-1) / present.sum(axis=-1), len(seeds)
+    grid = np.zeros((len(columns), *present.shape))
+    grid[:, n_at, seed_at] = [column[rows] for column in columns.values()]
+    means = grid.sum(axis=-1) / present.sum(axis=-1)
+    return {"n": ns, **dict(zip(columns, means.tolist()))}, seeds, grid, present
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,8 @@ class RankSummary:
     lambda_hat: float
     lambda_analytic: float
     n_seeds: int
-    n_points: int
+    # the fitted seed-mean curves: columns n, delta_bic and delta_rlct
+    curve: dict[str, list]
 
 
 @dataclass
@@ -327,6 +330,7 @@ class StudyResult:
     dict_table: dict[str, float] | None = None
     dict_table_n: int | None = None
     dict_gap_slopes: dict[str, SlopeFit] | None = None
+    dict_gap_curve: dict[str, list] | None = None
     spectra: tuple[np.ndarray, np.ndarray] | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -336,12 +340,11 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 
 def _regression_study(cfg: ExperimentConfig) -> StudyResult:
-    """Every (rank, seed, n) cell, its failures and the per-seed slopes of
-    each seed none of whose cells failed.  Each seed's Wishart draws and
-    ``theta_star`` are shared by every rank; a rank forms its statistics in
-    one stacked call and scores them in one :func:`evidence_batch`."""
+    """Every (rank, seed, n) cell and its failures.  Each seed's Wishart draws
+    and ``theta_star`` are shared by every rank; a rank forms its statistics
+    in one stacked call and scores them in one :func:`evidence_batch`."""
     scores = np.full((len(cfg.ranks), len(cfg.seeds), len(cfg.n_grid), len(_SCORE_COLUMNS)), np.nan)
-    messages, per_seed = [], []
+    messages = []
     W = np.stack([sample_wishart(seed, cfg.n_grid, cfg.p + 1) for seed in cfg.seeds])
     theta = np.stack([draw_theta(cfg.d, cfg.tau2, seed) for seed in cfg.seeds])[:, None]
     ns = np.tile(cfg.n_grid, len(cfg.seeds))
@@ -358,46 +361,46 @@ def _regression_study(cfg: ExperimentConfig) -> StudyResult:
         except np.linalg.LinAlgError as exc:
             message = str(exc)
         messages.append([message] * len(cfg.seeds))
-        complete = np.isfinite(table).all(axis=(1, 2))
-        # a fancy index copies: log_n_slopes rounds a strided reduction differently
-        deltas = np.moveaxis(table[..., _DELTA_COLUMNS], -1, 0)[:, complete]
-        seeds = [seed for seed, ok in zip(cfg.seeds, complete) if ok]
-        per_seed += [(rank, seed, *slopes) for seed, slopes
-                     in zip(seeds, log_n_slopes(cfg.n_grid, deltas).T.tolist())]
     cells, failures = _cell_table(cfg, cfg.ranks, scores, _SCORE_COLUMNS, messages)
-    per_seed.sort(key=lambda row: row[0])
-    return StudyResult(cfg.study, cfg, cells, failures, per_seed_slopes=per_seed)
+    return StudyResult(cfg.study, cfg, cells, failures)
 
 
-def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> list[RankSummary]:
-    """Seed-average the error terms per n, then fit log-n slopes per rank.
+def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> tuple[list[RankSummary], list]:
+    """The summary of each rank, in increasing rank, and the per-seed slope
+    rows ``(rank, seed, slope_delta_bic, slope_delta_rlct)``, from one
+    :func:`seed_grid` step per rank.
 
-    ``lambda_hat``, the slope of the centered term, is read as
+    A summary fits the log-n slopes of the seed-mean error curves, which it
+    keeps.  ``lambda_hat``, the slope of the centered term, is read as
     ``lambda + slope(delta_rlct)``: ``delta_rlct`` is that term minus
     ``lambda log n``, while ``log_z_exact - log_lik_mle`` subtracts O(n)
-    numbers.  Per-seed slopes are tracked separately for dispersion.
+    numbers.  A seed gets per-seed slopes when it has a cell at every size
+    of its rank's curve.
     """
-    values = np.column_stack([table.score("delta_bic"), table.score("delta_rlct")])
-    summaries = []
-    for rank in ranks:
-        ns, (dbic, drlct), n_seeds = seed_means(table, values, rank)
+    columns = {name: table.score(name) for name in ("delta_bic", "delta_rlct")}
+    summaries, per_seed = [], []
+    for rank in sorted(ranks):
+        curve, seeds, grid, present = seed_grid(table, columns, rank)
+        ns = curve["n"]
         if not ns:
             raise NumericalError(f"no surviving cells for rank {rank}")
         if len(ns) < 2:
-            raise NumericalError(
-                f"rank {rank} has fewer than 2 usable grid points after failures"
-            )
-        fit_delta_rlct = fit_log_n_slope(zip(ns, drlct.tolist()))
+            raise NumericalError(f"rank {rank} has fewer than 2 usable grid points after failures")
+        fit_delta_rlct = fit_log_n_slope(zip(ns, curve["delta_rlct"]))
         summaries.append(RankSummary(
             rank=rank,
-            fit_delta_bic=fit_log_n_slope(zip(ns, dbic.tolist())),
+            fit_delta_bic=fit_log_n_slope(zip(ns, curve["delta_bic"])),
             fit_delta_rlct=fit_delta_rlct,
             lambda_hat=analytic_rlct(rank) + fit_delta_rlct.slope,
             lambda_analytic=analytic_rlct(rank),
-            n_seeds=n_seeds,
-            n_points=len(ns),
+            n_seeds=len(seeds),
+            curve=curve,
         ))
-    return summaries
+        complete = present.all(axis=0)
+        # a contiguous copy: log_n_slopes rounds a strided reduction differently
+        slopes = log_n_slopes(ns, np.ascontiguousarray(grid[:, :, complete].swapaxes(1, 2)))
+        per_seed += zip([rank] * len(slopes[0]), seeds[complete].tolist(), *slopes.tolist())
+    return summaries, per_seed
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +412,8 @@ _DICT_TABLE_TARGET_N = 200
 
 def _dict_study(cfg: ExperimentConfig) -> StudyResult:
     """Minimal vs overcomplete dictionary scores over seeds and sample sizes,
-    one :func:`comparison_batch` per seed; an error it raises fails the seed."""
+    one :func:`comparison_batch` per seed (an error it raises fails the
+    seed), and the Gram spectra of the first seed's pair."""
     r = cfg.ranks[0]
     scores = np.full((len(cfg.seeds), len(cfg.n_grid), len(_DICT_SCORE_COLUMNS)), np.nan)
     messages = []
@@ -425,21 +429,14 @@ def _dict_study(cfg: ExperimentConfig) -> StudyResult:
         except (NumericalError, np.linalg.LinAlgError) as exc:
             messages.append(str(exc))
     cells, failures = _cell_table(cfg, [r], scores[None], _DICT_SCORE_COLUMNS, [messages])
-    table_n = min(cfg.n_grid, key=lambda n: abs(n - _DICT_TABLE_TARGET_N))
-    # no row when the table's cell (first seed, table_n) failed
-    first = cells.scores[(cells.seed == cfg.seeds[0]) & (cells.n == table_n)].tolist()
-    row = dict(zip(_DICT_SCORE_COLUMNS, first[0])) if first else None
-    return StudyResult(
-        cfg.study, cfg, cells, failures,
-        dict_table={key: row[key] for key in DICT_TABLE_QUANTITIES} if row else None,
-        dict_table_n=table_n,
-        dict_gap_slopes=_dict_gap_slopes(cells, r),
-        spectra=spectra,
-    )
+    return StudyResult(cfg.study, cfg, cells, failures, spectra=spectra)
 
 
-def _dict_gap_slopes(table: CellTable, rank: int) -> dict[str, SlopeFit]:
-    """Log-n slopes of the seed-averaged minimal-minus-overcomplete gaps.
+def aggregate_dict_comparison(table: CellTable, cfg: ExperimentConfig) -> tuple:
+    """The comparison table's n (the grid size nearest 200) and row (the
+    first seed's cell there, None when it failed); the log-n slopes of the
+    seed-averaged minimal-minus-overcomplete gaps; and their curve, columns
+    ``n`` and each gap's seed mean, from one :func:`seed_grid` step.
 
     ``bic_gap`` uses the common-fit scores (the non-invariance diagnostic:
     the gap is purely the penalty difference); ``bic_gap_ml`` lets each shape
@@ -452,10 +449,14 @@ def _dict_gap_slopes(table: CellTable, rank: int) -> dict[str, SlopeFit]:
         "bic_gap_ml": col("bic_minimal") - col("bic_overcomplete_ml"),
         "fit_gap": col("fit_minimal") - col("fit_overcomplete"),
     }
-    ns, means, _ = seed_means(table, np.column_stack(list(gaps.values())), rank)
-    if len(ns) < 2:
+    curve = seed_grid(table, gaps, cfg.ranks[0])[0]
+    if len(curve["n"]) < 2:
         raise NumericalError("dictionary study has fewer than 2 usable grid points")
-    return {name: fit_log_n_slope(zip(ns, mean.tolist())) for name, mean in zip(gaps, means)}
+    slopes = {name: fit_log_n_slope(zip(curve["n"], curve[name])) for name in gaps}
+    table_n = min(cfg.n_grid, key=lambda n: abs(n - _DICT_TABLE_TARGET_N))
+    at = (table.seed == cfg.seeds[0]) & (table.n == table_n)   # no row when that cell failed
+    row = {key: col(key)[at].item() for key in DICT_TABLE_QUANTITIES} if at.any() else None
+    return table_n, row, slopes, curve
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +491,7 @@ def summarize(result: StudyResult) -> str:
             f"{'rank':>4}  {'slope_dBIC':>10}  {'pred':>6}  {'slope_dRLCT':>11}  "
             f"{'pred':>5}  {'lambda_hat':>10}  {'lambda':>6}"
         )
-        for s in sorted(result.rank_summaries, key=lambda s: s.rank):
+        for s in result.rank_summaries:
             pred = predicted_bic_error_slope(cfg.d, s.rank)
             lines.append(
                 f"{s.rank:>4}  {s.fit_delta_bic.slope:>10.4f}  {pred:>6.2f}  "
@@ -513,11 +514,14 @@ def summarize(result: StudyResult) -> str:
             f"bic_ml={gaps['bic_gap_ml'].slope:.4f}, "
             f"fit={gaps['fit_gap'].slope:.4f} (pred 0.00)"
         )
-    if result.failures:
-        lines.append(f"failed cells: {len(result.failures)}")
-        for f in sorted(result.failures, key=lambda f: (f.rank, f.seed, f.n)):
-            lines.append(f"  rank={f.rank} seed={f.seed} n={f.n}: {f.message}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + failure_lines(result.failures)) + "\n"
+
+
+def failure_lines(failures: list[CellFailure]) -> list[str]:
+    """``failed cells: k`` and a line per failed cell by (rank, seed, n), if any."""
+    failures = sorted(failures, key=lambda f: (f.rank, f.seed, f.n))
+    head = [f"failed cells: {len(failures)}"] if failures else []
+    return head + [f"  rank={f.rank} seed={f.seed} n={f.n}: {f.message}" for f in failures]
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -564,8 +568,8 @@ def slopes_csv_text(summaries: list[RankSummary]) -> str:
     rows = [
         [s.rank, s.fit_delta_bic.slope, s.fit_delta_bic.stderr_slope,
          s.fit_delta_rlct.slope, s.fit_delta_rlct.stderr_slope,
-         s.lambda_hat, s.lambda_analytic, s.n_seeds, s.n_points]
-        for s in sorted(summaries, key=lambda s: s.rank)
+         s.lambda_hat, s.lambda_analytic, s.n_seeds, len(s.curve["n"])]
+        for s in summaries
     ]
     return table_text(SLOPE_COLUMNS, zip(*rows))
 
@@ -624,8 +628,11 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     started = time.time()
     if cfg.study == "dict_compare":
         result = _dict_study(cfg)
+        (result.dict_table_n, result.dict_table, result.dict_gap_slopes,
+         result.dict_gap_curve) = aggregate_dict_comparison(result.cells, cfg)
     else:
         result = _regression_study(cfg)
-        result.rank_summaries = aggregate_rank_summaries(result.cells, cfg.ranks)
+        result.rank_summaries, result.per_seed_slopes = aggregate_rank_summaries(
+            result.cells, cfg.ranks)
     result.metadata = _metadata(cfg, started, len(result.cells), len(result.failures))
     return result

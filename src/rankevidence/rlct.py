@@ -97,4 +97,4 @@ def predicted_bic_error_slope(d: int, r: int) -> float:
         raise ValueError(f"dimension must be nonnegative, got {d}")
     if not 0 <= r <= d:
         raise ValueError(f"rank must satisfy 0 <= r <= d, got r={r}, d={d}")
-    return -0.5 * (d - r)
+    return 0.5 * (r - d)   # not -0.5 * (d - r): that is -0.0 at r = d

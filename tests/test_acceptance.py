@@ -94,7 +94,7 @@ def test_criterion_3_rank_sweep_slopes(rank_sweep_result):
     delta_rlct within 0.15 of 0, for every rank."""
     ok = True
     details = []
-    for s in sorted(rank_sweep_result.rank_summaries, key=lambda s: s.rank):
+    for s in rank_sweep_result.rank_summaries:
         target = -(6 - s.rank) / 2.0
         err_bic = abs(s.fit_delta_bic.slope - target)
         err_rlct = abs(s.fit_delta_rlct.slope)
@@ -131,7 +131,7 @@ def test_criterion_5_lambda_estimator(rank_sweep_result):
     """Evidence-slope estimates land within 0.15 of r/2 for every rank."""
     ok = True
     details = []
-    for s in sorted(rank_sweep_result.rank_summaries, key=lambda s: s.rank):
+    for s in rank_sweep_result.rank_summaries:
         err = abs(s.lambda_hat - s.rank / 2.0)
         ok = ok and err <= 0.15
         details.append(f"r={s.rank}: {s.lambda_hat:.3f} (target {s.rank / 2.0})")

@@ -118,6 +118,21 @@ class TestMain:
         assert main(["rank-sweep", "--overrides", "seeds=0,n_grid=50..100x2,ranks=1"]) == 0
         assert (target / "evidence_records.csv").exists()
 
+    def test_evidence_output_dir_env_honored(self, tmp_path, monkeypatch, capsys):
+        """evidence writes where the environment variable points when no
+        --output-dir is given, and nowhere when neither is set."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        args = ["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..200x2"]
+        assert main(args) == 0
+        assert list(tmp_path.iterdir()) == []
+        target = tmp_path / "from_env"
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
+        assert main(args) == 0
+        assert sorted(p.name for p in target.iterdir()) == [
+            "effective_config.json", "evidence_records.csv"]
+        assert capsys.readouterr().out.endswith(f"records written to {target}\n")
+
     def test_dict_compare_smoke(self, tmp_path):
         assert main([
             "dict-compare",
@@ -165,6 +180,25 @@ class TestMain:
         assert "log_z_exact" in out
         assert out.count("\n") >= 4
 
+    def test_evidence_reports_failed_cells(self, capsys, monkeypatch):
+        """A poisoned cell drops out of the evidence curve and is reported
+        with the lines the study summary prints."""
+        real = experiments.evidence_batch
+
+        def poisoned(n, S, b, yy, sigma2, tau2, lam):
+            out = real(n, S, b, yy, sigma2, tau2, lam)
+            out["log_z_exact"][list(n).index(100)] = float("nan")
+            return out
+
+        monkeypatch.setattr(experiments, "evidence_batch", poisoned)
+        assert main(["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..400x2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in lines[2:5]] == ["50", "200", "400"]
+        assert lines[5:] == [
+            "failed cells: 1",
+            "  rank=3 seed=5 n=100: non-finite value in evidence record",
+        ]
+
     def test_verify_subcommand(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
@@ -209,8 +243,18 @@ class TestMain:
         assert err.startswith("config error") and message in err
         assert not out.exists()
 
-    def test_missing_config_file_exits_1(self, capsys):
-        assert main(["rank-sweep", "--config", "/nonexistent/cfg.json"]) == 1
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        """A config file that is missing, not JSON, or a JSON list is a
+        config error naming the file, and no output directory is made."""
+        bad_json, a_list = tmp_path / "bad.json", tmp_path / "list.json"
+        bad_json.write_text("{not json")
+        a_list.write_text("[1, 2]")
+        out = tmp_path / "out"
+        for path in (tmp_path / "missing" / "cfg.json", bad_json, a_list):
+            assert main(["rank-sweep", "--config", str(path), "--output-dir", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and str(path) in err, err
+            assert not out.exists()
 
     def test_unwritable_output_dir_exits_1(self, tmp_path, capsys):
         rodir = tmp_path / "ro"

@@ -20,14 +20,17 @@ from rankevidence.linear_models import make_spec
 from rankevidence.rlct import analytic_rlct, fit_log_n_slope, log_n_slopes
 from rankevidence.experiments import (
     ConfigError,
+    PER_SEED_SLOPE_COLUMNS,
     ExperimentConfig,
     RankSummary,
+    aggregate_dict_comparison,
     aggregate_rank_summaries,
     cell_table_csv_text,
     read_cell_table,
     run_study,
     slopes_csv_text,
     summarize,
+    table_text,
     write_study_outputs,
 )
 
@@ -150,7 +153,7 @@ def _reference_slopes_csv(cells, ranks) -> str:
     """slopes.csv from the list-based aggregation over the table's rows."""
     rows = _rows(cells)
     summaries = []
-    for rank in ranks:
+    for rank in sorted(ranks):
         mine = [row for row in rows if row["rank"] == rank]
         ns, (dbic, drlct) = _mean_by_n(
             mine, lambda r: r["delta_bic"], lambda r: r["delta_rlct"]
@@ -163,7 +166,7 @@ def _reference_slopes_csv(cells, ranks) -> str:
             lambda_hat=analytic_rlct(rank) + fit_delta_rlct.slope,
             lambda_analytic=analytic_rlct(rank),
             n_seeds=len({row["seed"] for row in mine}),
-            n_points=len(ns),
+            curve={"n": ns, "delta_bic": dbic, "delta_rlct": drlct},
         ))
     return slopes_csv_text(summaries)
 
@@ -291,7 +294,7 @@ class TestRankSweep:
         cfg = tiny_config(ranks=[2], seeds=[0], n_grid=[50, 100])
         res = run_study(cfg)
         s = res.rank_summaries[0]
-        assert s.n_points == 2 and s.n_seeds == 1
+        assert s.curve["n"] == [50, 100] and s.n_seeds == 1
         assert s.fit_delta_bic.stderr_slope == 0.0
 
     def test_record_identity_in_all_cells(self):
@@ -368,14 +371,49 @@ class TestRankSweep:
         equal the list-based reference bit for bit, and every seed counts."""
         cells = run_study(tiny_config(seeds=[7, 2, 5])).cells
         cells = _without(cells, (cells.rank != 1) | (cells.seed != 2) | (cells.n != 100))
-        values = np.column_stack([cells.score("delta_bic"), cells.score("delta_rlct")])
+        columns = {name: cells.score(name) for name in ("delta_bic", "delta_rlct")}
         for rank in (1, 2):
-            ns, means, n_seeds = experiments.seed_means(cells, values, rank)
+            curve, seeds, grid, present = experiments.seed_grid(cells, columns, rank)
             mine = [row for row in _rows(cells) if row["rank"] == rank]
             ref_ns, ref = _mean_by_n(mine, lambda r: r["delta_bic"], lambda r: r["delta_rlct"])
-            assert ns == ref_ns == [50, 100, 200]
-            assert means.tolist() == ref
-            assert n_seeds == 3
+            assert curve["n"] == ref_ns == [50, 100, 200]
+            assert [curve["delta_bic"], curve["delta_rlct"]] == ref
+            assert seeds.tolist() == [7, 2, 5]
+            assert grid.shape == (2, 3, 3)
+            assert present.sum() == 9 - (rank == 1) and present[1, 1] == (rank != 1)
+
+    def test_every_seed_failing_at_one_n_keeps_per_seed_slopes(self, monkeypatch):
+        """Per-seed slopes cover the sizes of the rank's seed-mean curve: when
+        every seed of rank 1 fails at n = 100, each still gets slopes over the
+        other sizes, bit for bit those of its own cells; rank 2 is as before."""
+        cfg = tiny_config(seeds=[3, 0, 9], n_grid=[50, 100, 200, 400])
+        clean = run_study(cfg).per_seed_slopes
+        real = experiments.evidence_batch
+
+        def poisoned(n, S, b, yy, sigma2, tau2, lam):
+            out = real(n, S, b, yy, sigma2, tau2, lam)
+            if lam == 0.5:   # rank 1: every seed at n = 100
+                out["delta_rlct"][np.asarray(n) == 100] = float("nan")
+            return out
+
+        monkeypatch.setattr(experiments, "evidence_batch", poisoned)
+        res = run_study(cfg)
+        assert [(f.rank, f.seed, f.n) for f in res.failures] == [(1, s, 100) for s in cfg.seeds]
+        assert [row[:2] for row in res.per_seed_slopes] == [
+            (rank, seed) for rank in (1, 2) for seed in cfg.seeds]
+        assert res.per_seed_slopes[3:] == clean[3:]
+        cells = res.cells
+        for rank, seed, *slopes in res.per_seed_slopes[:3]:
+            mine = (cells.rank == rank) & (cells.seed == seed)
+            assert cells.n[mine].tolist() == [50, 200, 400]
+            deltas = np.stack([cells.score("delta_bic")[mine], cells.score("delta_rlct")[mine]])
+            assert slopes == log_n_slopes([50, 200, 400], deltas).tolist()
+
+    def test_regular_rank_predicts_zero_not_minus_zero(self):
+        """The rank-d row's predicted BIC slope prints as 0.00, not -0.00."""
+        text = summarize(run_study(tiny_config(ranks=[2, 6])))
+        row = next(ln for ln in text.splitlines() if ln.startswith("   6 "))
+        assert row.split()[2] == "0.00"
 
     def test_clean_run_has_no_failure_section(self):
         text = summarize(run_study(tiny_config()))
@@ -727,11 +765,46 @@ class TestPersistence:
         res = run_study(cfg)
         write_study_outputs(res, tmp_path)
         back = read_cell_table(tmp_path / "evidence_records.csv")
-        again = aggregate_rank_summaries(back, cfg.ranks)
-        for a, b in zip(sorted(res.rank_summaries, key=lambda s: s.rank), again):
+        again, _ = aggregate_rank_summaries(back, cfg.ranks)
+        for a, b in zip(res.rank_summaries, again):
             assert abs(a.fit_delta_bic.slope - b.fit_delta_bic.slope) < 1e-10
             assert abs(a.fit_delta_rlct.slope - b.fit_delta_rlct.slope) < 1e-10
             assert abs(a.lambda_hat - b.lambda_hat) < 1e-10
+
+    def test_summaries_rebuild_from_records_alone(self, tmp_path, monkeypatch):
+        """slopes.csv and per_seed_slopes.csv rebuild byte for byte from
+        evidence_records.csv, ranks given out of order and one cell failed;
+        the dictionary table row, gap slopes and gap curve rebuild from
+        dict_records.csv."""
+        real = experiments.evidence_batch
+
+        def poisoned(n, S, b, yy, sigma2, tau2, lam):
+            out = real(n, S, b, yy, sigma2, tau2, lam)
+            if lam == 0.5:   # rank 1, seed 3, n = 100
+                out["log_z_exact"][1] = float("nan")
+            return out
+
+        monkeypatch.setattr(experiments, "evidence_batch", poisoned)
+        cfg = tiny_config(ranks=[6, 1, 3], seeds=[3, 0, 9], n_grid=[50, 100, 200, 400])
+        res = run_study(cfg)
+        assert [(f.rank, f.seed, f.n) for f in res.failures] == [(1, 3, 100)]
+        write_study_outputs(res, tmp_path)
+        summaries, per_seed = aggregate_rank_summaries(
+            read_cell_table(tmp_path / "evidence_records.csv"), [3, 6, 1])
+        assert [s.rank for s in summaries] == [1, 3, 6]
+        assert slopes_csv_text(summaries) == (tmp_path / "slopes.csv").read_text()
+        assert (table_text(PER_SEED_SLOPE_COLUMNS, zip(*per_seed))
+                == (tmp_path / "per_seed_slopes.csv").read_text())
+        assert len(per_seed) == 3 * 3 - 1   # seed 3 lacks rank 1's n = 100
+
+        dcfg = replace(ExperimentConfig.default_for("dict_compare"), seeds=[4, 1, 7])
+        dres = run_study(dcfg)
+        write_study_outputs(dres, tmp_path)
+        table_n, row, gap_slopes, gap_curve = aggregate_dict_comparison(
+            read_cell_table(tmp_path / "dict_records.csv"), dcfg)
+        assert (table_n, row) == (dres.dict_table_n, dres.dict_table)
+        assert gap_slopes == dres.dict_gap_slopes
+        assert gap_curve == dres.dict_gap_curve
 
     def test_identical_configs_give_identical_bytes(self, tmp_path):
         cfg = tiny_config()

@@ -138,6 +138,8 @@ class TestEstimateRlct:
 class TestPredictedSlopes:
     def test_regular_model_has_zero_error_slope(self):
         assert predicted_bic_error_slope(6, 6) == 0.0
+        # +0.0, not -0.0, which formats as "-0.00" in the summary
+        assert math.copysign(1.0, predicted_bic_error_slope(6, 6)) == 1.0
 
     def test_d6_values(self):
         assert predicted_bic_error_slope(6, 1) == -2.5
