@@ -50,3 +50,12 @@ def wishart_factor(rng: np.random.Generator, n: int, q: int) -> np.ndarray:
         T[np.tri(q, k=-1, dtype=bool)] = rng.standard_normal(q * (q - 1) // 2)
         return T
     return rng.standard_normal((n, q)).T
+
+
+def wishart_factors(seed: int, tag: str, n_grid: list[int], q: int) -> list[np.ndarray]:
+    """The :func:`wishart_factor` of each n of ``n_grid`` from the
+    ``(seed, tag, n)`` streams, for both models (``"wishart"`` and
+    ``"dict-wishart"``): q x q for ``n >= q``, q x n below."""
+    if any(n < 1 for n in n_grid):
+        raise ValueError(f"sample sizes must be >= 1, got {n_grid}")
+    return [wishart_factor(substream(seed, tag, n), n, q) for n in n_grid]

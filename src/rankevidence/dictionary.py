@@ -8,8 +8,8 @@ D D^T, which is what makes column count a representation choice rather than a
 statistical one — and what BIC's per-column penalty gets wrong.
 
 Both the exact likelihood and the ML fit depend on the data only through
-``n`` and the scatter ``Y^T Y ~ Wishart_p(n, Sigma_y)``, which
-:func:`sample_scatter` draws exactly at a cost that does not depend on ``n``.
+``n`` and the scatter ``Y^T Y ~ Wishart_p(n, Sigma_y)``, drawn exactly as
+``(L T)(L T)^T``, ``L L^T = Sigma_y``, at a cost that does not depend on n.
 A study's cells run as arrays, one :func:`comparison_batch` per (pair, seed);
 the one-cell functions are calls of the same array code.
 """
@@ -29,7 +29,7 @@ from ._linalg import (
     spd_cholesky,
     symmetrize,
 )
-from ._rng import substream, wishart_factor
+from ._rng import substream, wishart_factors
 from .evidence import LOG_2PI
 from .rlct import analytic_rlct
 
@@ -141,24 +141,11 @@ def sample_dictionary_statistics(
     spec: DictionarySpec, n: int, seed: int
 ) -> DictionaryStatistics:
     """Draw the scatter of n observations directly: the one-point case of
-    :func:`sample_scatter`, with the law of :func:`sample_dictionary_data`'s
-    scatter but not the same draw."""
+    :func:`comparison_batch`'s draw, with the law of
+    :func:`sample_dictionary_data`'s scatter but not the same draw."""
     L = spd_cholesky(marginal_covariance(spec), context="sample_dictionary_statistics")
-    return DictionaryStatistics(n=n, YY=sample_scatter(seed, [n], L)[0])
-
-
-def sample_scatter(seed: int, n_grid: list[int], L: np.ndarray) -> np.ndarray:
-    """Draw ``Y^T Y ~ Wishart_p(n, L L^T)`` for each n of ``n_grid``, stacked
-    as a (len(n_grid), p, p) array, from the ``(seed, "dict-wishart", n)``
-    streams: the dictionary twin of
-    :func:`~rankevidence.linear_models.sample_wishart`.  Each is
-    ``(L T)(L T)^T`` with ``T`` from :func:`~rankevidence._rng.wishart_factor`,
-    O(p^3) whatever ``n`` is; for n < p, ``L T`` is p x n.
-    """
-    if any(n < 1 for n in n_grid):
-        raise ValueError(f"sample sizes must be >= 1, got {n_grid}")
-    factors = (L @ wishart_factor(substream(seed, "dict-wishart", n), n, len(L)) for n in n_grid)
-    return symmetrize(np.stack([LT @ LT.T for LT in factors]))
+    LT = L @ wishart_factors(seed, "dict-wishart", [n], spec.p)[0]
+    return DictionaryStatistics(n=n, YY=symmetrize(LT @ LT.T))
 
 
 def make_dictionary_pair(
@@ -301,7 +288,8 @@ def comparison_batch(
         raise ValueError(f"sample sizes must be >= 2 for log-n scores, got {n_grid}")
     n = np.array(n_grid)
     L_min, L_over = (spd_cholesky(marginal_covariance(s), context="comparison_batch") for s in pair)
-    YY = sample_scatter(seed, n_grid, L_min)
+    LT = [L_min @ T for T in wishart_factors(seed, "dict-wishart", n_grid, minimal.p)]
+    YY = symmetrize(np.stack([M @ M.T for M in LT]))
     ell = _sample_eigenvalues(n, YY)
     fit_min = _ml_fits(n, ell, minimal.d, minimal.sigma2)
     fit_over = _ml_fits(n, ell, overcomplete.d, overcomplete.sigma2)

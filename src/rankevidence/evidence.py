@@ -14,13 +14,15 @@ agree with the closed form to floating-point accuracy (the log posterior is
 exactly quadratic), which serves as a built-in exactness check.
 
 Every one of these quantities depends on the data only through the
-sufficient statistics ``(n, S, A^T y, y^T y)``.  :func:`evidence_record`
-works from those alone, through one eigendecomposition of ``S``, so a cell
-costs the same at every ``n``; :func:`evidence_batch` does the same for a
-stack of cells with one batched ``eigh``.  :func:`log_joint`,
-:func:`posterior` and :func:`full_laplace_log_evidence` read the statistics
-too; only the references :func:`exact_log_evidence` and
-:func:`mle_fit_term` work on ``(A, y)``.
+sufficient statistics ``(n, S, A^T y, y^T y)``, so a cell costs the same at
+every ``n``.  One formula, :func:`_scores`, has two front ends:
+:func:`evidence_batch` (one cell: :func:`evidence_record`) reads a caller's
+statistics through an ``eigh`` of ``S`` and a rank threshold, and
+:func:`root_evidence_batch` the studies' square roots of known rank through
+an SVD.  :func:`log_joint`, :func:`posterior` and
+:func:`full_laplace_log_evidence` read the statistics too; only the
+references :func:`exact_log_evidence` and :func:`mle_fit_term` work on
+``(A, y)``.
 """
 
 from __future__ import annotations
@@ -35,14 +37,15 @@ from ._linalg import chol_logdet, chol_solve, spd_cholesky
 LOG_2PI = math.log(2.0 * math.pi)
 
 # Eigenvalues of S at or below GRAM_RANK_RTOL * (largest eigenvalue) count as
-# zero in the fit term.  Measured on d = p = 6 rank-r cells (ranks 1-6, seeds
-# 0-99, 22 sample sizes from 7 to 1e9): with S drawn from the Wishart law
-# (13,200 cells) null eigenvalues reach 2.5 eps * top and the r-th eigenvalue
-# never falls below 2.0e-9 * top; with S formed as A^T A (the 9,000 cells with
-# n <= 1e5) the figures are 2.7 eps * top and 5.9e-10 * top.  1e-12 sits near
-# the geometric middle of that gap, about 1700x above the null eigenvalues
-# and 590x below the r-th; the usual top * d * eps rule would leave 2.3x on
-# the null side.
+# zero in the fit term of a caller's statistics; the studies decide no rank.
+# Measured on d = p = 6 rank-r cells (ranks 1-6, seeds 0-99, 22 sample sizes
+# from 7 to 1e9): with S drawn from the Wishart law (13,200 cells) null
+# eigenvalues reach 2.5 eps * top and the r-th eigenvalue never falls below
+# 2.0e-9 * top; with S formed as A^T A (the 9,000 cells with n <= 1e5) the
+# figures are 2.7 eps * top and 5.9e-10 * top.  1e-12 sits near the geometric
+# middle of that gap, about 1700x above the null eigenvalues and 590x below
+# the r-th; the usual top * d * eps rule would leave 2.3x on the null side.
+# At d = p = 50 the gap can close: a near-singular rank-50 factor's S keeps 49.
 GRAM_RANK_RTOL = 1e-12
 
 
@@ -267,43 +270,61 @@ def evidence_batch(
     n: np.ndarray, S: np.ndarray, b: np.ndarray, yy: np.ndarray,
     sigma2: float, tau2: float, lam: float,
 ) -> dict[str, np.ndarray]:
-    """Every :class:`EvidenceRecord` field but ``n`` for a stack of cells.
-
-    ``n`` (m,), ``S`` (m, d, d), ``b`` (m, d) and ``yy`` (m,) are the cells'
-    statistics; the variances and ``lam`` are shared.  With
-    ``S = V diag(s) V^T``, ``c = V^T b`` and ``alpha = tau2 / sigma2``, the
-    centered term is a sum of at most d terms, nonnegative in exact arithmetic,
-
-        log_lik_mle - log_z_exact = 1/2 sum_kept log1p(alpha s_i)
-                                    + 1/(2 sigma2) sum_kept c_i^2 / (s_i (1 + alpha s_i))
-
-    so no O(n) terms cancel in it.  Both sums and the fit term, which uses
-    the pseudoinverse, run over the kept eigen-directions (see
-    :data:`GRAM_RANK_RTOL`), and the evidence is the fit minus the centered
-    term.  All cells share one batched ``eigh``.  A cell whose
-    ``S`` is not finite gets NaN scores (``eigh`` would raise on a NaN for
-    the whole stack); an ``eigh`` that does not converge raises
-    ``LinAlgError``.
-    """
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if np.any(n < 2):
-        raise ValueError(f"sample sizes must be >= 2 for log-n scores, got {n}")
-    d = S.shape[-1]
-    alpha = tau2 / sigma2
+    """Every :class:`EvidenceRecord` field but ``n`` for a stack of a
+    caller's statistics ``n`` (m,), ``S`` (m, d, d), ``b`` (m, d) and ``yy``
+    (m,).  With ``S = V diag(s) V^T`` (one batched ``eigh``) and
+    ``c = V^T b``, :func:`_scores` reads the kept directions (see
+    :data:`GRAM_RANK_RTOL`) as ``s`` and ``g^2 = c^2 / s``, and
+    ``RSS = yy - sum g^2``.  A cell whose ``S`` is not finite gets NaN
+    scores (``eigh`` would raise on a NaN for the whole stack)."""
     finite = np.isfinite(S).all(axis=(-2, -1))
     s, V = np.linalg.eigh(np.where(finite[:, None, None], S, 0.0))
     s = np.where(finite[:, None], s, np.nan)
     c = (V.swapaxes(-1, -2) @ b[..., None])[..., 0]
     kept = s > GRAM_RANK_RTOL * s[..., -1:]
-    ck2, sk = np.where(kept, c**2, 0.0), np.where(kept, s, 1.0)
-    # Null eigenvalues are eigh's rounding noise, of order eps * top, and
-    # would add about alpha * eps * top to the sum; a NaN cell stays NaN.
-    s_log = np.where(kept | np.isnan(s), s, 0.0)
-    centered = 0.5 * np.sum(np.log1p(alpha * s_log), axis=-1) + np.sum(
-        ck2 / (sk * (1.0 + alpha * sk)), axis=-1
+    g2 = np.where(kept, c**2, 0.0) / np.where(kept, s, 1.0)
+    # a null eigenvalue is rounding noise that would add alpha * eps * top; NaN stays NaN
+    s = np.where(kept | np.isnan(s), s, 0.0)
+    out = _scores(n, s, g2, yy - np.sum(g2, axis=-1), S.shape[-1], sigma2, tau2, lam)
+    return {**out, "rank": np.count_nonzero(kept, axis=-1)}
+
+
+def root_evidence_batch(
+    n: np.ndarray, A: np.ndarray, y: np.ndarray, d: int,
+    sigma2: float, tau2: float, lam: float,
+) -> dict[str, np.ndarray]:
+    """The six scores of cells given by rows ``A`` (m, q, r) and ``y`` (m, q)
+    whose products are the statistics of ``n`` observations, in r < q
+    identifiable coordinates of a d-parameter model.  Such rows have rank
+    ``min(n, r)``: of one batched thin SVD ``A = U diag(sv) W^T``,
+    :func:`_scores` reads that many leading directions, ``s = sv^2`` and
+    ``g = U^T y``, and ``RSS = |y - U g|^2``, a sum of squares."""
+    U, sv, _ = np.linalg.svd(A, full_matrices=False)
+    kept = np.arange(A.shape[-1]) < np.minimum(n, A.shape[-1])[:, None]
+    g = np.where(kept, (U.swapaxes(-1, -2) @ y[..., None])[..., 0], 0.0)
+    rss = np.sum((y - (U @ g[..., None])[..., 0]) ** 2, axis=-1)
+    return _scores(n, np.where(kept, sv**2, 0.0), g**2, rss, d, sigma2, tau2, lam)
+
+
+def _scores(
+    n: np.ndarray, s: np.ndarray, g2: np.ndarray, rss: np.ndarray, d: int,
+    sigma2: float, tau2: float, lam: float,
+) -> dict[str, np.ndarray]:
+    """The six scores from each cell's squared singular values ``s`` (m, k)
+    of the design, squared projections ``g2`` (m, k) of the responses on its
+    left singular vectors (both zero off the kept directions) and residual
+    sum of squares ``rss`` (m,).  The centered term ``log_lik_mle -
+    log_z_exact = 1/2 sum log1p(alpha s) + sum g2 / (1 + alpha s) / (2 sigma2)``
+    sums at most k terms, nonnegative in exact arithmetic: no O(n) cancels."""
+    if lam < 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if np.any(n < 2):
+        raise ValueError(f"sample sizes must be >= 2 for log-n scores, got {n}")
+    alpha = tau2 / sigma2
+    centered = 0.5 * np.sum(np.log1p(alpha * s), axis=-1) + np.sum(
+        g2 / (1.0 + alpha * s), axis=-1
     ) / (2.0 * sigma2)
-    fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + (yy - np.sum(ck2 / sk, axis=-1)) / sigma2)
+    fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + rss / sigma2)
     # math.log, not np.log: the two round differently for some n
     log_n = np.array([math.log(k) for k in n.tolist()])
     return {
@@ -313,7 +334,6 @@ def evidence_batch(
         "log_z_rlct": fit - lam * log_n,
         "delta_bic": centered - 0.5 * d * log_n,
         "delta_rlct": centered - lam * log_n,
-        "rank": np.count_nonzero(kept, axis=-1),
     }
 
 

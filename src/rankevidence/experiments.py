@@ -33,21 +33,20 @@ from pathlib import Path
 import numpy as np
 
 from ._linalg import NumericalError
-from ._rng import SEED_LIMIT, STREAM_INDEX_LIMIT
+from ._rng import SEED_LIMIT, STREAM_INDEX_LIMIT, wishart_factors
 from .dictionary import (
     comparison_batch,
     gram_spectrum,
     make_dictionary_pair,
 )
-from .evidence import evidence_batch
+from .evidence import root_evidence_batch
 # sample_dataset is not called here; it stays bound in this module because
 # perfbench/test_checks.py checks the tracer's rebinding on this very global.
 from .linear_models import (  # noqa: F401
     draw_theta,
     make_rank_r_factor,
     sample_dataset,
-    sample_wishart,
-    statistics_from_factors,
+    wishart_rows,
 )
 from .rlct import (
     SlopeFit,
@@ -311,7 +310,6 @@ class RankSummary:
     fit_delta_bic: SlopeFit
     fit_delta_rlct: SlopeFit
     lambda_hat: float
-    lambda_analytic: float
     n_seeds: int
     # the fitted seed-mean curves: columns n, delta_bic and delta_rlct
     curve: dict[str, list]
@@ -340,21 +338,29 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 
 def _regression_study(cfg: ExperimentConfig) -> StudyResult:
-    """Every (rank, seed, n) cell and its failures.  Each seed's Wishart draws
-    and ``theta_star`` are shared by every rank; a rank forms its statistics
-    in one stacked call and scores them in one :func:`evidence_batch`."""
+    """Every (rank, seed, n) cell and its failures.  Each seed's Wishart
+    factors ``T``, as rows ``Z = T^T`` padded with zeros to p + 1, and
+    ``theta_star`` are shared by every rank; a rank scores its cells in their
+    r identifiable coordinates with one :func:`root_evidence_batch`."""
     scores = np.full((len(cfg.ranks), len(cfg.seeds), len(cfg.n_grid), len(_SCORE_COLUMNS)), np.nan)
     messages = []
-    W = np.stack([sample_wishart(seed, cfg.n_grid, cfg.p + 1) for seed in cfg.seeds])
+    q = cfg.p + 1
+    Z = np.zeros((len(cfg.seeds), len(cfg.n_grid), q, q))
+    for Z_seed, seed in zip(Z, cfg.seeds):
+        for Z_cell, T in zip(Z_seed, wishart_factors(seed, "wishart", cfg.n_grid, q)):
+            Z_cell[:T.shape[1]] = T.T
     theta = np.stack([draw_theta(cfg.d, cfg.tau2, seed) for seed in cfg.seeds])[:, None]
     ns = np.tile(cfg.n_grid, len(cfg.seeds))
     for rank, table in zip(cfg.ranks, scores):
         B = np.stack([make_rank_r_factor(cfg.p, cfg.d, rank, seed) for seed in cfg.seeds])
-        S, b, yy = statistics_from_factors(B[:, None], theta, cfg.sigma2, W)
+        X, y = wishart_rows(B[:, None], theta, cfg.sigma2, Z)
+        # the design in the coordinates Q_r^T theta of B = (U_r diag(s_r)) Q_r^T
+        U, s, _ = np.linalg.svd(B, full_matrices=False)
+        A = X @ (U[..., :rank] * s[..., None, :rank])[:, None]
         message = "non-finite value in evidence record"
         try:
-            out = evidence_batch(
-                ns, S.reshape(-1, cfg.d, cfg.d), b.reshape(-1, cfg.d), yy.ravel(),
+            out = root_evidence_batch(
+                ns, A.reshape(-1, q, rank), y.reshape(-1, q), cfg.d,
                 cfg.sigma2, cfg.tau2, analytic_rlct(rank),
             )
             table[:] = np.stack([out[key] for key in _SCORE_COLUMNS], axis=-1).reshape(table.shape)
@@ -392,7 +398,6 @@ def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> tuple[list[R
             fit_delta_bic=fit_log_n_slope(zip(ns, curve["delta_bic"])),
             fit_delta_rlct=fit_delta_rlct,
             lambda_hat=analytic_rlct(rank) + fit_delta_rlct.slope,
-            lambda_analytic=analytic_rlct(rank),
             n_seeds=len(seeds),
             curve=curve,
         ))
@@ -496,7 +501,7 @@ def summarize(result: StudyResult) -> str:
             lines.append(
                 f"{s.rank:>4}  {s.fit_delta_bic.slope:>10.4f}  {pred:>6.2f}  "
                 f"{s.fit_delta_rlct.slope:>11.4f}  {0.0:>5.2f}  "
-                f"{s.lambda_hat:>10.4f}  {s.lambda_analytic:>6.2f}"
+                f"{s.lambda_hat:>10.4f}  {analytic_rlct(s.rank):>6.2f}"
             )
     if result.dict_table is not None:
         lines.append(f"comparison at n={result.dict_table_n} (first seed):")
@@ -568,7 +573,7 @@ def slopes_csv_text(summaries: list[RankSummary]) -> str:
     rows = [
         [s.rank, s.fit_delta_bic.slope, s.fit_delta_bic.stderr_slope,
          s.fit_delta_rlct.slope, s.fit_delta_rlct.stderr_slope,
-         s.lambda_hat, s.lambda_analytic, s.n_seeds, len(s.curve["n"])]
+         s.lambda_hat, analytic_rlct(s.rank), s.n_seeds, len(s.curve["n"])]
         for s in summaries
     ]
     return table_text(SLOPE_COLUMNS, zip(*rows))

@@ -7,10 +7,11 @@ variance ``sigma2``, and an isotropic Gaussian prior of variance ``tau2`` on
 and ``d - r`` parameter directions do not affect the likelihood.
 
 :func:`sample_dataset` draws the data themselves.  :func:`sample_statistics`
-draws only the sufficient statistics ``(A^T A, A^T y, y^T y)``, exactly, from
-their Wishart law, at a cost that does not depend on ``n``;
-:func:`sample_wishart` and :func:`statistics_from_factors` do the same for a
-whole sample-size grid and a stack of models.
+draws only the sufficient statistics ``(A^T A, A^T y, y^T y)``, exactly, at a
+cost that does not depend on ``n``: with ``Z = [X, eps / sigma]``, ``Z^T Z``
+is Wishart, and the rows ``T^T`` of its factor
+(:func:`~rankevidence._rng.wishart_factors`) are an equivalent dataset of
+``min(n, p + 1)`` rows (:func:`wishart_rows`), which the studies score.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NumericalError, numerical_rank, symmetrize
-from ._rng import substream, wishart_factor
+from ._linalg import NumericalError, numerical_rank
+from ._rng import substream, wishart_factors
 from .evidence import SufficientStatistics
 
 _MAX_FACTOR_ATTEMPTS = 8
@@ -156,57 +157,28 @@ def sample_dataset(
 def sample_statistics(
     spec: RankRegressionSpec, n: int, cfg: DataGenConfig
 ) -> SufficientStatistics:
-    """Draw the sufficient statistics of an n-observation dataset directly:
-    the one-point case of :func:`sample_wishart` and
-    :func:`statistics_from_factors`.  They have the law of
-    :func:`sample_dataset`'s statistics but are not the same draw."""
-    W = sample_wishart(cfg.seed, [n], spec.p + 1)
-    S, b, yy = statistics_from_factors(spec.B_star, spec.theta_star, spec.sigma2, W)
+    """Draw the sufficient statistics of an n-observation dataset directly,
+    from the :func:`wishart_rows` of the ``(cfg.seed, "wishart", n)`` factor.
+    They have the law of :func:`sample_dataset`'s statistics but are not the
+    same draw."""
+    T = wishart_factors(cfg.seed, "wishart", [n], spec.p + 1)[0]
+    X, y = wishart_rows(spec.B_star, spec.theta_star, spec.sigma2, T.T)
+    A = X @ spec.B_star
     return SufficientStatistics(
-        n=n, S=S[0], b=b[0], yy=yy[0].item(), sigma2=spec.sigma2, tau2=spec.tau2
+        n=n, S=A.T @ A, b=A.T @ y, yy=float(y @ y), sigma2=spec.sigma2, tau2=spec.tau2
     )
 
 
-def sample_wishart(seed: int, n_grid: list[int], q: int) -> np.ndarray:
-    """Draw ``W = Z^T Z ~ Wishart_q(n, I)`` for each n of ``n_grid``, stacked
-    as a (len(n_grid), q, q) array.
-
-    ``W = T T^T`` with ``T`` from :func:`~rankevidence._rng.wishart_factor`:
-    the Bartlett factor for ``n >= q``, O(q^3) whatever ``n`` is, and ``Z``
-    itself for ``n < q``.  Each draw comes from the ``(seed, "wishart", n)``
-    stream, which does not depend on the model, so one draw serves every
-    rank.
-    """
-    if any(n < 1 for n in n_grid):
-        raise ValueError(f"sample sizes must be >= 1, got {n_grid}")
-    factors = (wishart_factor(substream(seed, "wishart", n), n, q) for n in n_grid)
-    return np.stack([T @ T.T for T in factors])
-
-
-def statistics_from_factors(
-    B: np.ndarray, theta: np.ndarray, sigma2: float, W: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(A^T A, A^T y, y^T y)``, shapes (..., d, d), (..., d) and (...),
-    of the model ``(B, theta, sigma2)`` for each ``W``, broadcast over the
-    leading axes of ``B`` (..., p, d), ``theta`` (..., d) and ``W``
-    (..., p+1, p+1).  With ``Z = [X, eps / sigma]`` (n x (p+1), i.i.d.
-    standard normal) and ``W = Z^T Z``, they are linear functions of ``W``.
-    """
-    sigma = math.sqrt(sigma2)
-    G = W[..., :-1, :-1]
-    # a multiply, not a strided view: BLAS rounds a strided dot product
-    # differently, and the persisted records keep their bits
-    h = sigma * W[..., :-1, -1]
-    Bt = B.swapaxes(-1, -2)
-    mean = (B @ theta[..., None])[..., 0]
-    G_mean = (G @ mean[..., None])[..., 0]
-    return (
-        symmetrize(Bt @ G @ B),
-        (Bt @ (G_mean + h)[..., None])[..., 0],
-        (mean[..., None, :] @ G_mean[..., None])[..., 0, 0]
-        + 2.0 * (mean[..., None, :] @ h[..., None])[..., 0, 0]
-        + sigma2 * W[..., -1, -1],
-    )
+def wishart_rows(
+    B: np.ndarray, theta: np.ndarray, sigma2: float, Z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``X = Z[..., :-1]`` and ``y = X B theta + sigma Z[..., -1]``,
+    broadcast over the leading axes of ``B`` (..., p, d), ``theta`` (..., d)
+    and ``Z`` (..., m, p+1).  For ``Z = T^T`` of a Wishart factor of n
+    observations, padded or not with zero rows, ``(X, y)`` has the statistics
+    of n observations of the model ``(B, theta, sigma2)``."""
+    X = Z[..., :-1]
+    return X, (X @ (B @ theta[..., None]))[..., 0] + math.sqrt(sigma2) * Z[..., -1]
 
 
 def population_gram(spec: RankRegressionSpec) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Two independent routes: adaptive cubature of the joint density for d <= 2,
 and self-normalized importance sampling for d <= 5.  Both read only
-:class:`~rankevidence.evidence.SufficientStatistics`, the input of the
-studies' evidence record, and integrate the one Gaussian
+:class:`~rankevidence.evidence.SufficientStatistics`, the input of
+:func:`~rankevidence.evidence.evidence_record`, and integrate the one Gaussian
 :func:`~rankevidence.evidence.log_joint` in log space with max subtraction,
 since the n log sigma2 terms reach magnitudes where naive exponentiation
 underflows.  The cubature domain is a box centered at the posterior mean

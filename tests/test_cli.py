@@ -180,17 +180,35 @@ class TestMain:
         assert "log_z_exact" in out
         assert out.count("\n") >= 4
 
+    def test_evidence_takes_one_rank_and_one_seed(self, tmp_path, capsys):
+        """Bare, evidence prints the rank-1, seed-0 curve; asked for more than
+        one rank or seed, from the overrides or the config file, it is a
+        config error that writes nothing, not a silent first-of-each."""
+        assert main(["evidence"]) == 0
+        bare = capsys.readouterr().out
+        assert main(["evidence", "--overrides", "ranks=1,seeds=0"]) == 0
+        assert capsys.readouterr().out == bare
+        assert bare.startswith("evidence for d=6 p=6 r=1 seed=0 ")
+        (tmp_path / "cfg.json").write_text(json.dumps({"seeds": [0, 1]}))
+        out = tmp_path / "out"
+        for extra in (["--overrides", "ranks=1+2,seeds=0+1,n_grid=50+100"],
+                      ["--overrides", "ranks=2", "--config", str(tmp_path / "cfg.json")]):
+            assert main(["evidence", *extra, "--output-dir", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("config error: evidence prints one")
+            assert not out.exists()
+
     def test_evidence_reports_failed_cells(self, capsys, monkeypatch):
         """A poisoned cell drops out of the evidence curve and is reported
         with the lines the study summary prints."""
-        real = experiments.evidence_batch
+        real = experiments.root_evidence_batch
 
-        def poisoned(n, S, b, yy, sigma2, tau2, lam):
-            out = real(n, S, b, yy, sigma2, tau2, lam)
+        def poisoned(n, A, y, d, sigma2, tau2, lam):
+            out = real(n, A, y, d, sigma2, tau2, lam)
             out["log_z_exact"][list(n).index(100)] = float("nan")
             return out
 
-        monkeypatch.setattr(experiments, "evidence_batch", poisoned)
+        monkeypatch.setattr(experiments, "root_evidence_batch", poisoned)
         assert main(["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..400x2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split()[0] for ln in lines[2:5]] == ["50", "200", "400"]

@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import rankevidence.dictionary as dictionary
+import rankevidence._rng as _rng
 import rankevidence.experiments as experiments
 import rankevidence.linear_models as linear_models
 from rankevidence._linalg import NumericalError
 from rankevidence._rng import substream, wishart_factor
-from rankevidence.evidence import GRAM_RANK_RTOL, LOG_2PI
+from rankevidence.evidence import LOG_2PI
 from rankevidence.dictionary import make_dictionary_pair, marginal_covariance
 from rankevidence.linear_models import make_spec
 from rankevidence.rlct import analytic_rlct, fit_log_n_slope, log_n_slopes
@@ -37,35 +37,69 @@ from rankevidence.experiments import (
 
 def _per_cell_scores(spec, n, seed, lam) -> list[float]:
     """The six scores of one cell, drawn and evaluated one cell at a time:
-    the statistics and evidence arithmetic the studies ran before they were
-    batched, kept here as the reference for the batched path."""
-    T = wishart_factor(substream(seed, "wishart", n), n, spec.p + 1)
-    W = T @ T.T
-    sigma = math.sqrt(spec.sigma2)
-    G = W[:-1, :-1]
-    h = sigma * W[:-1, -1]
-    B, mean = spec.B_star, spec.B_star @ spec.theta_star
-    G_mean = G @ mean
-    S = B.T @ G @ B
-    S = 0.5 * (S + S.T)
-    b = B.T @ (G_mean + h)
-    yy = float(mean @ G_mean + 2.0 * (mean @ h) + spec.sigma2 * W[-1, -1])
+    the square-root arithmetic of the batched path, kept here as its
+    reference.  The cell's rows are ``Z = T^T``, padded with zero rows to
+    p + 1; the design is ``X P_r`` in the r identifiable coordinates, and the
+    first min(n, r) singular directions are kept."""
+    q, r = spec.p + 1, spec.r
+    T = wishart_factor(substream(seed, "wishart", n), n, q)
+    Z = np.zeros((q, q))
+    Z[:T.shape[1]] = T.T
+    X, B = Z[:, :-1], spec.B_star
+    y = X @ (B @ spec.theta_star) + math.sqrt(spec.sigma2) * Z[:, -1]
+    U_B, s_B, _ = np.linalg.svd(B, full_matrices=False)
+    U, sv, _ = np.linalg.svd(X @ (U_B[:, :r] * s_B[:r]), full_matrices=False)
+    kept = np.arange(r) < min(n, r)
+    g = np.where(kept, U.T @ y, 0.0)
+    s = np.where(kept, sv**2, 0.0)
+    rss = float(np.sum((y - U @ g) ** 2))
 
     d, sigma2 = spec.d, spec.sigma2
     alpha = spec.tau2 / sigma2
-    s, V = np.linalg.eigh(S)
-    c = V.T @ b
-    kept = s > GRAM_RANK_RTOL * s[-1]
-    ck2, sk = c[kept] ** 2, s[kept]
-    centered = 0.5 * float(np.sum(np.log1p(alpha * sk))) + float(
-        np.sum(ck2 / (sk * (1.0 + alpha * sk)))
+    centered = 0.5 * float(np.sum(np.log1p(alpha * s))) + float(
+        np.sum(g**2 / (1.0 + alpha * s))
     ) / (2.0 * sigma2)
-    fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + (yy - float(np.sum(ck2 / sk))) / sigma2)
+    fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + rss / sigma2)
     log_n = math.log(n)
     return [
         fit - centered, fit, fit - 0.5 * d * log_n, fit - lam * log_n,
         centered - 0.5 * d * log_n, centered - lam * log_n,
     ]
+
+
+def _mp_centered(spec, n, seed, mpmath) -> float:
+    """The centered term ``log_lik_mle - log_z_exact`` of one cell at 50
+    digits, built from the same float Wishart factor ``T``, ``B_star`` and
+    ``theta_star``, not from ``S``: the rows ``Z = T^T``, the design
+    ``A = X P_r`` with ``P_r`` the top r of the float SVD of ``B_star``, and
+    ``y = X B theta + sigma Z[:, -1]``, multiplied out in mpmath.  With
+    n <= r the rows fit y exactly and the n x n form ``I + alpha A A^T`` is
+    used; above it the r x r form ``I + alpha S_r``, ``S_r = A^T A``."""
+    q, r = spec.p + 1, spec.r
+    Z = wishart_factor(substream(seed, "wishart", n), n, q).T
+    U, s, _ = np.linalg.svd(spec.B_star, full_matrices=False)
+
+    def sq_norm_of_solve(L, b):   # |L^-1 b|^2 for lower-triangular L
+        x = []
+        for i in range(len(b)):
+            x.append((b[i] - mpmath.fsum(L[i, k] * x[k] for k in range(i))) / L[i, i])
+        return mpmath.fsum(v**2 for v in x)
+
+    with mpmath.workdps(50):
+        X = mpmath.matrix(Z[:, :-1].tolist())
+        A = X * mpmath.matrix((U[:, :r] * s[:r]).tolist())
+        mean = mpmath.matrix(spec.B_star.tolist()) * mpmath.matrix(spec.theta_star.tolist())
+        y = X * mean + mpmath.sqrt(spec.sigma2) * mpmath.matrix(Z[:, -1].tolist())
+        alpha = mpmath.mpf(spec.tau2) / spec.sigma2
+        if n <= r:   # fit residual 0; the evidence's quadratic form y^T (I + alpha A A^T)^-1 y
+            L = mpmath.cholesky(mpmath.eye(n) + alpha * (A * A.T))
+            quad = sq_norm_of_solve(L, y)
+        else:        # b^T S^-1 b - alpha b^T (I + alpha S)^-1 b
+            S, b = A.T * A, A.T * y
+            L = mpmath.cholesky(mpmath.eye(r) + alpha * S)
+            quad = sq_norm_of_solve(mpmath.cholesky(S), b) - alpha * sq_norm_of_solve(L, b)
+        half_logdet = mpmath.fsum(mpmath.log(L[i, i]) for i in range(L.rows))
+        return float(half_logdet + quad / (2 * spec.sigma2))
 
 
 def _per_cell_comparison(pair, n, seed) -> list[float]:
@@ -164,7 +198,6 @@ def _reference_slopes_csv(cells, ranks) -> str:
             fit_delta_bic=fit_log_n_slope(zip(ns, dbic)),
             fit_delta_rlct=fit_delta_rlct,
             lambda_hat=analytic_rlct(rank) + fit_delta_rlct.slope,
-            lambda_analytic=analytic_rlct(rank),
             n_seeds=len({row["seed"] for row in mine}),
             curve={"n": ns, "delta_bic": dbic, "delta_rlct": drlct},
         ))
@@ -313,15 +346,15 @@ class TestRankSweep:
         failure list and the summary."""
         cfg = tiny_config(ranks=[1, 2], seeds=[0], n_grid=[50, 100, 200])
         clean = run_study(cfg).cells
-        real = experiments.evidence_batch
+        real = experiments.root_evidence_batch
 
-        def poisoned(n, S, b, yy, sigma2, tau2, lam):
-            out = real(n, S, b, yy, sigma2, tau2, lam)
+        def poisoned(n, A, y, d, sigma2, tau2, lam):
+            out = real(n, A, y, d, sigma2, tau2, lam)
             if lam == 0.5:   # the rank-1 batch: seed 0 at n = 50, 100, 200
                 out["log_z_exact"][list(n).index(100)] = float("nan")
             return out
 
-        monkeypatch.setattr(experiments, "evidence_batch", poisoned)
+        monkeypatch.setattr(experiments, "root_evidence_batch", poisoned)
         res = run_study(cfg)
         assert len(res.failures) == 1
         fail = res.failures[0]
@@ -348,15 +381,15 @@ class TestRankSweep:
             assert slopes_csv_text(res.rank_summaries) == _reference_slopes_csv(res.cells, cfg.ranks)
 
         cfg = ExperimentConfig(ranks=[1, 2], seeds=list(range(12)))
-        real = experiments.evidence_batch
+        real = experiments.root_evidence_batch
 
-        def poisoned(n, S, b, yy, sigma2, tau2, lam):
-            out = real(n, S, b, yy, sigma2, tau2, lam)
+        def poisoned(n, A, y, d, sigma2, tau2, lam):
+            out = real(n, A, y, d, sigma2, tau2, lam)
             if lam == 0.5:   # rank 1, seed 0, n = 50
                 out["delta_bic"][0] = float("nan")
             return out
 
-        monkeypatch.setattr(experiments, "evidence_batch", poisoned)
+        monkeypatch.setattr(experiments, "root_evidence_batch", poisoned)
         res = run_study(cfg)
         assert [(f.rank, f.seed, f.n) for f in res.failures] == [(1, 0, 50)]
         got = slopes_csv_text(res.rank_summaries).splitlines()
@@ -388,15 +421,15 @@ class TestRankSweep:
         other sizes, bit for bit those of its own cells; rank 2 is as before."""
         cfg = tiny_config(seeds=[3, 0, 9], n_grid=[50, 100, 200, 400])
         clean = run_study(cfg).per_seed_slopes
-        real = experiments.evidence_batch
+        real = experiments.root_evidence_batch
 
-        def poisoned(n, S, b, yy, sigma2, tau2, lam):
-            out = real(n, S, b, yy, sigma2, tau2, lam)
+        def poisoned(n, A, y, d, sigma2, tau2, lam):
+            out = real(n, A, y, d, sigma2, tau2, lam)
             if lam == 0.5:   # rank 1: every seed at n = 100
                 out["delta_rlct"][np.asarray(n) == 100] = float("nan")
             return out
 
-        monkeypatch.setattr(experiments, "evidence_batch", poisoned)
+        monkeypatch.setattr(experiments, "root_evidence_batch", poisoned)
         res = run_study(cfg)
         assert [(f.rank, f.seed, f.n) for f in res.failures] == [(1, s, 100) for s in cfg.seeds]
         assert [row[:2] for row in res.per_seed_slopes] == [
@@ -426,14 +459,14 @@ class TestRankSweep:
         assert len(rows) == 2
 
     def test_batch_linalg_error_fails_every_cell_of_the_batch(self, monkeypatch):
-        real = experiments.evidence_batch
+        real = experiments.root_evidence_batch
 
-        def failing(n, S, b, yy, sigma2, tau2, lam):
+        def failing(n, A, y, d, sigma2, tau2, lam):
             if lam == 0.5:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(n, S, b, yy, sigma2, tau2, lam)
+            return real(n, A, y, d, sigma2, tau2, lam)
 
-        monkeypatch.setattr(experiments, "evidence_batch", failing)
+        monkeypatch.setattr(experiments, "root_evidence_batch", failing)
         res = experiments._regression_study(tiny_config())
         cells, failures = res.cells, res.failures
         assert [(f.rank, f.seed, f.n) for f in failures] == [
@@ -459,10 +492,13 @@ class TestRankSweep:
         assert res.cells.score_columns == experiments.RECORD_COLUMNS[6:]
         assert res.cells.scores.tolist() == expected
 
-    def test_one_draw_per_seed_and_n_and_one_eigh_per_rank(self, monkeypatch):
+    def test_one_draw_per_seed_and_n_and_one_svd_per_rank(self, monkeypatch):
         """Structural guard: the default sweep draws each (seed, n) Wishart
-        factor once for all ranks and runs at most one eigh per rank."""
-        counts = {"factor": 0, "eigh": 0}
+        factor once for all ranks, scores each rank's cells with one batched
+        SVD, and runs no eigendecomposition, so no threshold on one."""
+        counts = {"factor": 0, "eigh": 0, "cell_svd": 0}
+        cfg = ExperimentConfig()
+        real_svd = np.linalg.svd
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -470,20 +506,25 @@ class TestRankSweep:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            linear_models, "wishart_factor", counting("factor", linear_models.wishart_factor)
-        )
+        def svd(a, *args, **kwargs):
+            counts["cell_svd"] += a.shape[:-2] == (len(cfg.seeds) * len(cfg.n_grid),)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(_rng, "wishart_factor", counting("factor", _rng.wishart_factor))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-        cfg = ExperimentConfig()
+        monkeypatch.setattr(np.linalg, "svd", svd)
         res = run_study(cfg)
         assert len(res.cells) == len(cfg.ranks) * len(cfg.seeds) * len(cfg.n_grid)
         assert counts["factor"] == len(cfg.seeds) * len(cfg.n_grid) == 180
-        assert 1 <= counts["eigh"] <= len(cfg.ranks)
+        assert counts["cell_svd"] == len(cfg.ranks)
+        assert counts["eigh"] == 0
 
     def test_one_rank_check_per_factor_and_one_theta_per_seed(self, monkeypatch):
         """Work guard: the default sweep computes each of its 120 factors'
-        rank once (no second check through a spec) and draws theta_star once
-        per seed for every rank: 180 Wishart + 120 factor + 20 theta streams."""
+        rank once (no second check through a spec), plus two batched SVDs per
+        rank (its factors' identifiable coordinates and its cells), and draws
+        theta_star once per seed for every rank: 180 Wishart + 120 factor +
+        20 theta streams."""
         counts = {"svd": 0, "substream": 0}
 
         def counting(name, real):
@@ -493,12 +534,12 @@ class TestRankSweep:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-        monkeypatch.setattr(
-            linear_models, "substream", counting("substream", linear_models.substream)
-        )
-        res = run_study(ExperimentConfig())
+        for module in (linear_models, _rng):
+            monkeypatch.setattr(module, "substream", counting("substream", module.substream))
+        cfg = ExperimentConfig()
+        res = run_study(cfg)
         assert len(res.cells) == 1080 and not res.failures
-        assert counts["svd"] <= 120
+        assert counts["svd"] <= 120 + 2 * len(cfg.ranks)
         assert counts["substream"] <= 320
 
     def test_large_n_grid_recovers_lambda(self):
@@ -511,38 +552,51 @@ class TestRankSweep:
 
     def test_lambda_hat_at_large_n_against_mpmath(self):
         """For r < d at n = 2**28..2**32 - 1, lambda_hat matches the slope of
-        the rank-r centered term evaluated at 50 digits from the same float
-        statistics.  lambda_hat is lambda + slope(delta_rlct), which
-        subtracts no O(n) numbers; the measured residual is 5.8e-15 (the
-        records' log_z_exact - log_lik_mle gave 4.1e-8), and the tolerance
-        leaves about 170x over it.  Summing the null eigenvalues' eps * top
-        noise into the centered term costs 4.3e-6."""
+        the seed-mean centered term evaluated at 50 digits from the same
+        float Wishart factors (:func:`_mp_centered`).  lambda_hat is lambda +
+        slope(delta_rlct), which subtracts no O(n) numbers; the measured
+        residual is 6.7e-16 (5.8e-15 when the records were scored from the
+        float S, 4.1e-8 from the records' log_z_exact - log_lik_mle)."""
         mpmath = pytest.importorskip("mpmath")
         grid = [2**28, 2**29, 2**30, 2**31, 2**32 - 1]
         cfg = ExperimentConfig(ranks=[1, 3], seeds=[0, 1], n_grid=grid)
         res = run_study(cfg)
-        alpha = mpmath.mpf(cfg.tau2) / cfg.sigma2
         for summary in res.rank_summaries:
             rank = summary.rank
             centered = np.zeros((len(cfg.seeds), len(grid)))
             for i, seed in enumerate(cfg.seeds):
                 spec = make_spec(cfg.p, cfg.d, rank, cfg.sigma2, cfg.tau2, seed=seed)
-                S, b, _ = linear_models.statistics_from_factors(
-                    spec.B_star, spec.theta_star, spec.sigma2,
-                    linear_models.sample_wishart(seed, grid, cfg.p + 1),
-                )
-                for j in range(len(grid)):
-                    with mpmath.workdps(50):
-                        s, Q = mpmath.eigsy(mpmath.matrix(S[j].tolist()))
-                        c = Q.T * mpmath.matrix(b[j].tolist())
-                        top = sorted(range(cfg.d), key=lambda k: s[k])[-rank:]
-                        centered[i, j] = float(
-                            mpmath.fsum(mpmath.log1p(alpha * s[k]) for k in top) / 2
-                            + mpmath.fsum(c[k] ** 2 / (s[k] * (1 + alpha * s[k])) for k in top)
-                            / (2 * cfg.sigma2)
-                        )
+                centered[i] = [_mp_centered(spec, n, seed, mpmath) for n in grid]
             expected = float(log_n_slopes(grid, centered.mean(axis=0)))
             assert abs(summary.lambda_hat - expected) < 1e-12, (rank, summary.lambda_hat, expected)
+
+    def test_centered_term_against_mpmath_from_the_factor(self):
+        """Each cell's centered term, read off its record as
+        delta_rlct + lambda log n, matches :func:`_mp_centered` to a relative
+        1e-13: at d = 6 for n from 2 (fewer rows than r, padded with zeros)
+        to 2**32 - 1, and at d = p = 50 for seed 12, whose rank-50 factor is
+        near-singular.  Reading the rank off S with a threshold kept 49
+        directions there, 1.40 nat off at n = 200.  The largest relative
+        residual measured is 1.8e-14 over 1,320 d = 6 cells (ranks 1-6, seeds
+        0-19, these sizes and 800) and 1.3e-14 over 32 d = 50 cells (ranks 25
+        and 50, seeds 0-2 and 12, n = 50..12,800); the tolerance leaves about
+        5x over it."""
+        mpmath = pytest.importorskip("mpmath")
+        for cfg in (
+            ExperimentConfig(ranks=[1, 3, 5, 6], seeds=[0, 1, 2],
+                             n_grid=[2, 3, 5, 6, 7, 50, 12800, 10**6, 10**8, 2**32 - 1]),
+            ExperimentConfig(d=50, p=50, ranks=[25, 50], seeds=[12], n_grid=[200, 1600]),
+        ):
+            res = run_study(cfg)
+            assert not res.failures
+            cells = res.cells
+            for rank, seed, n, delta_rlct in zip(cells.rank.tolist(), cells.seed.tolist(),
+                                                 cells.n.tolist(),
+                                                 cells.score("delta_rlct").tolist()):
+                spec = make_spec(cfg.p, cfg.d, rank, cfg.sigma2, cfg.tau2, seed=seed)
+                expected = _mp_centered(spec, n, seed, mpmath)
+                got = delta_rlct + analytic_rlct(rank) * math.log(n)
+                assert abs(got - expected) <= 1e-13 * expected, (cfg.d, rank, seed, n, got, expected)
 
 
 class TestDictCompare:
@@ -602,9 +656,7 @@ class TestDictCompare:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            dictionary, "wishart_factor", counting("factor", dictionary.wishart_factor)
-        )
+        monkeypatch.setattr(_rng, "wishart_factor", counting("factor", _rng.wishart_factor))
         monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         res = run_study(ExperimentConfig.default_for("dict_compare"))
@@ -620,7 +672,7 @@ class TestDictCompare:
             study="dict_compare", p=8, d=6, ranks=[3], seeds=[0, 1], n_grid=[50, 100, 200]
         )
         clean = run_study(cfg).cells
-        real_substream, real_factor = dictionary.substream, dictionary.wishart_factor
+        real_substream, real_factor = _rng.substream, _rng.wishart_factor
         poisoned = []
 
         def spy_substream(seed, tag, index=0):
@@ -633,8 +685,8 @@ class TestDictCompare:
             T = real_factor(rng, n, q)
             return T * np.nan if any(rng is bad for bad in poisoned) else T
 
-        monkeypatch.setattr(dictionary, "substream", spy_substream)
-        monkeypatch.setattr(dictionary, "wishart_factor", nan_factor)
+        monkeypatch.setattr(_rng, "substream", spy_substream)
+        monkeypatch.setattr(_rng, "wishart_factor", nan_factor)
         res = run_study(cfg)
         assert [(f.seed, f.n) for f in res.failures] == [(1, 100)]
         _assert_same_table(res.cells, _without(clean, (clean.seed != 1) | (clean.n != 100)))
@@ -776,15 +828,15 @@ class TestPersistence:
         evidence_records.csv, ranks given out of order and one cell failed;
         the dictionary table row, gap slopes and gap curve rebuild from
         dict_records.csv."""
-        real = experiments.evidence_batch
+        real = experiments.root_evidence_batch
 
-        def poisoned(n, S, b, yy, sigma2, tau2, lam):
-            out = real(n, S, b, yy, sigma2, tau2, lam)
+        def poisoned(n, A, y, d, sigma2, tau2, lam):
+            out = real(n, A, y, d, sigma2, tau2, lam)
             if lam == 0.5:   # rank 1, seed 3, n = 100
                 out["log_z_exact"][1] = float("nan")
             return out
 
-        monkeypatch.setattr(experiments, "evidence_batch", poisoned)
+        monkeypatch.setattr(experiments, "root_evidence_batch", poisoned)
         cfg = tiny_config(ranks=[6, 1, 3], seeds=[3, 0, 9], n_grid=[50, 100, 200, 400])
         res = run_study(cfg)
         assert [(f.rank, f.seed, f.n) for f in res.failures] == [(1, 3, 100)]
