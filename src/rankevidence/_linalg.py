@@ -3,7 +3,8 @@
 Positive-definite systems are always handled through a Cholesky factor
 (``np.linalg.cholesky``), never an explicit inverse; its two triangular solves
 go through ``np.linalg.solve``.  Rank decisions use the scale-invariant
-threshold ``sigma_max * max(rows, cols) * machine_eps`` on singular values.
+threshold ``sigma_max * max(rows, cols) * machine_eps`` on singular values
+(:func:`spectral_rank`).
 """
 
 from __future__ import annotations
@@ -61,8 +62,11 @@ def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 def numerical_rank(M: np.ndarray) -> int:
     """Numerical rank of a matrix via its singular value spectrum."""
     M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(s > float(s.max()) * max(M.shape) * np.finfo(float).eps))
+    return int(spectral_rank(np.linalg.svd(M, compute_uv=False), max(M.shape))) if M.size else 0
 
+
+def spectral_rank(values: np.ndarray, size: int) -> np.ndarray:
+    """The count of ``values`` (..., k) above ``max(values) * size * eps``:
+    the rank of matrices with these singular values, ``size = max(rows, cols)``."""
+    tol = values.max(axis=-1, keepdims=True) * size * np.finfo(float).eps
+    return np.count_nonzero(values > tol, axis=-1)

@@ -35,27 +35,25 @@ def substream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def wishart_factor(rng: np.random.Generator, n: int, q: int) -> np.ndarray:
-    """Draw a factor ``T`` with ``T T^T ~ Wishart_q(n, I)``.
-
-    For ``n >= q`` this is the Bartlett factor: a q x q lower-triangular
-    matrix with square roots of chi-square draws on n, n-1, ..., n-q+1 degrees
-    of freedom on its diagonal and standard normals below it, O(q^3) whatever
-    ``n`` is.  For ``n < q``, where that factorization does not apply, it is
-    ``Z^T`` for an n x q standard normal draw ``Z``.
-    """
-    if n >= q:
-        T = np.diag(np.sqrt(rng.chisquare(n - np.arange(q))))
-        # a boolean mask fills in row-major order, the order of np.tril_indices(q, -1)
-        T[np.tri(q, k=-1, dtype=bool)] = rng.standard_normal(q * (q - 1) // 2)
-        return T
-    return rng.standard_normal((n, q)).T
-
-
-def wishart_factors(seed: int, tag: str, n_grid: list[int], q: int) -> list[np.ndarray]:
-    """The :func:`wishart_factor` of each n of ``n_grid`` from the
-    ``(seed, tag, n)`` streams, for both models (``"wishart"`` and
-    ``"dict-wishart"``): q x q for ``n >= q``, q x n below."""
+def wishart_roots(seed: int, tag: str, n_grid: list[int], q: int) -> np.ndarray:
+    """The rows ``Z = T^T`` of a factor with ``T T^T ~ Wishart_q(n, I)`` for
+    each n of ``n_grid``, from the ``(seed, tag, n)`` streams, in one
+    (len(n_grid), q, q) stack, for both models (``"wishart"`` and
+    ``"dict-wishart"``).  For ``n >= q``, ``T`` is the lower-triangular
+    Bartlett factor, O(q^3) whatever ``n`` is: the square roots of chi-square
+    draws on n, n-1, ..., n-q+1 degrees of freedom on its diagonal, then
+    normals below it in row-major order.  Below q, ``Z`` is n x q normals
+    above q - n zero rows."""
     if any(n < 1 for n in n_grid):
         raise ValueError(f"sample sizes must be >= 1, got {n_grid}")
-    return [wishart_factor(substream(seed, tag, n), n, q) for n in n_grid]
+    Z = np.zeros((len(n_grid), q, q))
+    rows, cols = np.tril_indices(q, -1)
+    upper = cols * q + rows   # where T's strict lower triangle goes in a flat Z[i]
+    for Z_n, n in zip(Z.reshape(len(n_grid), q * q), n_grid):
+        rng = substream(seed, tag, n)
+        if n >= q:
+            Z_n[::q + 1] = np.sqrt(rng.chisquare(n - np.arange(q)))
+            Z_n[upper] = rng.standard_normal(len(upper))
+        else:
+            Z_n[:n * q] = rng.standard_normal(n * q)
+    return Z

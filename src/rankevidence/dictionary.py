@@ -27,9 +27,10 @@ from ._linalg import (
     chol_solve,
     numerical_rank,
     spd_cholesky,
+    spectral_rank,
     symmetrize,
 )
-from ._rng import substream, wishart_factors
+from ._rng import substream, wishart_roots
 from .evidence import LOG_2PI
 from .rlct import analytic_rlct
 
@@ -144,7 +145,7 @@ def sample_dictionary_statistics(
     :func:`comparison_batch`'s draw, with the law of
     :func:`sample_dictionary_data`'s scatter but not the same draw."""
     L = spd_cholesky(marginal_covariance(spec), context="sample_dictionary_statistics")
-    LT = L @ wishart_factors(seed, "dict-wishart", [n], spec.p)[0]
+    LT = L @ wishart_roots(seed, "dict-wishart", [n], spec.p)[0].T
     return DictionaryStatistics(n=n, YY=symmetrize(LT @ LT.T))
 
 
@@ -198,13 +199,7 @@ def spectrum_rank(eigenvalues: np.ndarray, size: int) -> int:
     ``eig_max * eps``, not ``eps**2``).
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if eigenvalues.size == 0:
-        return 0
-    top = float(eigenvalues.max())
-    if top <= 0.0:
-        return 0
-    tol = top * size * np.finfo(float).eps
-    return int(np.count_nonzero(eigenvalues > tol))
+    return int(spectral_rank(eigenvalues, size)) if eigenvalues.size else 0
 
 
 def ml_fit_term(
@@ -276,9 +271,9 @@ def comparison_batch(
     pair: tuple[DictionarySpec, DictionarySpec], n_grid: list[int], seed: int
 ) -> dict[str, np.ndarray]:
     """The ten score fields of :class:`DictionaryComparison`, in field order,
-    as arrays over ``n_grid``: one seed's scatters, drawn from the minimal
-    spec, scored with one Cholesky factor per member and one ``eigvalsh``
-    stack.  A cell whose scatter is not finite gets NaN scores."""
+    as arrays over ``n_grid``: one seed's scatters, formed from the minimal
+    spec by two batched matmuls, scored with one Cholesky factor per member
+    and one ``eigvalsh`` stack.  A non-finite scatter gets NaN scores."""
     minimal, overcomplete = pair
     if minimal.r != overcomplete.r:
         raise ValueError(
@@ -288,8 +283,8 @@ def comparison_batch(
         raise ValueError(f"sample sizes must be >= 2 for log-n scores, got {n_grid}")
     n = np.array(n_grid)
     L_min, L_over = (spd_cholesky(marginal_covariance(s), context="comparison_batch") for s in pair)
-    LT = [L_min @ T for T in wishart_factors(seed, "dict-wishart", n_grid, minimal.p)]
-    YY = symmetrize(np.stack([M @ M.T for M in LT]))
+    LT = L_min @ wishart_roots(seed, "dict-wishart", n_grid, minimal.p).swapaxes(-1, -2)
+    YY = symmetrize(LT @ LT.swapaxes(-1, -2))
     ell = _sample_eigenvalues(n, YY)
     fit_min = _ml_fits(n, ell, minimal.d, minimal.sigma2)
     fit_over = _ml_fits(n, ell, overcomplete.d, overcomplete.sigma2)

@@ -12,16 +12,15 @@ A study keeps its cells in one columnar :class:`CellTable`, filled once from
 the batch and read by the record CSV and the aggregation, which groups each
 (study, rank) once (:func:`seed_grid`) and keeps the curves the figures
 draw; :func:`read_cell_table` reads either record CSV back.  Raw records
-are persisted before any aggregation, floats are written as shortest
-round-trip decimals, and timestamps live in a sidecar file, so identical
-configs produce byte-identical raw CSVs.
+are persisted before any aggregation, floats are joined in as shortest
+round-trip decimals (:func:`table_text`), and timestamps live in a sidecar
+file, so identical configs produce byte-identical raw CSVs.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ._linalg import NumericalError
-from ._rng import SEED_LIMIT, STREAM_INDEX_LIMIT, wishart_factors
+from ._rng import SEED_LIMIT, STREAM_INDEX_LIMIT, wishart_roots
 from .dictionary import (
     comparison_batch,
     gram_spectrum,
@@ -44,7 +43,7 @@ from .evidence import root_evidence_batch
 # perfbench/test_checks.py checks the tracer's rebinding on this very global.
 from .linear_models import (  # noqa: F401
     draw_theta,
-    make_rank_r_factor,
+    rank_r_factors,
     sample_dataset,
     wishart_rows,
 )
@@ -339,23 +338,20 @@ class StudyResult:
 
 def _regression_study(cfg: ExperimentConfig) -> StudyResult:
     """Every (rank, seed, n) cell and its failures.  Each seed's Wishart
-    factors ``T``, as rows ``Z = T^T`` padded with zeros to p + 1, and
-    ``theta_star`` are shared by every rank; a rank scores its cells in their
-    r identifiable coordinates with one :func:`root_evidence_batch`."""
+    roots ``Z`` (:func:`wishart_roots`), ``theta_star`` and factor draw
+    (:func:`rank_r_factors`) serve every rank; a rank scores its cells in
+    the r identifiable coordinates of its factors' SVD, which also checked
+    their rank, with one :func:`root_evidence_batch`."""
     scores = np.full((len(cfg.ranks), len(cfg.seeds), len(cfg.n_grid), len(_SCORE_COLUMNS)), np.nan)
     messages = []
     q = cfg.p + 1
-    Z = np.zeros((len(cfg.seeds), len(cfg.n_grid), q, q))
-    for Z_seed, seed in zip(Z, cfg.seeds):
-        for Z_cell, T in zip(Z_seed, wishart_factors(seed, "wishart", cfg.n_grid, q)):
-            Z_cell[:T.shape[1]] = T.T
+    Z = np.stack([wishart_roots(seed, "wishart", cfg.n_grid, q) for seed in cfg.seeds])
     theta = np.stack([draw_theta(cfg.d, cfg.tau2, seed) for seed in cfg.seeds])[:, None]
     ns = np.tile(cfg.n_grid, len(cfg.seeds))
-    for rank, table in zip(cfg.ranks, scores):
-        B = np.stack([make_rank_r_factor(cfg.p, cfg.d, rank, seed) for seed in cfg.seeds])
+    factors = rank_r_factors(cfg.p, cfg.d, cfg.ranks, cfg.seeds)
+    for rank, table, (B, U, s) in zip(cfg.ranks, scores, factors):
         X, y = wishart_rows(B[:, None], theta, cfg.sigma2, Z)
         # the design in the coordinates Q_r^T theta of B = (U_r diag(s_r)) Q_r^T
-        U, s, _ = np.linalg.svd(B, full_matrices=False)
         A = X @ (U[..., :rank] * s[..., None, :rank])[:, None]
         message = "non-finite value in evidence record"
         try:
@@ -544,20 +540,13 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def table_text(header: list[str], columns, delimiter: str = ",") -> str:
-    """CSV text of ``columns``, each formatted whole: ``repr`` (shortest
-    round trip) over a float array's ``.tolist()``, else ``str`` per value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*map(_column_text, columns)))
-    return buf.getvalue()
-
-
-def _column_text(column):
-    # lazy, so writerows holds one row's strings at a time, not the table's
-    if isinstance(column, np.ndarray):
-        return map(repr if column.dtype.kind == "f" else str, column.tolist())
-    return map(str, column)
+    """CSV text of ``columns``, each formatted whole and lazily: ``repr``
+    (shortest round trip) over a float array's ``.tolist()``, else ``str``
+    per value.  Every field is a number or a fixed name, so none is quoted."""
+    texts = (map(repr if c.dtype.kind == "f" else str, c.tolist()) if isinstance(c, np.ndarray)
+             else map(str, c) for c in columns)
+    rows = map(delimiter.join, zip(*texts))
+    return "\n".join([delimiter.join(header), *rows]) + "\n"
 
 
 def cell_table_csv_text(table: CellTable) -> str:

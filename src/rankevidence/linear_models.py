@@ -10,20 +10,22 @@ and ``d - r`` parameter directions do not affect the likelihood.
 draws only the sufficient statistics ``(A^T A, A^T y, y^T y)``, exactly, at a
 cost that does not depend on ``n``: with ``Z = [X, eps / sigma]``, ``Z^T Z``
 is Wishart, and the rows ``T^T`` of its factor
-(:func:`~rankevidence._rng.wishart_factors`) are an equivalent dataset of
-``min(n, p + 1)`` rows (:func:`wishart_rows`), which the studies score.
+(:func:`~rankevidence._rng.wishart_roots`) are an equivalent dataset of
+``min(n, p + 1)`` rows (:func:`wishart_rows`), which the studies score on
+the factors of :func:`rank_r_factors`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NumericalError, numerical_rank
-from ._rng import substream, wishart_factors
+from ._linalg import NumericalError, numerical_rank, spectral_rank
+from ._rng import substream, wishart_roots
 from .evidence import SufficientStatistics
 
 _MAX_FACTOR_ATTEMPTS = 8
@@ -86,28 +88,40 @@ class DataGenConfig:
 
 
 def make_rank_r_factor(p: int, d: int, r: int, seed: int) -> np.ndarray:
-    """Draw a p x d matrix of exact rank r as U V^T with Gaussian factors.
+    """A p x d matrix of exact rank r: :func:`rank_r_factors` of one seed."""
+    return next(rank_r_factors(p, d, [r], [seed]))[0][0]
 
-    U (p x r) and V (d x r) have i.i.d. standard normal entries from the
-    seeded "factor" stream.  The product has rank r almost surely; the rank is
-    asserted and on the (measure-zero) failure the draw is retried from a
-    perturbed stream index.
+
+def rank_r_factors(p: int, d: int, ranks: list[int],
+                   seeds: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each r of ``ranks`` in turn, the seeds' p x d factors ``B = U V^T``
+    of rank r, stacked (len(seeds), p, d), and their thin SVD ``(U_B, s_B)``.
+
+    U (p x r), then V (d x r), are normal draws from the seed's ``("factor",
+    attempt)`` stream.  Each seed draws (p + d) max(ranks) normals once, at
+    attempt 0, for every rank: a normal draw is a prefix of any longer one.
+    The singular values check each factor's rank; one that fails (measure
+    zero) is redrawn alone from its next attempt's stream.
     """
-    if p < 1 or d < 1:
-        raise ValueError(f"dimensions must be positive, got p={p}, d={d}")
-    if not 0 < r <= min(p, d):
-        raise ValueError(f"rank r={r} outside (0, min(p, d)={min(p, d)}]")
-    for attempt in range(_MAX_FACTOR_ATTEMPTS):
-        rng = substream(seed, "factor", attempt)
-        U = rng.standard_normal((p, r))
-        V = rng.standard_normal((d, r))
-        B = U @ V.T
-        if numerical_rank(B) == r:
-            return B
-    raise NumericalError(
-        f"could not draw a rank-{r} factor of shape ({p}, {d}) "
-        f"in {_MAX_FACTOR_ATTEMPTS} attempts"
-    )
+    if p < 1 or d < 1 or not all(0 < r <= min(p, d) for r in ranks):
+        raise ValueError(f"need positive p={p}, d={d} and ranks {ranks} in (0, min(p, d)]")
+    z = np.stack([substream(seed, "factor").standard_normal((p + d) * max(ranks))
+                  for seed in seeds])
+    for r in ranks:
+        draws = z[:, :(p + d) * r]
+        for attempt in range(1, _MAX_FACTOR_ATTEMPTS + 1):
+            U_r, V_r = draws[:, :p * r].reshape(-1, p, r), draws[:, p * r:].reshape(-1, d, r)
+            B = U_r @ V_r.swapaxes(1, 2)
+            U, s, _ = np.linalg.svd(B, full_matrices=False)
+            failed = np.flatnonzero(spectral_rank(s, max(p, d)) != r)
+            if not failed.size:
+                break
+            if attempt == _MAX_FACTOR_ATTEMPTS:
+                raise NumericalError(f"no rank-{r} factor of shape ({p}, {d}) in {attempt} attempts")
+            draws = draws.copy()   # the other ranks keep reading the attempt-0 draw
+            draws[failed] = [substream(seeds[i], "factor", attempt).standard_normal((p + d) * r)
+                             for i in failed]
+        yield B, U, s
 
 
 def make_spec(
@@ -161,8 +175,8 @@ def sample_statistics(
     from the :func:`wishart_rows` of the ``(cfg.seed, "wishart", n)`` factor.
     They have the law of :func:`sample_dataset`'s statistics but are not the
     same draw."""
-    T = wishart_factors(cfg.seed, "wishart", [n], spec.p + 1)[0]
-    X, y = wishart_rows(spec.B_star, spec.theta_star, spec.sigma2, T.T)
+    Z = wishart_roots(cfg.seed, "wishart", [n], spec.p + 1)[0]
+    X, y = wishart_rows(spec.B_star, spec.theta_star, spec.sigma2, Z)
     A = X @ spec.B_star
     return SufficientStatistics(
         n=n, S=A.T @ A, b=A.T @ y, yy=float(y @ y), sigma2=spec.sigma2, tau2=spec.tau2

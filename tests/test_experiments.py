@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import rankevidence._rng as _rng
+import rankevidence.cli as cli
+import rankevidence.dictionary as dictionary
 import rankevidence.experiments as experiments
 import rankevidence.linear_models as linear_models
 from rankevidence._linalg import NumericalError
-from rankevidence._rng import substream, wishart_factor
+from rankevidence._rng import substream, wishart_roots
 from rankevidence.evidence import LOG_2PI
 from rankevidence.dictionary import make_dictionary_pair, marginal_covariance
 from rankevidence.linear_models import make_spec
@@ -33,6 +35,36 @@ from rankevidence.experiments import (
     table_text,
     write_study_outputs,
 )
+
+
+def wishart_factor(rng, n, q):
+    """A factor ``T`` with ``T T^T ~ Wishart_q(n, I)`` from ``rng``, one cell
+    at a time: the Bartlett factor for n >= q (chi-square diagonal, then the
+    strict lower triangle in row-major order), else ``Z^T`` for an n x q
+    normal draw ``Z``.  The reference for :func:`wishart_roots`."""
+    if n >= q:
+        T = np.diag(np.sqrt(rng.chisquare(n - np.arange(q))))
+        T[np.tri(q, k=-1, dtype=bool)] = rng.standard_normal(q * (q - 1) // 2)
+        return T
+    return rng.standard_normal((n, q)).T
+
+
+@pytest.mark.parametrize("tag", ["wishart", "dict-wishart"])
+def test_wishart_roots_match_per_cell_factors(tag):
+    """Each slot of the root stack holds the rows T^T of the cell's own
+    :func:`wishart_factor`, bit for bit, above zero rows up to q: for n < q,
+    n = q and n > q.  A size below 1 is rejected."""
+    q, grid = 7, [1, 2, 6, 7, 8, 50, 12800, 10**9]
+    for seed in (0, 5, 2**64 - 1):
+        Z = wishart_roots(seed, tag, grid, q)
+        assert Z.shape == (len(grid), q, q)
+        for Z_n, n in zip(Z, grid):
+            T = wishart_factor(substream(seed, tag, n), n, q)
+            expected = np.zeros((q, q))
+            expected[:T.shape[1]] = T.T
+            np.testing.assert_array_equal(Z_n, expected)
+    with pytest.raises(ValueError):
+        wishart_roots(0, tag, [5, 0], q)
 
 
 def _per_cell_scores(spec, n, seed, lam) -> list[float]:
@@ -498,7 +530,7 @@ class TestRankSweep:
         SVD, and runs no eigendecomposition, so no threshold on one."""
         counts = {"factor": 0, "eigh": 0, "cell_svd": 0}
         cfg = ExperimentConfig()
-        real_svd = np.linalg.svd
+        real_svd, real_roots = np.linalg.svd, experiments.wishart_roots
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -510,7 +542,11 @@ class TestRankSweep:
             counts["cell_svd"] += a.shape[:-2] == (len(cfg.seeds) * len(cfg.n_grid),)
             return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(_rng, "wishart_factor", counting("factor", _rng.wishart_factor))
+        def roots(seed, tag, n_grid, q):
+            counts["factor"] += len(n_grid)
+            return real_roots(seed, tag, n_grid, q)
+
+        monkeypatch.setattr(experiments, "wishart_roots", roots)
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "svd", svd)
         res = run_study(cfg)
@@ -520,11 +556,11 @@ class TestRankSweep:
         assert counts["eigh"] == 0
 
     def test_one_rank_check_per_factor_and_one_theta_per_seed(self, monkeypatch):
-        """Work guard: the default sweep computes each of its 120 factors'
-        rank once (no second check through a spec), plus two batched SVDs per
-        rank (its factors' identifiable coordinates and its cells), and draws
-        theta_star once per seed for every rank: 180 Wishart + 120 factor +
-        20 theta streams."""
+        """Work guard: the default sweep takes two batched SVDs per rank, one
+        of its factors (their identifiable coordinates, and the singular
+        values that check each factor's rank, so no SVD per factor) and one
+        of its cells, and draws each seed's factors and theta_star once for
+        every rank: 180 Wishart + 20 factor + 20 theta streams."""
         counts = {"svd": 0, "substream": 0}
 
         def counting(name, real):
@@ -539,8 +575,8 @@ class TestRankSweep:
         cfg = ExperimentConfig()
         res = run_study(cfg)
         assert len(res.cells) == 1080 and not res.failures
-        assert counts["svd"] <= 120 + 2 * len(cfg.ranks)
-        assert counts["substream"] <= 320
+        assert counts["svd"] <= 2 * len(cfg.ranks)
+        assert counts["substream"] <= 220
 
     def test_large_n_grid_recovers_lambda(self):
         """At n = 1e6..1e9 the finite-n bias is gone: every rank's lambda_hat
@@ -656,7 +692,13 @@ class TestDictCompare:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(_rng, "wishart_factor", counting("factor", _rng.wishart_factor))
+        real_roots = dictionary.wishart_roots
+
+        def roots(seed, tag, n_grid, q):
+            counts["factor"] += len(n_grid)
+            return real_roots(seed, tag, n_grid, q)
+
+        monkeypatch.setattr(dictionary, "wishart_roots", roots)
         monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         res = run_study(ExperimentConfig.default_for("dict_compare"))
@@ -672,21 +714,15 @@ class TestDictCompare:
             study="dict_compare", p=8, d=6, ranks=[3], seeds=[0, 1], n_grid=[50, 100, 200]
         )
         clean = run_study(cfg).cells
-        real_substream, real_factor = _rng.substream, _rng.wishart_factor
-        poisoned = []
+        real_roots = dictionary.wishart_roots
 
-        def spy_substream(seed, tag, index=0):
-            rng = real_substream(seed, tag, index)
-            if (seed, tag, index) == (1, "dict-wishart", 100):
-                poisoned.append(rng)
-            return rng
+        def nan_roots(seed, tag, n_grid, q):
+            Z = real_roots(seed, tag, n_grid, q)
+            if (seed, tag) == (1, "dict-wishart"):
+                Z[n_grid.index(100)] *= np.nan
+            return Z
 
-        def nan_factor(rng, n, q):
-            T = real_factor(rng, n, q)
-            return T * np.nan if any(rng is bad for bad in poisoned) else T
-
-        monkeypatch.setattr(_rng, "substream", spy_substream)
-        monkeypatch.setattr(_rng, "wishart_factor", nan_factor)
+        monkeypatch.setattr(dictionary, "wishart_roots", nan_roots)
         res = run_study(cfg)
         assert [(f.seed, f.n) for f in res.failures] == [(1, 100)]
         _assert_same_table(res.cells, _without(clean, (clean.seed != 1) | (clean.n != 100)))
@@ -857,6 +893,35 @@ class TestPersistence:
         assert (table_n, row) == (dres.dict_table_n, dres.dict_table)
         assert gap_slopes == dres.dict_gap_slopes
         assert gap_curve == dres.dict_gap_curve
+
+    def test_joined_writer_matches_csv_writer(self, tmp_path, monkeypatch):
+        """Every CSV and TSV the two studies write (records, slopes.csv,
+        per_seed_slopes.csv, dict_compare.csv and each figure, blank cells of
+        the shorter eigenspectrum included) equals a csv.writer rendering of
+        the same columns, one value at a time: no field needs quoting."""
+        real = experiments.table_text
+        texts = []
+
+        def checked(header, columns, delimiter=","):
+            columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+            text = real(header, columns, delimiter)
+            buf = io.StringIO()
+            writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(zip(*([_fmt(v) for v in column] for column in columns)))
+            assert text == buf.getvalue()
+            texts.append(text)
+            return text
+
+        monkeypatch.setattr(experiments, "table_text", checked)
+        monkeypatch.setattr(cli, "table_text", checked)
+        for command, overrides in (("rank-sweep", "seeds=0..2,n_grid=50..400x2,ranks=1+4+6"),
+                                   ("dict-compare", "seeds=0..2,n_grid=50..400x2")):
+            out = str(tmp_path / command)
+            assert cli.main([command, "--overrides", overrides, "--output-dir", out, "--plot"]) == 0
+        written = [path.read_text() for path in tmp_path.glob("*/*.[ct]sv")]
+        assert len(written) == 11 and sorted(written) == sorted(texts)
+        assert any("\t\t" in text for text in texts)   # a blank cell
 
     def test_identical_configs_give_identical_bytes(self, tmp_path):
         cfg = tiny_config()

@@ -5,7 +5,8 @@ import pytest
 import scipy.stats
 
 import rankevidence.linear_models as linear_models
-from rankevidence._linalg import numerical_rank
+from rankevidence._linalg import NumericalError, numerical_rank, spectral_rank
+from rankevidence._rng import substream
 from rankevidence.evidence import GaussianLinearProblem, evidence_record
 from rankevidence.linear_models import (
     DataGenConfig,
@@ -13,6 +14,7 @@ from rankevidence.linear_models import (
     make_rank_r_factor,
     make_spec,
     population_gram,
+    rank_r_factors,
     sample_dataset,
     sample_statistics,
 )
@@ -45,6 +47,80 @@ class TestMakeRankRFactor:
                 assert int(np.sum(s > tol)) == r
 
 
+def _two_call_factor(p, d, r, seed, attempt=0):
+    """A factor drawn for one (rank, seed) alone, the reference for
+    rank_r_factors: U (p x r), then V (d x r), from a fresh ("factor",
+    attempt) stream, and U V^T."""
+    rng = substream(seed, "factor", attempt)
+    U = rng.standard_normal((p, r))
+    V = rng.standard_normal((d, r))
+    return U @ V.T
+
+
+class TestRankRFactors:
+    @pytest.mark.parametrize("p,d", [(6, 6), (8, 3), (50, 50)])
+    def test_shared_draw_equals_two_call_construction(self, p, d):
+        """Every rank's factors, read off one draw per seed, equal the
+        two-call construction bit for bit, and so does make_rank_r_factor;
+        the SVD returned with them is the SVD of the stack."""
+        ranks = list(range(1, min(p, d) + 1))
+        seeds = [0, 7, 2**64 - 1]
+        for r, (B, U, s) in zip(ranks, rank_r_factors(p, d, ranks, seeds)):
+            assert B.shape == (len(seeds), p, d)
+            for seed, B_seed in zip(seeds, B):
+                np.testing.assert_array_equal(B_seed, _two_call_factor(p, d, r, seed))
+                np.testing.assert_array_equal(make_rank_r_factor(p, d, r, seed), B_seed)
+            U_ref, s_ref, _ = np.linalg.svd(B, full_matrices=False)
+            np.testing.assert_array_equal(U, U_ref)
+            np.testing.assert_array_equal(s, s_ref)
+
+    def test_failed_check_redraws_from_the_next_stream(self, monkeypatch):
+        """A factor whose rank check fails at attempt 0 is redrawn alone,
+        from its attempt-1 stream, and checked again, while the next rank
+        still reads the seed's attempt-0 draw; a factor that fails 8 checks
+        raises."""
+        real = linear_models.spectral_rank
+        calls = []
+
+        def failing_once(s, size):
+            ranks = real(s, size)
+            if not calls:
+                ranks[1] -= 1   # the rank-3 factor of seed 7
+            calls.append(ranks.tolist())
+            return ranks
+
+        monkeypatch.setattr(linear_models, "spectral_rank", failing_once)
+        (B, U, s), (B_2, _, _) = rank_r_factors(6, 5, [3, 2], [0, 7, 9])
+        assert calls == [[3, 2, 3], [3, 3, 3], [2, 2, 2]]
+        np.testing.assert_array_equal(B[1], _two_call_factor(6, 5, 3, 7, attempt=1))
+        np.testing.assert_array_equal(B[0], _two_call_factor(6, 5, 3, 0))
+        np.testing.assert_array_equal(B[2], _two_call_factor(6, 5, 3, 9))
+        np.testing.assert_array_equal(s, np.linalg.svd(B, full_matrices=False)[1])
+        np.testing.assert_array_equal(B_2[1], _two_call_factor(6, 5, 2, 7))
+
+        monkeypatch.setattr(linear_models, "spectral_rank", lambda s, size: real(s, size) - 1)
+        with pytest.raises(NumericalError, match="in 8 attempts"):
+            make_rank_r_factor(6, 5, 3, seed=0)
+
+    def test_rank_rule_counts_values_above_the_scaled_eps(self):
+        """The rank rule shared by numerical_rank, spectrum_rank and the
+        factor check: a value counts when it exceeds max * size * eps, along
+        the last axis of a stack."""
+        eps = np.finfo(float).eps
+        s = np.array([[2.0, 2.0 * 6 * eps * 1.01, 2.0 * 6 * eps * 0.99],
+                      [1.0, 0.5, 0.0]])
+        assert spectral_rank(s, 6).tolist() == [2, 2]
+        assert spectral_rank(s, 7).tolist() == [1, 2]
+
+    def test_rank_check_agrees_with_numerical_rank(self):
+        """On the 120 factors of the default sweep (ranks 1-6, seeds 0-19),
+        the check on the stack's singular values gives numerical_rank's
+        answer, and that is the rank drawn."""
+        ranks, seeds = [1, 2, 3, 4, 5, 6], list(range(20))
+        for r, (B, _, s) in zip(ranks, rank_r_factors(6, 6, ranks, seeds)):
+            assert spectral_rank(s, 6).tolist() == [numerical_rank(b) for b in B] == [r] * 20
+
+
 class TestSpec:
     def test_dimensions_and_rank_read_off_the_factor(self):
         """A spec built by hand has the shape and rank of its factor, a zero
@@ -61,19 +137,20 @@ class TestSpec:
                 replace(spec, **bad)
 
     def test_rank_is_computed_once_and_only_when_read(self, monkeypatch):
-        """make_spec checks its factor's rank once; the spec computes r on
-        first read and keeps it."""
+        """make_spec checks its factor's rank with one SVD; the spec computes
+        r on first read, with one more, and keeps it."""
         calls = []
+        real_svd = np.linalg.svd
 
-        def counting(M):
+        def counting(M, *args, **kwargs):
             calls.append(M.shape)
-            return numerical_rank(M)
+            return real_svd(M, *args, **kwargs)
 
-        monkeypatch.setattr(linear_models, "numerical_rank", counting)
+        monkeypatch.setattr(np.linalg, "svd", counting)
         spec = make_spec(6, 5, 3, seed=2)
-        assert len(calls) == 1
+        assert calls == [(1, 6, 5)]
         assert spec.r == spec.r == 3
-        assert len(calls) == 2
+        assert calls == [(1, 6, 5), (6, 5)]
 
     def test_nonpositive_variances_rejected(self):
         B = make_rank_r_factor(3, 3, 2, seed=1)
