@@ -328,7 +328,8 @@ def run_verification() -> list[tuple[str, float, float, bool]]:
     """Deterministic oracle sweep: (name, worst value, tolerance, passed).
 
     The quadrature is checked against both closed forms: the Cholesky one on
-    the data and the eigendecomposition record, scored like the study cells."""
+    the data and the evidence record of the same rows, scored like the study
+    cells."""
     seed = 2024   # fixed: other seeds' problem mixes differ in run time by up to 36 %
     rng = np.random.default_rng(seed)
     problems = [random_problem(rng, max_d=2, max_n=50) for _ in range(100)]

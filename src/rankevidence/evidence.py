@@ -13,40 +13,30 @@ effective dimension ``lambda``, and a full MAP-Laplace evaluation that must
 agree with the closed form to floating-point accuracy (the log posterior is
 exactly quadratic), which serves as a built-in exactness check.
 
-Every one of these quantities depends on the data only through the
-sufficient statistics ``(n, S, A^T y, y^T y)``, so a cell costs the same at
-every ``n``.  One formula, :func:`_scores`, has two front ends:
-:func:`evidence_batch` (one cell: :func:`evidence_record`) reads a caller's
-statistics through an ``eigh`` of ``S`` and a rank threshold, and
-:func:`root_evidence_batch` the studies' square roots of known rank through
-an SVD.  :func:`log_joint`, :func:`posterior` and
-:func:`full_laplace_log_evidence` read the statistics too; only the
-references :func:`exact_log_evidence` and :func:`mle_fit_term` work on
-``(A, y)``.
+Every one of these quantities depends on the data only through ``n`` and
+the products ``S = A^T A``, ``A^T y`` and ``y^T y``, so
+:class:`SufficientStatistics` keeps rows whose products they are: the data
+themselves, or a square root of a few rows, with which a cell costs the
+same at every ``n``.  One function, :func:`root_evidence_batch`
+(one cell: :func:`evidence_record`), scores rows through a thin SVD and keeps
+the directions above the package's one rank rule,
+:func:`~rankevidence._linalg.spectral_rank`.  :func:`log_joint`,
+:func:`posterior` and :func:`full_laplace_log_evidence` read the products;
+only the references :func:`exact_log_evidence` and :func:`mle_fit_term` work
+on ``(A, y)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_logdet, chol_solve, spd_cholesky
+from ._linalg import chol_logdet, chol_solve, spd_cholesky, spectral_rank
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Eigenvalues of S at or below GRAM_RANK_RTOL * (largest eigenvalue) count as
-# zero in the fit term of a caller's statistics; the studies decide no rank.
-# Measured on d = p = 6 rank-r cells (ranks 1-6, seeds 0-99, 22 sample sizes
-# from 7 to 1e9): with S drawn from the Wishart law (13,200 cells) null
-# eigenvalues reach 2.5 eps * top and the r-th eigenvalue never falls below
-# 2.0e-9 * top; with S formed as A^T A (the 9,000 cells with n <= 1e5) the
-# figures are 2.7 eps * top and 5.9e-10 * top.  1e-12 sits near the geometric
-# middle of that gap, about 1700x above the null eigenvalues and 590x below
-# the r-th; the usual top * d * eps rule would leave 2.3x on the null side.
-# At d = p = 50 the gap can close: a near-singular rank-50 factor's S keeps 49.
-GRAM_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,30 +72,29 @@ class GaussianLinearProblem:
         return self.tau2 / self.sigma2
 
     def statistics(self) -> "SufficientStatistics":
-        """The sufficient statistics ``(n, A^T A, A^T y, y^T y)`` of this problem."""
-        A, y = self.A, self.y
+        """The sufficient statistics of this problem, on its own rows ``(A, y)``."""
         return SufficientStatistics(
-            n=self.n, S=A.T @ A, b=A.T @ y, yy=float(y @ y),
-            sigma2=self.sigma2, tau2=self.tau2,
+            n=self.n, R=self.A, z=self.y, sigma2=self.sigma2, tau2=self.tau2
         )
 
 
 @dataclass(frozen=True)
 class SufficientStatistics:
-    """What the evidence and the fit depend on: ``n``, ``S = A^T A``,
-    ``b = A^T y`` and ``yy = y^T y``, with the two variances."""
+    """What the evidence and the fit depend on: ``n`` and rows ``R`` and
+    ``z`` whose products ``S = R^T R``, ``b = R^T z`` and ``yy = z^T z`` are
+    those of the n observations, with the two variances.  The rows are the
+    data themselves or any equivalent set, such as a square root."""
 
     n: int
-    S: np.ndarray      # (d, d) symmetric positive semidefinite
-    b: np.ndarray      # (d,)
-    yy: float
+    R: np.ndarray      # (q, d) design rows
+    z: np.ndarray      # (q,) responses
     sigma2: float      # noise variance
     tau2: float        # prior variance
 
     def __post_init__(self) -> None:
-        if self.b.ndim != 1 or self.d < 1 or self.S.shape != (self.d, self.d):
+        if self.R.ndim != 2 or self.d < 1 or self.z.shape != self.R.shape[:1]:
             raise ValueError(
-                f"S shape {self.S.shape} and b shape {self.b.shape} do not match"
+                f"R shape {self.R.shape} and z shape {self.z.shape} do not match"
             )
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
@@ -114,7 +103,22 @@ class SufficientStatistics:
 
     @property
     def d(self) -> int:
-        return self.b.shape[0]
+        return self.R.shape[1]
+
+    @functools.cached_property
+    def S(self) -> np.ndarray:
+        """``R^T R``, (d, d) symmetric positive semidefinite."""
+        return self.R.T @ self.R
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        """``R^T z``, (d,)."""
+        return self.R.T @ self.z
+
+    @functools.cached_property
+    def yy(self) -> float:
+        """``z^T z``."""
+        return float(self.z @ self.z)
 
 
 @dataclass(frozen=True)
@@ -133,8 +137,9 @@ class EvidenceRecord:
     ``delta_bic`` and ``delta_rlct`` are the approximation-minus-exact errors.
     Both are computed from the shared centered term ``log_lik_mle -
     log_z_exact`` so that ``delta_bic - delta_rlct = (lambda - d/2) log n``
-    holds to machine precision.  ``rank`` is the number of eigenvalues of
-    ``S`` the fit term kept (see :data:`GRAM_RANK_RTOL`).
+    holds to machine precision.  ``rank`` is the number of singular
+    directions of the rows that both terms kept (see
+    :func:`root_evidence_batch`).
     """
 
     n: int
@@ -255,74 +260,47 @@ def evidence_record(
     data: GaussianLinearProblem | SufficientStatistics, lam: float
 ) -> EvidenceRecord:
     """Assemble the exact value and both approximations at this sample size:
-    the one-cell case of :func:`evidence_batch`, after reducing a problem to
-    its statistics."""
+    the one-cell call of :func:`root_evidence_batch` on the rows of the
+    problem or statistics."""
     stats = data.statistics() if isinstance(data, GaussianLinearProblem) else data
     _check_sample_size(stats.n)
-    out = evidence_batch(
-        np.array([stats.n]), stats.S[None], stats.b[None], np.array([stats.yy]),
+    out = root_evidence_batch(
+        np.array([stats.n]), stats.R[None], stats.z[None], stats.d,
         stats.sigma2, stats.tau2, lam,
     )
     return EvidenceRecord(n=stats.n, **{key: value[0].item() for key, value in out.items()})
-
-
-def evidence_batch(
-    n: np.ndarray, S: np.ndarray, b: np.ndarray, yy: np.ndarray,
-    sigma2: float, tau2: float, lam: float,
-) -> dict[str, np.ndarray]:
-    """Every :class:`EvidenceRecord` field but ``n`` for a stack of a
-    caller's statistics ``n`` (m,), ``S`` (m, d, d), ``b`` (m, d) and ``yy``
-    (m,).  With ``S = V diag(s) V^T`` (one batched ``eigh``) and
-    ``c = V^T b``, :func:`_scores` reads the kept directions (see
-    :data:`GRAM_RANK_RTOL`) as ``s`` and ``g^2 = c^2 / s``, and
-    ``RSS = yy - sum g^2``.  A cell whose ``S`` is not finite gets NaN
-    scores (``eigh`` would raise on a NaN for the whole stack)."""
-    finite = np.isfinite(S).all(axis=(-2, -1))
-    s, V = np.linalg.eigh(np.where(finite[:, None, None], S, 0.0))
-    s = np.where(finite[:, None], s, np.nan)
-    c = (V.swapaxes(-1, -2) @ b[..., None])[..., 0]
-    kept = s > GRAM_RANK_RTOL * s[..., -1:]
-    g2 = np.where(kept, c**2, 0.0) / np.where(kept, s, 1.0)
-    # a null eigenvalue is rounding noise that would add alpha * eps * top; NaN stays NaN
-    s = np.where(kept | np.isnan(s), s, 0.0)
-    out = _scores(n, s, g2, yy - np.sum(g2, axis=-1), S.shape[-1], sigma2, tau2, lam)
-    return {**out, "rank": np.count_nonzero(kept, axis=-1)}
 
 
 def root_evidence_batch(
     n: np.ndarray, A: np.ndarray, y: np.ndarray, d: int,
     sigma2: float, tau2: float, lam: float,
 ) -> dict[str, np.ndarray]:
-    """The six scores of cells given by rows ``A`` (m, q, r) and ``y`` (m, q)
-    whose products are the statistics of ``n`` observations, in r < q
-    identifiable coordinates of a d-parameter model.  Such rows have rank
-    ``min(n, r)``: of one batched thin SVD ``A = U diag(sv) W^T``,
-    :func:`_scores` reads that many leading directions, ``s = sv^2`` and
-    ``g = U^T y``, and ``RSS = |y - U g|^2``, a sum of squares."""
-    U, sv, _ = np.linalg.svd(A, full_matrices=False)
-    kept = np.arange(A.shape[-1]) < np.minimum(n, A.shape[-1])[:, None]
-    g = np.where(kept, (U.swapaxes(-1, -2) @ y[..., None])[..., 0], 0.0)
-    rss = np.sum((y - (U @ g[..., None])[..., 0]) ** 2, axis=-1)
-    return _scores(n, np.where(kept, sv**2, 0.0), g**2, rss, d, sigma2, tau2, lam)
-
-
-def _scores(
-    n: np.ndarray, s: np.ndarray, g2: np.ndarray, rss: np.ndarray, d: int,
-    sigma2: float, tau2: float, lam: float,
-) -> dict[str, np.ndarray]:
-    """The six scores from each cell's squared singular values ``s`` (m, k)
-    of the design, squared projections ``g2`` (m, k) of the responses on its
-    left singular vectors (both zero off the kept directions) and residual
-    sum of squares ``rss`` (m,).  The centered term ``log_lik_mle -
-    log_z_exact = 1/2 sum log1p(alpha s) + sum g2 / (1 + alpha s) / (2 sigma2)``
-    sums at most k terms, nonnegative in exact arithmetic: no O(n) cancels."""
+    """Every :class:`EvidenceRecord` field but ``n`` for cells given by rows
+    ``A`` (m, q, k) and ``y`` (m, q) whose products are the statistics of
+    ``n`` observations, in k coordinates of a d-parameter model.  Of one
+    batched thin SVD ``A = U diag(sv) W^T`` each cell keeps its ``"rank"``
+    leading directions, the count of ``sv`` above the rank rule for
+    ``max(q, k)`` rows (:func:`~rankevidence._linalg.spectral_rank`), as
+    ``s = sv^2`` and ``g = U^T y``; ``RSS = |y - U g|^2`` is a sum of squares.
+    The centered term ``log_lik_mle - log_z_exact = 1/2 sum log1p(alpha s) +
+    sum g^2 / (1 + alpha s) / (2 sigma2)`` sums at most k terms, nonnegative
+    in exact arithmetic: no O(n) cancels.  Non-finite rows raise
+    ``np.linalg.LinAlgError``."""
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     if np.any(n < 2):
         raise ValueError(f"sample sizes must be >= 2 for log-n scores, got {n}")
+    U, sv, _ = np.linalg.svd(A, full_matrices=False)
+    if not np.isfinite(sv).all():   # an inf row gives NaN values without raising
+        raise np.linalg.LinAlgError("SVD of non-finite rows")
+    rank = spectral_rank(sv, max(A.shape[-2:]))
+    kept = np.arange(sv.shape[-1]) < rank[:, None]
+    g = np.where(kept, (U.swapaxes(-1, -2) @ y[..., None])[..., 0], 0.0)
+    rss = np.sum((y - (U @ g[..., None])[..., 0]) ** 2, axis=-1)
+    s = np.where(kept, sv**2, 0.0)
     alpha = tau2 / sigma2
     centered = 0.5 * np.sum(np.log1p(alpha * s), axis=-1) + np.sum(
-        g2 / (1.0 + alpha * s), axis=-1
+        g**2 / (1.0 + alpha * s), axis=-1
     ) / (2.0 * sigma2)
     fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + rss / sigma2)
     # math.log, not np.log: the two round differently for some n
@@ -334,6 +312,7 @@ def _scores(
         "log_z_rlct": fit - lam * log_n,
         "delta_bic": centered - 0.5 * d * log_n,
         "delta_rlct": centered - lam * log_n,
+        "rank": rank,
     }
 
 

@@ -11,8 +11,8 @@ draws only the sufficient statistics ``(A^T A, A^T y, y^T y)``, exactly, at a
 cost that does not depend on ``n``: with ``Z = [X, eps / sigma]``, ``Z^T Z``
 is Wishart, and the rows ``T^T`` of its factor
 (:func:`~rankevidence._rng.wishart_roots`) are an equivalent dataset of
-``min(n, p + 1)`` rows (:func:`wishart_rows`), which the studies score on
-the factors of :func:`rank_r_factors`.
+``min(n, p + 1)`` rows (:func:`wishart_rows`), which the statistics keep and
+the studies score on the factors of :func:`rank_r_factors`.
 """
 
 from __future__ import annotations
@@ -172,15 +172,12 @@ def sample_statistics(
     spec: RankRegressionSpec, n: int, cfg: DataGenConfig
 ) -> SufficientStatistics:
     """Draw the sufficient statistics of an n-observation dataset directly,
-    from the :func:`wishart_rows` of the ``(cfg.seed, "wishart", n)`` factor.
-    They have the law of :func:`sample_dataset`'s statistics but are not the
-    same draw."""
+    on the p + 1 :func:`wishart_rows` of the ``(cfg.seed, "wishart", n)``
+    factor.  They have the law of :func:`sample_dataset`'s statistics but are
+    not the same draw."""
     Z = wishart_roots(cfg.seed, "wishart", [n], spec.p + 1)[0]
     X, y = wishart_rows(spec.B_star, spec.theta_star, spec.sigma2, Z)
-    A = X @ spec.B_star
-    return SufficientStatistics(
-        n=n, S=A.T @ A, b=A.T @ y, yy=float(y @ y), sigma2=spec.sigma2, tau2=spec.tau2
-    )
+    return SufficientStatistics(n=n, R=X @ spec.B_star, z=y, sigma2=spec.sigma2, tau2=spec.tau2)
 
 
 def wishart_rows(

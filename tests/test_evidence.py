@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from rankevidence.evidence import (
     GaussianLinearProblem,
     SufficientStatistics,
     bic_score,
-    evidence_batch,
     evidence_record,
     exact_log_evidence,
     full_laplace_log_evidence,
@@ -308,35 +308,65 @@ class TestEvidenceRecord:
         with pytest.raises(ValueError):
             GaussianLinearProblem(A=np.zeros((3, 2)), y=np.zeros(3), sigma2=-1.0, tau2=1.0)
         with pytest.raises(ValueError):
-            SufficientStatistics(n=3, S=np.eye(2), b=np.zeros(3), yy=1.0, sigma2=1.0, tau2=1.0)
+            SufficientStatistics(n=3, R=np.eye(2), z=np.zeros(3), sigma2=1.0, tau2=1.0)
+        with pytest.raises(ValueError):
+            SufficientStatistics(n=3, R=np.zeros(3), z=np.zeros(3), sigma2=1.0, tau2=1.0)
 
-    def test_batch_isolates_a_non_finite_cell(self):
-        """A NaN in one cell's S leaves NaN scores in that cell alone; the
-        other cells equal their one-cell records exactly."""
-        spec = make_spec(6, 6, 2, seed=0)
-        cells = [sample_statistics(spec, n, DataGenConfig(seed=0)) for n in (50, 100, 200)]
-        S = np.stack([c.S for c in cells])
-        S[1, 2, 3] = np.nan
-        out = evidence_batch(
-            np.array([c.n for c in cells]), S, np.stack([c.b for c in cells]),
-            np.array([c.yy for c in cells]), 1.0, 1.0, 1.0,
-        )
-        assert np.isnan(out["log_z_exact"][1]) and np.isnan(out["delta_bic"][1])
-        for i in (0, 2):
-            rec = evidence_record(cells[i], lam=1.0)
-            assert {key: value[i].item() for key, value in out.items()} == {
-                key: getattr(rec, key) for key in out
-            }
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_raises(self, bad):
+        """A non-finite design row raises np.linalg.LinAlgError, the error the
+        study turns into failed cells (an inf makes the SVD return NaN values
+        without raising)."""
+        stats = sample_statistics(make_spec(6, 6, 2, seed=0), 100, DataGenConfig(seed=0))
+        R = stats.R.copy()
+        R[3, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            evidence_record(replace(stats, R=R), lam=1.0)
+
+
+def _exact_products(stats, mpmath):
+    """The Gram matrix of ``[R z]``, which holds ``S = R^T R``, ``b = R^T z``
+    and ``yy = z^T z`` of the statistics' float rows, exactly, as an mpmath
+    matrix.  A square root's few rows multiply in mpmath.  Data rows go
+    through Ozaki's splitting: each column is cut into k slices of at most 15
+    bits on a grid of its own, fine enough that the last leaves nothing, so a
+    product of two slices and a sum of up to 2**22 of them are exact in
+    float64, and the float Gram matrix of all k slices holds exact terms."""
+    M = np.column_stack([stats.R, stats.z])
+    if len(M) <= M.shape[1]:
+        rows = mpmath.matrix(M.tolist())
+        return rows.T * rows
+    assert len(M) <= 2**22
+    top = np.frexp(np.abs(M).max(axis=0))[1]           # |M| < 2**top by column
+    low = np.frexp(np.abs(M[M != 0]).min())[1]        # ulp(M) >= 2**(low - 53)
+    k, w = -(-(int(top.max()) - int(low) + 53) // 15), M.shape[1]
+    G = np.zeros((k * w, k * w))
+    for lo in range(0, len(M), 4096):                  # chunks of rows that stay in cache
+        rest, slices, unit = M[lo:lo + 4096], [], np.ldexp(1.0, top)
+        for _ in range(k):
+            unit = unit * 2.0**-15
+            big = 1.5 * 2.0**52 * unit                 # (x + big) - big rounds x to a multiple of unit
+            slices.append((rest + big) - big)
+            rest = rest - slices[-1]
+        H = np.concatenate(slices, axis=1)
+        G += H.T @ H
+    G = G.reshape(k, w, k, w)
+    return mpmath.matrix([[mpmath.fsum(mpmath.mpf(v) for v in G[:, c, :, d].ravel().tolist())
+                           for d in range(w)] for c in range(w)])
 
 
 def _mpmath_reference(stats, rank):
-    """(log_z_exact, log_lik_mle, their difference) at 50 digits from the same
-    float S, b and yy: the fit is the pseudoinverse on the top ``rank``
-    eigen-directions of S, the evidence uses every eigenvalue."""
+    """(log_z_exact, log_lik_mle, their difference) at 50 digits from the
+    exact products of the statistics' float rows: the fit is the
+    pseudoinverse on the top ``rank`` eigen-directions of S, the evidence
+    uses every eigenvalue."""
     mpmath = pytest.importorskip("mpmath")
+    d = stats.d
     with mpmath.workdps(50):
-        s_vals, Q = mpmath.eigsy(mpmath.matrix(stats.S.tolist()))
-        c = Q.T * mpmath.matrix(stats.b.tolist())
+        G = _exact_products(stats, mpmath)
+        S = mpmath.matrix([[G[r, c] for c in range(d)] for r in range(d)])
+        s_vals, Q = mpmath.eigsy(S)
+        c = Q.T * mpmath.matrix([G[r, d] for r in range(d)])
         order = sorted(range(len(s_vals)), key=lambda i: s_vals[i], reverse=True)
         sigma2 = mpmath.mpf(stats.sigma2)
         alpha = mpmath.mpf(stats.tau2) / sigma2
@@ -345,7 +375,7 @@ def _mpmath_reference(stats, rank):
         shrunk = mpmath.fsum(alpha * c[i] ** 2 / (1 + alpha * s_vals[i])
                              for i in range(len(s_vals)))
         fitted = mpmath.fsum(c[i] ** 2 / s_vals[i] for i in order[:rank])
-        yy = mpmath.mpf(stats.yy)
+        yy = G[d, d]
         log_z = -(const + logdet + (yy - shrunk) / sigma2) / 2
         fit = -(const + (yy - fitted) / sigma2) / 2
         return float(log_z), float(fit), float(fit - log_z)
@@ -357,17 +387,17 @@ def _mpmath_reference(stats, rank):
 ])
 def test_precision_against_mpmath(rank, n, route):
     """log_lik_mle, log_z_exact and their difference agree with a 50-digit
-    evaluation from the same float statistics to 1e-12 nats per observation,
-    for statistics formed from data and drawn from the Wishart law."""
+    evaluation from the same float rows to 1e-12 nats per observation, for
+    the data themselves and for a Wishart root."""
     spec = make_spec(6, 6, rank, seed=0)
     gen = DataGenConfig(seed=0)
     if route == "data":
         ds = sample_dataset(spec, n, gen)
         prob = GaussianLinearProblem(A=ds.A, y=ds.y, sigma2=spec.sigma2, tau2=spec.tau2)
-        rec, stats = evidence_record(prob, lam=rank / 2.0), prob.statistics()
+        stats = prob.statistics()
     else:
         stats = sample_statistics(spec, n, gen)
-        rec = evidence_record(stats, lam=rank / 2.0)
+    rec = evidence_record(stats, lam=rank / 2.0)
     ref_z, ref_fit, ref_centered = _mpmath_reference(stats, rank)
     tol = 1e-12 * n
     assert abs(rec.log_lik_mle - ref_fit) <= tol
@@ -376,17 +406,26 @@ def test_precision_against_mpmath(rank, n, route):
 
 
 def test_kept_rank_equals_true_rank():
-    """The rank decision on S keeps exactly r eigenvalues in every cell, for
-    Wishart-drawn statistics from n = 7 to 1e9 and for A^T A up to 12,800."""
+    """The rank rule on the rows keeps exactly min(n, r) directions in every
+    cell: at d = p = 6 for Wishart roots from n = 7 to 1e9 and data up to
+    12,800, and at d = p = 50 (ranks 10, 25, 40 and 50) for Wishart roots on
+    the default grid, 1e6 and 1e9 and data on the default grid.  A threshold
+    of 1e-12 times the top eigenvalue of S kept too few in 27 of those 1,600
+    d = 50 cells, 13 of them on data.  The ranks of a seed share the data's
+    design rows X and responses: the kept count reads only the design X B."""
     small = [7, 10, 20] + DEFAULT_GRID
-    for rank in range(1, 7):
+    for p, ranks, grid, large in ((6, range(1, 7), small, [10**6, 10**7, 10**8, 10**9]),
+                                  (50, [10, 25, 40, 50], DEFAULT_GRID, [10**6, 10**9])):
         for seed in range(20):
-            spec = make_spec(6, 6, rank, seed=seed)
+            specs = [make_spec(p, p, rank, seed=seed) for rank in ranks]
             gen = DataGenConfig(seed=seed)
-            for n in small + [10**6, 10**7, 10**8, 10**9]:
-                rec = evidence_record(sample_statistics(spec, n, gen), lam=rank / 2.0)
-                assert rec.rank == rank, (rank, seed, n)
-            for n in small:
-                ds = sample_dataset(spec, n, gen)
-                prob = GaussianLinearProblem(A=ds.A, y=ds.y, sigma2=1.0, tau2=1.0)
-                assert evidence_record(prob, lam=rank / 2.0).rank == rank, (rank, seed, n)
+            for n in grid + large:
+                for rank, spec in zip(ranks, specs):
+                    rec = evidence_record(sample_statistics(spec, n, gen), lam=rank / 2.0)
+                    assert rec.rank == rank, (p, rank, seed, n)
+            for n in grid:
+                ds = sample_dataset(specs[-1], n, gen)
+                for rank, spec in zip(ranks, specs):
+                    prob = GaussianLinearProblem(A=ds.X @ spec.B_star, y=ds.y, sigma2=1.0, tau2=1.0)
+                    assert evidence_record(prob, lam=rank / 2.0).rank == min(n, rank), (
+                        p, rank, seed, n)

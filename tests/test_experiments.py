@@ -490,6 +490,29 @@ class TestRankSweep:
         rows = [ln for ln in text.splitlines() if ln.strip().startswith(("1 ", "2 "))]
         assert len(rows) == 2
 
+    def test_kept_count_is_the_rank_of_the_rows(self, monkeypatch):
+        """The rank rule keeps min(n, r) directions in every cell: on the
+        default sweep, on sizes from 2 (fewer rows than r) to 50, and at
+        d = p = 50, where the rank-50 factors come near singular."""
+        real = experiments.root_evidence_batch
+        kept, expected = [], []
+
+        def recording(n, A, y, d, sigma2, tau2, lam):
+            out = real(n, A, y, d, sigma2, tau2, lam)
+            kept.extend(out["rank"].tolist())
+            expected.extend(np.minimum(n, A.shape[-1]).tolist())
+            return out
+
+        monkeypatch.setattr(experiments, "root_evidence_batch", recording)
+        cells = 0
+        for cfg in (ExperimentConfig(), ExperimentConfig(n_grid=[2, 3, 4, 5, 6, 7, 8, 50]),
+                    ExperimentConfig(d=50, p=50, ranks=[10, 25, 40, 50])):
+            res = run_study(cfg)
+            assert not res.failures
+            cells += len(res.cells)
+        assert len(kept) == cells == 1080 + 960 + 720
+        assert kept == expected
+
     def test_batch_linalg_error_fails_every_cell_of_the_batch(self, monkeypatch):
         real = experiments.root_evidence_batch
 
