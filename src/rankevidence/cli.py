@@ -1,14 +1,14 @@
 """Command-line front end for the studies and verification suite.
 
 Subcommands mirror the studies (``rank-sweep``, which also draws the
-regular-vs-singular curves, and ``dict-compare``) plus ``evidence`` for
-inspecting the evidence curve of one rank and seed and ``verify`` for the
-brute-force oracle checks.  Effective configuration is resolved as: built-in
-defaults, then the ``--config`` JSON file, then ``--overrides``; the output
-directory honors ``--output-dir``, else the RANKEVIDENCE_OUTPUT_DIR
-environment variable, else the config value.  Every run writes
-``effective_config.json`` next to its outputs so the run can be reproduced
-by pointing ``--config`` at it.
+regular-vs-singular curves and one rank's evidence curve, and
+``dict-compare``) plus ``verify`` for the brute-force oracle checks.
+Effective configuration is resolved as: built-in defaults, then the
+``--config`` JSON file, then ``--overrides``, where a key given twice is an
+error; the output directory honors ``--output-dir``, else the
+RANKEVIDENCE_OUTPUT_DIR environment variable, else the config value.  Every
+run writes ``effective_config.json`` next to its outputs so the run can be
+reproduced by pointing ``--config`` at it.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 numerical failure that
 aborted a study.
@@ -36,8 +36,6 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     StudyResult,
-    cell_table_csv_text,
-    failure_lines,
     run_study,
     summarize,
     table_text,
@@ -98,7 +96,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def parse_overrides(chunks: list[str]) -> dict:
     """Parse ``--overrides`` strings (comma-separated key=value pairs)."""
-    out: dict = {}
+    pairs = []
     for chunk in chunks:
         for item in chunk.split(","):
             item = item.strip()
@@ -113,39 +111,44 @@ def parse_overrides(chunks: list[str]) -> dict:
                     f"unknown override field {key!r}; valid fields: {_OVERRIDABLE}"
                 )
             try:   # a scalar stays a string: validate() coerces it with every field
-                out[key] = _parse_int_list(value) if FIELD_TYPES[key] == list[int] else value
+                parsed = _parse_int_list(value) if FIELD_TYPES[key] == list[int] else value
             except ValueError as exc:
                 raise ConfigError(f"bad override value for {key!r}: {value!r} ({exc})")
-    return out
+            pairs.append((key, parsed))
+    return _unique_keys(pairs)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The pairs as a dict; a key given twice is an error, where ``dict`` and
+    ``json`` would let its last value win."""
+    keys = [key for key, _ in pairs]
+    if repeated := sorted({key for key in keys if keys.count(key) > 1}):
+        raise ConfigError(f"keys given twice: {repeated}")
+    return dict(pairs)
 
 
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except ValueError as exc:   # not UTF-8, not JSON, or a key given twice
+        raise ConfigError(f"cannot use config file {path}: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
 
 
-def build_config(study: str, args: argparse.Namespace, **defaults) -> ExperimentConfig:
-    """The study's defaults, then ``defaults``, then config file, then
-    overrides, then the output-dir flag/env."""
-    merged = {**defaults, **(_load_config_file(args.config) if args.config else {})}
+def build_config(study: str, args: argparse.Namespace) -> ExperimentConfig:
+    """The study's defaults, then config file, then overrides, then the
+    output-dir flag/env."""
+    merged = _load_config_file(args.config) if args.config else {}
     merged.update(parse_overrides(args.overrides))
     merged["study"] = study
-    if output_dir := _output_dir(args):
+    if output_dir := args.output_dir or os.environ.get(OUTPUT_DIR_ENV):
         merged["output_dir"] = output_dir
     return ExperimentConfig.from_dict(merged)
-
-
-def _output_dir(args: argparse.Namespace) -> str | None:
-    """``--output-dir``, else the environment variable; None when neither is set."""
-    return args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or None
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +262,10 @@ def emit_plot_data(result: StudyResult, out_dir: str | Path, plot: bool = False)
     Raises ValueError on an empty result before touching the filesystem, and
     writes atomically, so no partial file set is left behind.
     """
-    figures = [fig for fig in _FIGURES if fig.study == result.study and fig.when(result.config)]
+    cfg = result.config
+    figures = [fig for fig in _FIGURES if fig.study == cfg.study and fig.when(cfg)]
     if not figures:
-        raise ValueError(f"no plot data defined for study {result.study!r}")
+        raise ValueError(f"no plot data defined for study {cfg.study!r}")
     if not len(result.cells):
         raise ValueError("cannot emit plot data for an empty study result")
     texts: dict[str, str] = {}
@@ -270,7 +274,7 @@ def emit_plot_data(result: StudyResult, out_dir: str | Path, plot: bool = False)
         rows = fig.rows(result)
         texts[f"{fig.stem}.tsv"] = table_text(list(fig.columns), zip(*rows), delimiter="\t")
         if plot:
-            charts[f"{fig.stem}.svg"] = _chart(fig, rows, result.config)
+            charts[f"{fig.stem}.svg"] = _chart(fig, rows, cfg)
     out = Path(out_dir)
     files = {**texts, **charts}
     for name, text in files.items():
@@ -291,36 +295,6 @@ def _run_study_command(command: str, args: argparse.Namespace) -> int:
     write_atomic(out / "effective_config.json", json.dumps(cfg.to_dict(), indent=2) + "\n")
     sys.stdout.write(summarize(result))
     sys.stdout.write(f"outputs written to {out}\n")
-    return 0
-
-
-def _run_evidence_command(args: argparse.Namespace) -> int:
-    cfg = build_config("rank_sweep", args, ranks=[1], seeds=[0])
-    if len(cfg.ranks) != 1 or len(cfg.seeds) != 1:
-        raise ConfigError(f"evidence prints one curve: give one rank and one seed, "
-                          f"got ranks={cfg.ranks} and seeds={cfg.seeds}")
-    result = run_study(cfg)
-    rank, seed = cfg.ranks[0], cfg.seeds[0]
-    sys.stdout.write(
-        f"evidence for d={cfg.d} p={cfg.p} r={rank} seed={seed} "
-        f"sigma2={cfg.sigma2!r} tau2={cfg.tau2!r}\n"
-    )
-    sys.stdout.write(
-        f"{'n':>7}  {'log_z_exact':>14}  {'log_lik_mle':>14}  {'log_z_bic':>14}  "
-        f"{'log_z_rlct':>14}  {'delta_bic':>10}  {'delta_rlct':>10}\n"
-    )
-    cells = result.cells   # one rank and seed, so the cells run along n_grid
-    for n, (z, fit, bic, rlct, d_bic, d_rlct) in zip(cells.n.tolist(), cells.scores.tolist()):
-        sys.stdout.write(
-            f"{n:>7}  {z:>14.4f}  {fit:>14.4f}  {bic:>14.4f}  {rlct:>14.4f}  "
-            f"{d_bic:>10.4f}  {d_rlct:>10.4f}\n"
-        )
-    sys.stdout.writelines(f"{line}\n" for line in failure_lines(result.failures))
-    if _output_dir(args):
-        out = Path(cfg.output_dir)
-        write_atomic(out / "evidence_records.csv", cell_table_csv_text(result.cells))
-        write_atomic(out / "effective_config.json", json.dumps(cfg.to_dict(), indent=2) + "\n")
-        sys.stdout.write(f"records written to {out}\n")
     return 0
 
 
@@ -370,15 +344,12 @@ def run_verification() -> list[tuple[str, float, float, bool]]:
     ]
 
 
-def _run_verify_command(args: argparse.Namespace) -> int:
-    del args
+def _run_verify_command() -> int:
     checks = run_verification()
-    all_ok = True
     for name, worst, tol, ok in checks:
         status = "PASS" if ok else "FAIL"
         sys.stdout.write(f"{status}  {name}: max discrepancy {worst:.3e} (tol {tol:.0e})\n")
-        all_ok = all_ok and ok
-    return 0 if all_ok else 2
+    return 0 if all(ok for *_, ok in checks) else 2
 
 
 def _build_parser() -> _Parser:
@@ -404,8 +375,6 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(command, help=f"run the {study} study")
         add_common(sp)
         sp.add_argument("--plot", action="store_true", help="also render SVG charts")
-    sp = sub.add_parser("evidence", help="print the evidence curve of one rank and seed")
-    add_common(sp)
     sub.add_parser("verify", help="run the brute-force oracle verification suite")
     return parser
 
@@ -415,9 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify":
-            return _run_verify_command(args)
-        if args.command == "evidence":
-            return _run_evidence_command(args)
+            return _run_verify_command()
         return _run_study_command(args.command, args)
     except SystemExit as exc:  # argparse usage errors and --help
         code = exc.code

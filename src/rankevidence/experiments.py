@@ -316,7 +316,6 @@ class RankSummary:
 
 @dataclass
 class StudyResult:
-    study: str
     config: ExperimentConfig
     cells: CellTable
     failures: list[CellFailure] = field(default_factory=list)
@@ -364,7 +363,7 @@ def _regression_study(cfg: ExperimentConfig) -> StudyResult:
             message = str(exc)
         messages.append([message] * len(cfg.seeds))
     cells, failures = _cell_table(cfg, cfg.ranks, scores, _SCORE_COLUMNS, messages)
-    return StudyResult(cfg.study, cfg, cells, failures)
+    return StudyResult(cfg, cells, failures)
 
 
 def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> tuple[list[RankSummary], list]:
@@ -430,7 +429,7 @@ def _dict_study(cfg: ExperimentConfig) -> StudyResult:
         except (NumericalError, np.linalg.LinAlgError) as exc:
             messages.append(str(exc))
     cells, failures = _cell_table(cfg, [r], scores[None], _DICT_SCORE_COLUMNS, [messages])
-    return StudyResult(cfg.study, cfg, cells, failures, spectra=spectra)
+    return StudyResult(cfg, cells, failures, spectra=spectra)
 
 
 def aggregate_dict_comparison(table: CellTable, cfg: ExperimentConfig) -> tuple:
@@ -482,7 +481,7 @@ def summarize(result: StudyResult) -> str:
     """Deterministic text summary with measured and predicted slopes."""
     cfg = result.config
     lines = [
-        f"study: {result.study}",
+        f"study: {cfg.study}",
         f"config: d={cfg.d} p={cfg.p} sigma2={cfg.sigma2!r} tau2={cfg.tau2!r} "
         f"n_grid={cfg.n_grid[0]}..{cfg.n_grid[-1]} ({len(cfg.n_grid)} points) "
         f"seeds={len(cfg.seeds)} hash={cfg.config_hash()}",
@@ -503,7 +502,7 @@ def summarize(result: StudyResult) -> str:
         lines.append(f"comparison at n={result.dict_table_n} (first seed):")
         for key in DICT_TABLE_QUANTITIES:
             lines.append(f"  {key:<22} {result.dict_table[key]:.2f}")
-    elif result.study == "dict_compare":
+    elif cfg.study == "dict_compare":
         lines.append(f"comparison at n={result.dict_table_n} (first seed): cell failed, no table")
     if result.dict_gap_slopes is not None:
         gaps = result.dict_gap_slopes
@@ -596,7 +595,7 @@ def read_cell_table(path: str | Path) -> CellTable:
 def write_study_outputs(result: StudyResult, out_dir: str | Path) -> list[Path]:
     """Persist raw records, the slope/table summary CSV, the text summary,
     and the timestamp sidecar.  Returns the written paths."""
-    if result.study == "dict_compare":
+    if result.config.study == "dict_compare":
         files = {"dict_records.csv": cell_table_csv_text(result.cells)}
         if result.dict_table is not None:
             files["dict_compare.csv"] = table_text(["quantity", "value"], [

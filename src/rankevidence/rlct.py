@@ -23,7 +23,6 @@ class SlopeFit:
     slope: float
     intercept: float
     stderr_slope: float
-    n_points: int
 
 
 def analytic_rlct(r: int) -> float:
@@ -74,7 +73,7 @@ def fit_log_n_slope(points: Iterable[tuple[int, float]]) -> SlopeFit:
     sxx = float(np.sum((x - x.mean()) ** 2))
     dof = k - 2
     stderr = math.sqrt(rss / dof / sxx) if dof > 0 else 0.0
-    return SlopeFit(slope=slope, intercept=intercept, stderr_slope=stderr, n_points=k)
+    return SlopeFit(slope=slope, intercept=intercept, stderr_slope=stderr)
 
 
 def estimate_rlct_from_slope(evidence_points: Iterable[tuple[int, float]]) -> float:

@@ -113,25 +113,19 @@ class TestMain:
         assert effective["ranks"] == [1]
 
     def test_output_dir_env_honored(self, tmp_path, monkeypatch):
+        """The environment variable sets the output directory when the flag
+        is absent; with both set, the flag wins and the environment's
+        directory is not made."""
         target = tmp_path / "from_env"
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
-        assert main(["rank-sweep", "--overrides", "seeds=0,n_grid=50..100x2,ranks=1"]) == 0
+        args = ["rank-sweep", "--overrides", "seeds=0,n_grid=50..100x2,ranks=1"]
+        assert main(args) == 0
         assert (target / "evidence_records.csv").exists()
-
-    def test_evidence_output_dir_env_honored(self, tmp_path, monkeypatch, capsys):
-        """evidence writes where the environment variable points when no
-        --output-dir is given, and nowhere when neither is set."""
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-        args = ["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..200x2"]
-        assert main(args) == 0
-        assert list(tmp_path.iterdir()) == []
-        target = tmp_path / "from_env"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
-        assert main(args) == 0
-        assert sorted(p.name for p in target.iterdir()) == [
-            "effective_config.json", "evidence_records.csv"]
-        assert capsys.readouterr().out.endswith(f"records written to {target}\n")
+        other_env, flag = tmp_path / "other_env", tmp_path / "from_flag"
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(other_env))
+        assert main([*args, "--output-dir", str(flag)]) == 0
+        assert (flag / "evidence_records.csv").exists()
+        assert not other_env.exists()
 
     def test_dict_compare_smoke(self, tmp_path):
         assert main([
@@ -174,56 +168,14 @@ class TestMain:
         assert "gap slopes vs log n: " in summary
         assert "failed cells: 1" in summary and "rank=3 seed=0 n=200" in summary
 
-    def test_evidence_subcommand(self, capsys):
-        assert main(["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..200x2"]) == 0
-        out = capsys.readouterr().out
-        assert "log_z_exact" in out
-        assert out.count("\n") >= 4
-
-    def test_evidence_takes_one_rank_and_one_seed(self, tmp_path, capsys):
-        """Bare, evidence prints the rank-1, seed-0 curve; asked for more than
-        one rank or seed, from the overrides or the config file, it is a
-        config error that writes nothing, not a silent first-of-each."""
-        assert main(["evidence"]) == 0
-        bare = capsys.readouterr().out
-        assert main(["evidence", "--overrides", "ranks=1,seeds=0"]) == 0
-        assert capsys.readouterr().out == bare
-        assert bare.startswith("evidence for d=6 p=6 r=1 seed=0 ")
-        (tmp_path / "cfg.json").write_text(json.dumps({"seeds": [0, 1]}))
-        out = tmp_path / "out"
-        for extra in (["--overrides", "ranks=1+2,seeds=0+1,n_grid=50+100"],
-                      ["--overrides", "ranks=2", "--config", str(tmp_path / "cfg.json")]):
-            assert main(["evidence", *extra, "--output-dir", str(out)]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == "" and captured.err.startswith("config error: evidence prints one")
-            assert not out.exists()
-
-    def test_evidence_reports_failed_cells(self, capsys, monkeypatch):
-        """A poisoned cell drops out of the evidence curve and is reported
-        with the lines the study summary prints."""
-        real = experiments.root_evidence_batch
-
-        def poisoned(n, A, y, d, sigma2, tau2, lam):
-            out = real(n, A, y, d, sigma2, tau2, lam)
-            out["log_z_exact"][list(n).index(100)] = float("nan")
-            return out
-
-        monkeypatch.setattr(experiments, "root_evidence_batch", poisoned)
-        assert main(["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..400x2"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [ln.split()[0] for ln in lines[2:5]] == ["50", "200", "400"]
-        assert lines[5:] == [
-            "failed cells: 1",
-            "  rank=3 seed=5 n=100: non-finite value in evidence record",
-        ]
-
     def test_verify_subcommand(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4 and "FAIL" not in out
 
     def test_unknown_subcommand_exits_1(self, capsys):
-        for command in ("bogus", "regular-vs-singular"):   # a retired study: see rank-sweep
+        # retired: regular-vs-singular and evidence are runs of rank-sweep
+        for command in ("bogus", "regular-vs-singular", "evidence"):
             assert main([command]) == 1
             assert "invalid choice" in capsys.readouterr().err
 
@@ -261,14 +213,41 @@ class TestMain:
         assert err.startswith("config error") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides,config",
+        [
+            (["ranks=1,ranks=2"], None),
+            (["ranks=1", "seeds=0,ranks=2"], None),
+            ([], '{"seeds": [0], "seeds": [1, 2]}'),
+        ],
+        ids=["one-chunk", "across-chunks", "config-file"],
+    )
+    def test_repeated_key_exits_1(self, tmp_path, capsys, overrides, config):
+        """A key given twice is a config error that writes nothing, rather
+        than a silent last-value-wins."""
+        out = tmp_path / "out"
+        argv = ["rank-sweep", "--output-dir", str(out)]
+        for chunk in overrides:
+            argv += ["--overrides", chunk]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error") and "given twice" in captured.err
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
-        """A config file that is missing, not JSON, or a JSON list is a
-        config error naming the file, and no output directory is made."""
+        """A config file that is missing, not JSON, not UTF-8 or a JSON list
+        is a config error naming the file, and no output directory is made."""
         bad_json, a_list = tmp_path / "bad.json", tmp_path / "list.json"
         bad_json.write_text("{not json")
         a_list.write_text("[1, 2]")
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"\xff": 1}')
         out = tmp_path / "out"
-        for path in (tmp_path / "missing" / "cfg.json", bad_json, a_list):
+        for path in (tmp_path / "missing" / "cfg.json", bad_json, not_utf8, a_list):
             assert main(["rank-sweep", "--config", str(path), "--output-dir", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("config error") and str(path) in err, err
@@ -381,7 +360,6 @@ out = sys.argv[1]
 runs = {
     "rank-sweep": ["rank-sweep", "--plot", "--overrides", "seeds=0..1,n_grid=50..200x2,ranks=1+2"],
     "contrast": ["rank-sweep", "--plot", "--overrides", "ranks=4+6,seeds=0,n_grid=100+200"],
-    "evidence": ["evidence", "--overrides", "ranks=3,seeds=5,n_grid=50..200x2"],
     "dict-compare": ["dict-compare", "--plot", "--overrides", "seeds=0,n_grid=100..400x2"],
 }
 codes = [cli.main([*run, "--output-dir", f"{out}/{name}"]) for name, run in runs.items()]
@@ -403,7 +381,7 @@ def test_runs_without_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0] * 4
+    assert result["codes"] == [0] * 3
     assert result["checks"] == [True] * 4
     assert result["loaded"] == ["scipy"]      # the None placeholder itself
     for svg in ("rank-sweep/fig1_rank_sweep.svg", "rank-sweep/lambda_vs_rank.svg",

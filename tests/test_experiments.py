@@ -371,7 +371,7 @@ class TestRankSweep:
 
     def test_run_study_dispatch(self):
         res = run_study(tiny_config(ranks=[1], seeds=[0], n_grid=[50, 100]))
-        assert res.study == "rank_sweep"
+        assert res.config.study == "rank_sweep"
 
     def test_injected_nan_cell_is_isolated(self, monkeypatch):
         """One poisoned cell must not abort the sweep; it is surfaced in the

@@ -42,7 +42,8 @@ class TestFitLogNSlope:
         fit = fit_log_n_slope([(10, 1.0), (100, 3.0)])
         np.testing.assert_allclose(fit.slope, 2.0 / (math.log(100) - math.log(10)), rtol=1e-12)
         assert fit.stderr_slope == 0.0
-        assert fit.n_points == 2
+        # two points leave no residual: the line passes through both
+        np.testing.assert_allclose(fit.intercept + fit.slope * math.log(10), 1.0, rtol=1e-12)
 
     def test_residuals_orthogonal_to_regressors(self):
         rng = np.random.default_rng(0)
