@@ -15,7 +15,6 @@ from .dictionary import (
     ml_fit_term,
     sample_dictionary_data,
     sample_dictionary_statistics,
-    spectrum_rank,
 )
 from .evidence import (
     EvidenceRecord,

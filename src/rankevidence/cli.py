@@ -129,7 +129,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
@@ -259,8 +259,9 @@ def _chart(fig: _Figure, rows: list[list], cfg: ExperimentConfig) -> str:
 def emit_plot_data(result: StudyResult, out_dir: str | Path, plot: bool = False) -> list[Path]:
     """Write one TSV per figure; with ``plot`` also a rendered SVG for each.
 
-    Raises ValueError on an empty result before touching the filesystem, and
-    writes atomically, so no partial file set is left behind.
+    Raises ValueError on an empty result before touching the filesystem.
+    Each file is replaced atomically, but a failure part-way leaves the
+    files already written.
     """
     cfg = result.config
     figures = [fig for fig in _FIGURES if fig.study == cfg.study and fig.when(cfg)]

@@ -27,11 +27,10 @@ from ._linalg import (
     chol_solve,
     numerical_rank,
     spd_cholesky,
-    spectral_rank,
     symmetrize,
 )
 from ._rng import substream, wishart_roots
-from .evidence import LOG_2PI
+from .evidence import LOG_2PI, log_n
 from .rlct import analytic_rlct
 
 
@@ -191,17 +190,6 @@ def gram_spectrum(spec: DictionarySpec) -> np.ndarray:
     return eigs[::-1].copy()
 
 
-def spectrum_rank(eigenvalues: np.ndarray, size: int) -> int:
-    """Count of Gram eigenvalues that are numerically nonzero.
-
-    ``size`` is the relevant matrix dimension for noise scaling (eigenvalues
-    of a computed Gram matrix carry rounding noise of order
-    ``eig_max * eps``, not ``eps**2``).
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    return int(spectral_rank(eigenvalues, size)) if eigenvalues.size else 0
-
-
 def ml_fit_term(
     data: DictionaryDataset | DictionaryStatistics, shape_d: int, sigma2: float
 ) -> float:
@@ -279,28 +267,25 @@ def comparison_batch(
         raise ValueError(
             f"pair members disagree on span dimension: {minimal.r} vs {overcomplete.r}"
         )
-    if any(n < 2 for n in n_grid):
-        raise ValueError(f"sample sizes must be >= 2 for log-n scores, got {n_grid}")
     n = np.array(n_grid)
+    logs = log_n(n)
     L_min, L_over = (spd_cholesky(marginal_covariance(s), context="comparison_batch") for s in pair)
     LT = L_min @ wishart_roots(seed, "dict-wishart", n_grid, minimal.p).swapaxes(-1, -2)
     YY = symmetrize(LT @ LT.swapaxes(-1, -2))
     ell = _sample_eigenvalues(n, YY)
     fit_min = _ml_fits(n, ell, minimal.d, minimal.sigma2)
     fit_over = _ml_fits(n, ell, overcomplete.d, overcomplete.sigma2)
-    # math.log, not np.log: the two round differently for some n
-    log_n = np.array([math.log(k) for k in n_grid])
-    lam_log_n = analytic_rlct(minimal.r) * log_n
+    lam_log_n = analytic_rlct(minimal.r) * logs
     return {
         "exact_minimal": _log_likelihoods(L_min, n, YY),
         "exact_overcomplete": _log_likelihoods(L_over, n, YY),
         "fit_minimal": fit_min,
         "fit_overcomplete": fit_over,
-        "bic_minimal": fit_min - 0.5 * minimal.d * log_n,
-        "bic_overcomplete": fit_min - 0.5 * overcomplete.d * log_n,
+        "bic_minimal": fit_min - 0.5 * minimal.d * logs,
+        "bic_overcomplete": fit_min - 0.5 * overcomplete.d * logs,
         "rlct_minimal": fit_min - lam_log_n,
         "rlct_overcomplete": fit_min - lam_log_n,
-        "bic_overcomplete_ml": fit_over - 0.5 * overcomplete.d * log_n,
+        "bic_overcomplete_ml": fit_over - 0.5 * overcomplete.d * logs,
         "rlct_overcomplete_ml": fit_over - lam_log_n,
     }
 

@@ -9,9 +9,10 @@ For ``y | theta ~ N(A theta, sigma2 I_n)`` with prior
 with ``S = A^T A`` and ``alpha = tau2 / sigma2``.  This module computes that
 value, the maximum-likelihood fit term, the BIC-style score
 ``fit - (d/2) log n``, the corrected score ``fit - lambda log n`` for a given
-effective dimension ``lambda``, and a full MAP-Laplace evaluation that must
-agree with the closed form to floating-point accuracy (the log posterior is
-exactly quadratic), which serves as a built-in exactness check.
+effective dimension ``lambda`` (both with one log-n rule, :func:`log_n`),
+and a full MAP-Laplace evaluation that must agree with the closed form to
+floating-point accuracy (the log posterior is exactly quadratic), which
+serves as a built-in exactness check.
 
 Every one of these quantities depends on the data only through ``n`` and
 the products ``S = A^T A``, ``A^T y`` and ``y^T y``, so
@@ -192,28 +193,39 @@ def mle_fit_term(prob: GaussianLinearProblem) -> tuple[np.ndarray, float]:
     return theta_hat, log_lik
 
 
-def bic_score(log_lik_mle: float, d: int, n: int) -> float:
-    """BIC-style score: maximized log likelihood minus (d/2) log n.
+def log_n(n):
+    """``math.log`` of each integer sample size in [2, 2**64): a float for
+    one size, an array of the same shape for an array (empty included).  The
+    one log-n rule of every score; ``np.log`` rounds some values differently."""
+    sizes = np.asarray(n)
+    if sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 2):
+        raise ValueError(f"sample sizes must be integers in [2, 2**64) for log-n scores, got {n}")
+    logs = [math.log(k) for k in sizes.ravel().tolist()]
+    return logs[0] if sizes.ndim == 0 else np.array(logs).reshape(sizes.shape)
+
+
+def bic_score(log_lik_mle, d: int, n):
+    """BIC-style score: maximized log likelihood minus (d/2) log n, for one
+    sample size or an array of them (:func:`log_n`).
 
     Prior and 2pi constants are deliberately dropped; see
     :func:`full_laplace_log_evidence` for the complete expansion.
     """
-    _check_sample_size(n)
     if d < 0:
         raise ValueError(f"parameter count must be nonnegative, got {d}")
-    return log_lik_mle - 0.5 * d * math.log(n)
+    return log_lik_mle - 0.5 * d * log_n(n)
 
 
-def rlct_score(log_lik_mle: float, lam: float, n: int) -> float:
-    """Effective-dimension-corrected score: fit term minus lambda * log n.
+def rlct_score(log_lik_mle, lam: float, n):
+    """Effective-dimension-corrected score: fit term minus lambda * log n,
+    for one sample size or an array of them (:func:`log_n`).
 
     With ``lam = d/2`` this reduces to :func:`bic_score`; for rank-r designs
     the correct coefficient is ``lam = r/2``.
     """
-    _check_sample_size(n)
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    return log_lik_mle - lam * math.log(n)
+    return log_lik_mle - lam * log_n(n)
 
 
 def log_joint(stats: SufficientStatistics, theta: np.ndarray) -> np.ndarray:
@@ -263,7 +275,6 @@ def evidence_record(
     the one-cell call of :func:`root_evidence_batch` on the rows of the
     problem or statistics."""
     stats = data.statistics() if isinstance(data, GaussianLinearProblem) else data
-    _check_sample_size(stats.n)
     out = root_evidence_batch(
         np.array([stats.n]), stats.R[None], stats.z[None], stats.d,
         stats.sigma2, stats.tau2, lam,
@@ -288,8 +299,7 @@ def root_evidence_batch(
     ``np.linalg.LinAlgError``."""
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if np.any(n < 2):
-        raise ValueError(f"sample sizes must be >= 2 for log-n scores, got {n}")
+    logs = log_n(n)
     U, sv, _ = np.linalg.svd(A, full_matrices=False)
     if not np.isfinite(sv).all():   # an inf row gives NaN values without raising
         raise np.linalg.LinAlgError("SVD of non-finite rows")
@@ -303,21 +313,13 @@ def root_evidence_batch(
         g**2 / (1.0 + alpha * s), axis=-1
     ) / (2.0 * sigma2)
     fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + rss / sigma2)
-    # math.log, not np.log: the two round differently for some n
-    log_n = np.array([math.log(k) for k in n.tolist()])
     return {
         "log_z_exact": fit - centered,
         "log_lik_mle": fit,
-        "log_z_bic": fit - 0.5 * d * log_n,
-        "log_z_rlct": fit - lam * log_n,
-        "delta_bic": centered - 0.5 * d * log_n,
-        "delta_rlct": centered - lam * log_n,
+        "log_z_bic": fit - 0.5 * d * logs,
+        "log_z_rlct": fit - lam * logs,
+        "delta_bic": centered - 0.5 * d * logs,
+        "delta_rlct": centered - lam * logs,
         "rank": rank,
     }
 
-
-def _check_sample_size(n: int) -> None:
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"sample size must be an integer, got {type(n).__name__}")
-    if n < 2:
-        raise ValueError(f"sample size must be >= 2 for log-n scores, got {n}")

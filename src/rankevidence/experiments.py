@@ -26,7 +26,7 @@ import math
 import os
 import time
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +34,12 @@ import numpy as np
 from ._linalg import NumericalError
 from ._rng import SEED_LIMIT, STREAM_INDEX_LIMIT, wishart_roots
 from .dictionary import (
+    DictionaryComparison,
     comparison_batch,
     gram_spectrum,
     make_dictionary_pair,
 )
-from .evidence import root_evidence_batch
+from .evidence import EvidenceRecord, root_evidence_batch
 # sample_dataset is not called here; it stays bound in this module because
 # perfbench/test_checks.py checks the tracer's rebinding on this very global.
 from .linear_models import (  # noqa: F401
@@ -60,10 +61,12 @@ STUDIES = ("rank_sweep", "dict_compare")
 # the columns that identify a cell in both record files
 KEY_COLUMNS = ["study", "rank", "d", "p", "seed", "n"]
 
-# the EvidenceRecord fields an evidence record carries
-_SCORE_COLUMNS = [
-    "log_z_exact", "log_lik_mle", "log_z_bic", "log_z_rlct", "delta_bic", "delta_rlct",
-]
+# each record file's score columns: the fields of its model's one-cell record
+# that are not key columns (so not EvidenceRecord's kept rank)
+_SCORE_COLUMNS, _DICT_SCORE_COLUMNS = (
+    [f.name for f in fields(record) if f.name not in KEY_COLUMNS]
+    for record in (EvidenceRecord, DictionaryComparison)
+)
 
 RECORD_COLUMNS = [*KEY_COLUMNS, *_SCORE_COLUMNS]
 
@@ -78,13 +81,6 @@ DICT_TABLE_QUANTITIES = [
     "exact_minimal", "exact_overcomplete",
     "bic_minimal", "bic_overcomplete",
     "rlct_minimal", "rlct_overcomplete",
-]
-
-# the comparison_batch scores, in DictionaryComparison field order
-_DICT_SCORE_COLUMNS = [
-    "exact_minimal", "exact_overcomplete", "fit_minimal", "fit_overcomplete",
-    "bic_minimal", "bic_overcomplete", "rlct_minimal", "rlct_overcomplete",
-    "bic_overcomplete_ml", "rlct_overcomplete_ml",
 ]
 
 DICT_RECORD_COLUMNS = [*KEY_COLUMNS, *_DICT_SCORE_COLUMNS]
@@ -530,7 +526,7 @@ def write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as handle:
+        with open(tmp, "w", newline="", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -570,7 +566,7 @@ def slopes_csv_text(summaries: list[RankSummary]) -> str:
 def read_cell_table(path: str | Path) -> CellTable:
     """Load a record CSV (``evidence_records.csv`` or ``dict_records.csv``)
     for offline re-analysis; its header names the score columns."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         header, *rows = [*csv.reader(handle)] or [[]]   # an empty file has an empty header
     if header[:len(KEY_COLUMNS)] != KEY_COLUMNS:
         raise ValueError(f"{path}: header must start with {KEY_COLUMNS}, got {header}")
@@ -584,7 +580,7 @@ def read_cell_table(path: str | Path) -> CellTable:
         scores = np.array([[float(v) for v in column] for column in scores]).T
     except ValueError as exc:   # a field that is not a number
         raise ValueError(f"{path}: {exc}") from None
-    if not all(0 <= s < 2**64 for s in seed):
+    if not all(0 <= s < SEED_LIMIT for s in seed):
         raise ValueError(f"{path}: seeds must lie in [0, 2**64)")
     return CellTable(
         study[0], d, p, np.array(rank), np.array(seed, dtype=np.uint64), np.array(n),

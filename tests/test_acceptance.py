@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
 
-from rankevidence.dictionary import gram_spectrum, make_dictionary_pair, spectrum_rank
+from rankevidence._linalg import spectral_rank
+from rankevidence.dictionary import gram_spectrum, make_dictionary_pair
 from rankevidence.evidence import (
     bic_score,
     evidence_record,
@@ -177,7 +178,7 @@ def test_criterion_7_spectrum_shape():
         d_over = int(rng.integers(r + 1, r + 8))
         minimal, over = make_dictionary_pair(p, r, d_over, seed=seed)
         for spec in (minimal, over):
-            got = spectrum_rank(gram_spectrum(spec), max(spec.p, spec.d))
+            got = spectral_rank(gram_spectrum(spec), max(spec.p, spec.d))
             ok = ok and got == r
             checked += 1
     _report(

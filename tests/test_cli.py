@@ -388,3 +388,37 @@ def test_runs_without_scipy(tmp_path):
                 "contrast/fig2_regular_error.svg", "contrast/fig3_singular_error.svg",
                 "dict-compare/fig5_eigenspectra.svg"):
         assert (tmp_path / svg).read_text().startswith("<svg"), svg
+
+
+_UTF8_SCRIPT = """
+import json, sys
+from rankevidence import cli
+from rankevidence.experiments import read_cell_table
+config, out = sys.argv[1:]
+codes = [cli.main([command, "--config", config, "--plot", "--output-dir", f"{out}/{command}"])
+         for command in ("rank-sweep", "dict-compare")]
+codes.append(cli.main(["verify"]))
+rows = [len(read_cell_table(f"{out}/{path}")) for path in
+        ("rank-sweep/evidence_records.csv", "dict-compare/dict_records.csv")]
+print(json.dumps({"codes": codes, "rows": rows}))
+"""
+
+
+def test_text_files_name_utf8(tmp_path):
+    """Every text file the package opens names its encoding: both study
+    subcommands with a config file and --plot, verify and read_cell_table
+    run with a locale-default encoding turned into an error."""
+    src = str(Path(rankevidence.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seeds": [0], "n_grid": [50, 100], "ranks": [3]}),
+                      encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", _UTF8_SCRIPT, str(config), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "rows": [2, 2]}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from rankevidence._linalg import spectral_rank
 from rankevidence.dictionary import (
     DictionaryDataset,
     DictionarySpec,
@@ -16,7 +17,6 @@ from rankevidence.dictionary import (
     ml_fit_term,
     sample_dictionary_data,
     sample_dictionary_statistics,
-    spectrum_rank,
 )
 from rankevidence.rlct import fit_log_n_slope
 
@@ -241,13 +241,13 @@ class TestGramSpectrum:
         eigs = gram_spectrum(over)
         assert eigs.shape == (6,)
         assert np.all(np.diff(eigs) <= 1e-12)   # descending
-        assert spectrum_rank(eigs, max(over.p, over.d)) == 3
+        assert spectral_rank(eigs, max(over.p, over.d)) == 3
         assert np.max(np.abs(eigs[3:])) < 1e-12
 
     def test_zero_dictionary(self):
         spec = DictionarySpec(np.zeros((4, 3)), 1.0, 1.0)
         np.testing.assert_array_equal(gram_spectrum(spec), np.zeros(3))
-        assert spectrum_rank(gram_spectrum(spec), 4) == 0
+        assert spectral_rank(gram_spectrum(spec), 4) == 0
 
 
 class TestMlFitTerm:

@@ -15,9 +15,11 @@ from rankevidence.evidence import (
     exact_log_evidence,
     full_laplace_log_evidence,
     log_joint,
+    log_n,
     mle_fit_term,
     posterior,
     rlct_score,
+    root_evidence_batch,
 )
 from rankevidence.linear_models import (
     DataGenConfig,
@@ -210,6 +212,34 @@ class TestScores:
         with pytest.raises(ValueError):
             rlct_score(0.0, -0.5, 100)
 
+    def test_arrays_of_sizes_score_like_one_size_at_a_time(self):
+        """log_n, bic_score and rlct_score take an array of sample sizes (an
+        empty one too), and each entry is the one-size call's value, bit for
+        bit: math.log's, at every size up to 2**64 - 1."""
+        n = np.array([[2, 50, 12_800], [3**20, 2**62 + 1, 10**18]])
+        fit = np.linspace(-5000.0, 3.0, 6).reshape(2, 3)
+        logs, bic, rlct = log_n(n), bic_score(fit, 5, n), rlct_score(fit, 1.5, n)
+        assert logs.shape == bic.shape == rlct.shape == n.shape
+        for i in np.ndindex(n.shape):
+            k, f = int(n[i]), float(fit[i])
+            assert logs[i] == log_n(k) == math.log(k)
+            assert bic[i] == bic_score(f, 5, k)
+            assert rlct[i] == rlct_score(f, 1.5, k)
+        top = np.array([2**64 - 1], dtype=np.uint64)
+        assert log_n(top)[0] == log_n(2**64 - 1) == math.log(2**64 - 1)
+        assert log_n(np.array([], dtype=int)).shape == log_n([]).shape == (0,)
+
+    @pytest.mark.parametrize("n", [
+        True, 1, -3, 7.389, 100.0, 2**64, np.float64(200.0),
+        np.array([True, True]), [100, True], [100, 1], [100, 7.5], [100, 2**64],
+        np.array([50.0, 100.0]),
+    ], ids=repr)
+    def test_sizes_outside_the_log_n_rule_are_rejected(self, n):
+        """bool, non-integer, < 2 and >= 2**64 sizes, alone or in an array."""
+        for score in (log_n, lambda n: bic_score(0.0, 2, n), lambda n: rlct_score(0.0, 1.0, n)):
+            with pytest.raises(ValueError, match="sample sizes must be integers"):
+                score(n)
+
 
 class TestLogJoint:
     def test_matches_the_data_form_on_a_stack(self):
@@ -311,6 +341,15 @@ class TestEvidenceRecord:
             SufficientStatistics(n=3, R=np.eye(2), z=np.zeros(3), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
             SufficientStatistics(n=3, R=np.zeros(3), z=np.zeros(3), sigma2=1.0, tau2=1.0)
+
+    def test_sizes_past_the_log_n_rule_are_rejected(self):
+        """n = 2**64 is a ValueError naming n, and so is a non-integer size in
+        a batch."""
+        stats = SufficientStatistics(n=2**64, R=np.eye(2), z=np.ones(2), sigma2=1.0, tau2=1.0)
+        with pytest.raises(ValueError, match=str(2**64)):
+            evidence_record(stats, lam=0.5)
+        with pytest.raises(ValueError, match="sample sizes must be integers"):
+            root_evidence_batch(np.array([100.0]), np.eye(2)[None], np.ones((1, 2)), 2, 1.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_raises(self, bad):

@@ -103,9 +103,9 @@ class TestRankRFactors:
             make_rank_r_factor(6, 5, 3, seed=0)
 
     def test_rank_rule_counts_values_above_the_scaled_eps(self):
-        """The rank rule shared by numerical_rank, spectrum_rank and the
-        factor check: a value counts when it exceeds max * size * eps, along
-        the last axis of a stack."""
+        """The rank rule shared by numerical_rank, the evidence batch, the
+        Gram-spectrum checks and the factor check: a value counts when it
+        exceeds max * size * eps, along the last axis of a stack."""
         eps = np.finfo(float).eps
         s = np.array([[2.0, 2.0 * 6 * eps * 1.01, 2.0 * 6 * eps * 0.99],
                       [1.0, 0.5, 0.0]])
