@@ -4,7 +4,6 @@ for linear-Gaussian rank and dictionary models."""
 from ._linalg import NumericalError, numerical_rank
 from .dictionary import (
     DictionaryComparison,
-    DictionaryDataset,
     DictionarySpec,
     DictionaryStatistics,
     dict_log_likelihood,

@@ -8,8 +8,10 @@ D D^T, which is what makes column count a representation choice rather than a
 statistical one — and what BIC's per-column penalty gets wrong.
 
 Both the exact likelihood and the ML fit depend on the data only through
-``n`` and the scatter ``Y^T Y ~ Wishart_p(n, Sigma_y)``, drawn exactly as
-``(L T)(L T)^T``, ``L L^T = Sigma_y``, at a cost that does not depend on n.
+``n`` and the scatter ``Y^T Y ~ Wishart_p(n, Sigma_y)``, so the one data
+type, :class:`DictionaryStatistics`, keeps rows whose scatter it is: the n
+observations themselves, or the p rows ``(L T)^T`` of a square root,
+``L L^T = Sigma_y``, drawn exactly at a cost that does not depend on n.
 A study's cells run as arrays, one :func:`comparison_batch` per (pair, seed);
 the one-cell functions are calls of the same array code.
 """
@@ -30,7 +32,7 @@ from ._linalg import (
     symmetrize,
 )
 from ._rng import substream, wishart_roots
-from .evidence import LOG_2PI, log_n
+from .evidence import LOG_2PI, check_positive, log_n
 from .rlct import analytic_rlct
 
 
@@ -47,8 +49,7 @@ class DictionarySpec:
     def __post_init__(self) -> None:
         if self.D.ndim != 2 or not self.D.size:
             raise ValueError(f"D must be a nonempty matrix, got shape {self.D.shape}")
-        if self.sigma2 <= 0 or self.tau2 <= 0:
-            raise ValueError("sigma2 and tau2 must be positive")
+        check_positive(sigma2=self.sigma2, tau2=self.tau2)
 
     @property
     def p(self) -> int:
@@ -66,30 +67,23 @@ class DictionarySpec:
 
 @dataclass(frozen=True)
 class DictionaryStatistics:
-    """Sufficient statistics of n observation vectors: their scatter matrix."""
+    """What the likelihood and the fit depend on: ``n`` and rows ``Y`` whose
+    scatter ``Y^T Y`` is that of the n observation vectors.  The rows are the
+    observations themselves or any equivalent set, such as a square root."""
 
     n: int
-    YY: np.ndarray  # (p, p) scatter Y^T Y
+    Y: np.ndarray   # (q, p) observation rows
 
     def __post_init__(self) -> None:
-        if self.YY.ndim != 2 or self.YY.shape[0] != self.YY.shape[1]:
-            raise ValueError(f"scatter matrix must be square, got shape {self.YY.shape}")
+        if self.Y.ndim != 2:
+            raise ValueError(f"rows must be 2-D, got shape {self.Y.shape}")
+        if self.n < 1:
+            raise ValueError(f"need at least one observation, got n={self.n}")
 
-
-@dataclass(frozen=True)
-class DictionaryDataset:
-    """n observation vectors stored as rows."""
-
-    n: int
-    Y: np.ndarray   # (n, p)
-
-    def __post_init__(self) -> None:
-        if self.Y.shape[0] != self.n:
-            raise ValueError(f"Y has {self.Y.shape[0]} rows, expected {self.n}")
-
-    def statistics(self) -> DictionaryStatistics:
-        """The scatter ``Y^T Y`` that every likelihood and fit here reads."""
-        return DictionaryStatistics(n=self.n, YY=self.Y.T @ self.Y)
+    @functools.cached_property
+    def YY(self) -> np.ndarray:
+        """The scatter ``Y^T Y``, (p, p), symmetric."""
+        return symmetrize(self.Y.T @ self.Y)
 
 
 def marginal_covariance(spec: DictionarySpec) -> np.ndarray:
@@ -97,25 +91,15 @@ def marginal_covariance(spec: DictionarySpec) -> np.ndarray:
     return spec.tau2 * (spec.D @ spec.D.T) + spec.sigma2 * np.eye(spec.p)
 
 
-def _as_statistics(
-    data: DictionaryDataset | DictionaryStatistics,
-) -> DictionaryStatistics:
-    return data.statistics() if isinstance(data, DictionaryDataset) else data
-
-
-def dict_log_likelihood(
-    spec: DictionarySpec, data: DictionaryDataset | DictionaryStatistics
-) -> float:
+def dict_log_likelihood(spec: DictionarySpec, stats: DictionaryStatistics) -> float:
     """Exact Gaussian log likelihood of the data under the marginal law.
 
-    Accepts the data or their :class:`DictionaryStatistics`.  The quadratic
-    form ``tr(Sigma_y^{-1} Y^T Y)`` goes through an SPD factorization of the
-    marginal covariance, never an explicit inverse.
+    The quadratic form ``tr(Sigma_y^{-1} Y^T Y)`` goes through an SPD
+    factorization of the marginal covariance, never an explicit inverse.
     """
-    stats = _as_statistics(data)
-    if stats.YY.shape != (spec.p, spec.p):
+    if stats.Y.shape[1] != spec.p:
         raise ValueError(
-            f"data dimension {stats.YY.shape[0]} != observation dimension {spec.p}"
+            f"data dimension {stats.Y.shape[1]} != observation dimension {spec.p}"
         )
     L = spd_cholesky(marginal_covariance(spec), context="dict_log_likelihood")
     return float(_log_likelihoods(L, stats.n, stats.YY))
@@ -127,25 +111,26 @@ def _log_likelihoods(L: np.ndarray, n, YY: np.ndarray) -> np.ndarray:
     return -0.5 * (n * (L.shape[0] * LOG_2PI + chol_logdet(L)) + quad)
 
 
-def sample_dictionary_data(spec: DictionarySpec, n: int, seed: int) -> DictionaryDataset:
-    """Draw n observations y_i = D z_i + eps_i, deterministic per seed."""
+def sample_dictionary_data(spec: DictionarySpec, n: int, seed: int) -> DictionaryStatistics:
+    """Draw n observations y_i = D z_i + eps_i, deterministic per seed, as rows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = substream(seed, "dict-data", n)
     Z = math.sqrt(spec.tau2) * rng.standard_normal((n, spec.d))
     E = math.sqrt(spec.sigma2) * rng.standard_normal((n, spec.p))
-    return DictionaryDataset(n=n, Y=Z @ spec.D.T + E)
+    return DictionaryStatistics(n=n, Y=Z @ spec.D.T + E)
 
 
 def sample_dictionary_statistics(
     spec: DictionarySpec, n: int, seed: int
 ) -> DictionaryStatistics:
-    """Draw the scatter of n observations directly: the one-point case of
-    :func:`comparison_batch`'s draw, with the law of
-    :func:`sample_dictionary_data`'s scatter but not the same draw."""
+    """Draw the scatter of n observations directly, as the p rows ``(L T)^T``
+    of its square root: the one-point case of :func:`comparison_batch`'s
+    draw, with the law of :func:`sample_dictionary_data`'s scatter but not
+    the same draw."""
     L = spd_cholesky(marginal_covariance(spec), context="sample_dictionary_statistics")
     LT = L @ wishart_roots(seed, "dict-wishart", [n], spec.p)[0].T
-    return DictionaryStatistics(n=n, YY=symmetrize(LT @ LT.T))
+    return DictionaryStatistics(n=n, Y=LT.T)
 
 
 def make_dictionary_pair(
@@ -190,27 +175,20 @@ def gram_spectrum(spec: DictionarySpec) -> np.ndarray:
     return eigs[::-1].copy()
 
 
-def ml_fit_term(
-    data: DictionaryDataset | DictionaryStatistics, shape_d: int, sigma2: float
-) -> float:
+def ml_fit_term(stats: DictionaryStatistics, shape_d: int, sigma2: float) -> float:
     """Maximized log likelihood over all dictionaries with shape_d columns.
 
-    Accepts the data or their :class:`DictionaryStatistics`.  With known
-    noise variance the optimum has a closed form: eigendecompose the sample
-    second moment C = (1/n) Y^T Y, place signal variance
+    With known noise variance the optimum has a closed form: eigendecompose
+    the sample second moment C = (1/n) Y^T Y, place signal variance
     ``max(ell_j - sigma2, 0)`` on the top min(shape_d, p) sample eigenvectors,
     and evaluate the Gaussian log likelihood under the resulting covariance.
     Directions whose sample eigenvalue falls below sigma2 clamp to pure noise,
     which is why extra columns beyond the data rank buy only an O(1) gain.
     The latent scale tau2 does not move the optimum: the dictionary absorbs it.
     """
-    stats = _as_statistics(data)
-    if stats.n < 1:
-        raise ValueError(f"need at least one observation, got n={stats.n}")
     if shape_d < 0:
         raise ValueError(f"column count must be nonnegative, got {shape_d}")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    check_positive(sigma2=sigma2)
     return float(_ml_fits(stats.n, _sample_eigenvalues(stats.n, stats.YY), shape_d, sigma2))
 
 

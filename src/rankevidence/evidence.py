@@ -15,16 +15,16 @@ floating-point accuracy (the log posterior is exactly quadratic), which
 serves as a built-in exactness check.
 
 Every one of these quantities depends on the data only through ``n`` and
-the products ``S = A^T A``, ``A^T y`` and ``y^T y``, so
-:class:`SufficientStatistics` keeps rows whose products they are: the data
-themselves, or a square root of a few rows, with which a cell costs the
-same at every ``n``.  One function, :func:`root_evidence_batch`
-(one cell: :func:`evidence_record`), scores rows through a thin SVD and keeps
-the directions above the package's one rank rule,
-:func:`~rankevidence._linalg.spectral_rank`.  :func:`log_joint`,
-:func:`posterior` and :func:`full_laplace_log_evidence` read the products;
-only the references :func:`exact_log_evidence` and :func:`mle_fit_term` work
-on ``(A, y)``.
+the products ``S = A^T A``, ``A^T y`` and ``y^T y``, so the one data type,
+:class:`SufficientStatistics`, keeps rows ``(A, y)`` whose products they
+are: the data themselves (:func:`GaussianLinearProblem`), or a square root
+of a few rows, with which a cell costs the same at every ``n``.  One
+function, :func:`root_evidence_batch` (one cell: :func:`evidence_record`),
+scores rows through a thin SVD and keeps the directions above the package's
+one rank rule, :func:`~rankevidence._linalg.spectral_rank`.
+:func:`log_joint`, :func:`posterior` and :func:`full_laplace_log_evidence`
+read the products; the Cholesky references :func:`exact_log_evidence` and
+:func:`mle_fit_term` read the rows.
 """
 
 from __future__ import annotations
@@ -41,85 +41,59 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class GaussianLinearProblem:
-    """Effective design, responses, and the two variances of one problem."""
+class SufficientStatistics:
+    """What the evidence and the fit depend on: ``n`` and rows ``A`` and
+    ``y`` whose products ``S = A^T A``, ``b = A^T y`` and ``yy = y^T y`` are
+    those of the n observations, with the two variances.  The rows are the
+    data themselves or any equivalent set, such as a square root."""
 
-    A: np.ndarray      # (n, d) effective design
-    y: np.ndarray      # (n,) responses
+    n: int
+    A: np.ndarray      # (q, d) design rows
+    y: np.ndarray      # (q,) responses
     sigma2: float      # noise variance
     tau2: float        # prior variance
 
     def __post_init__(self) -> None:
-        if self.A.ndim != 2:
-            raise ValueError(f"A must be 2-D, got shape {self.A.shape}")
-        if self.y.shape != (self.A.shape[0],):
+        if self.A.ndim != 2 or self.d < 1 or self.y.shape != self.A.shape[:1]:
             raise ValueError(
-                f"y shape {self.y.shape} does not match A rows {self.A.shape[0]}"
+                f"A shape {self.A.shape} and y shape {self.y.shape} do not match"
             )
-        if self.sigma2 <= 0 or self.tau2 <= 0:
-            raise ValueError("sigma2 and tau2 must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        check_positive(sigma2=self.sigma2, tau2=self.tau2)
 
     @property
     def d(self) -> int:
         return self.A.shape[1]
 
-    @property
-    def alpha(self) -> float:
-        """Prior-to-noise variance ratio tau2 / sigma2."""
-        return self.tau2 / self.sigma2
-
-    def statistics(self) -> "SufficientStatistics":
-        """The sufficient statistics of this problem, on its own rows ``(A, y)``."""
-        return SufficientStatistics(
-            n=self.n, R=self.A, z=self.y, sigma2=self.sigma2, tau2=self.tau2
-        )
-
-
-@dataclass(frozen=True)
-class SufficientStatistics:
-    """What the evidence and the fit depend on: ``n`` and rows ``R`` and
-    ``z`` whose products ``S = R^T R``, ``b = R^T z`` and ``yy = z^T z`` are
-    those of the n observations, with the two variances.  The rows are the
-    data themselves or any equivalent set, such as a square root."""
-
-    n: int
-    R: np.ndarray      # (q, d) design rows
-    z: np.ndarray      # (q,) responses
-    sigma2: float      # noise variance
-    tau2: float        # prior variance
-
-    def __post_init__(self) -> None:
-        if self.R.ndim != 2 or self.d < 1 or self.z.shape != self.R.shape[:1]:
-            raise ValueError(
-                f"R shape {self.R.shape} and z shape {self.z.shape} do not match"
-            )
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.sigma2 <= 0 or self.tau2 <= 0:
-            raise ValueError("sigma2 and tau2 must be positive")
-
-    @property
-    def d(self) -> int:
-        return self.R.shape[1]
-
     @functools.cached_property
     def S(self) -> np.ndarray:
-        """``R^T R``, (d, d) symmetric positive semidefinite."""
-        return self.R.T @ self.R
+        """``A^T A``, (d, d) symmetric positive semidefinite."""
+        return self.A.T @ self.A
 
     @functools.cached_property
     def b(self) -> np.ndarray:
-        """``R^T z``, (d,)."""
-        return self.R.T @ self.z
+        """``A^T y``, (d,)."""
+        return self.A.T @ self.y
 
     @functools.cached_property
     def yy(self) -> float:
-        """``z^T z``."""
-        return float(self.z @ self.z)
+        """``y^T y``."""
+        return float(self.y @ self.y)
+
+
+def GaussianLinearProblem(
+    A: np.ndarray, y: np.ndarray, sigma2: float, tau2: float
+) -> SufficientStatistics:
+    """The statistics of n observations given as the data themselves: the
+    design ``A`` (n, d) and responses ``y`` (n,) are the rows, ``n = len(A)``."""
+    return SufficientStatistics(n=len(A), A=A, y=y, sigma2=sigma2, tau2=tau2)
+
+
+def check_positive(**values: float) -> None:
+    """Raise ``ValueError`` unless each named value lies in (0, inf): NaN fails."""
+    if not all(0.0 < v < math.inf for v in values.values()):
+        raise ValueError(f"{' and '.join(values)} must be positive and finite, got {values}")
 
 
 @dataclass(frozen=True)
@@ -153,42 +127,45 @@ class EvidenceRecord:
     rank: int
 
 
-def exact_log_evidence(prob: GaussianLinearProblem) -> float:
+def exact_log_evidence(stats: SufficientStatistics) -> float:
     """Closed-form log marginal likelihood.
 
     Works through a Cholesky factorization of the capacitance matrix in
-    whichever of the d- or n-dimensional forms is smaller; the two agree by
-    the determinant identity det(I_d + alpha A^T A) = det(I_n + alpha A A^T)
-    and the matching Woodbury identity for the quadratic form.
+    whichever of the d- or q-dimensional forms is smaller, for q rows; the
+    two agree by the determinant identity det(I_d + alpha A^T A) =
+    det(I_q + alpha A A^T) and the matching Woodbury identity for the
+    quadratic form.  ``n`` enters only the constants, so a square root of
+    the data gives the data's value.
     """
-    A, y = prob.A, prob.y
-    n, d = prob.n, prob.d
-    alpha = prob.alpha
-    if d <= n:
+    A, y = stats.A, stats.y
+    q, d = A.shape
+    alpha = stats.tau2 / stats.sigma2
+    if d <= q:
         cap = np.eye(d) + alpha * (A.T @ A)
         L = spd_cholesky(cap, context="exact_log_evidence")
         aty = A.T @ y
         quad = float(y @ y) - alpha * float(aty @ chol_solve(L, aty))
     else:
-        cap = np.eye(n) + alpha * (A @ A.T)
+        cap = np.eye(q) + alpha * (A @ A.T)
         L = spd_cholesky(cap, context="exact_log_evidence")
         quad = float(y @ chol_solve(L, y))
-    logdet = chol_logdet(L)
-    return -0.5 * (n * LOG_2PI + n * math.log(prob.sigma2) + logdet + quad / prob.sigma2)
+    n, sigma2 = stats.n, stats.sigma2
+    return -0.5 * (n * LOG_2PI + n * math.log(sigma2) + chol_logdet(L) + quad / sigma2)
 
 
-def mle_fit_term(prob: GaussianLinearProblem) -> tuple[np.ndarray, float]:
+def mle_fit_term(stats: SufficientStatistics) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares estimate and its log likelihood.
 
     ``theta_hat`` is the pseudoinverse solution (SVD with the standard rank
     threshold), which is the canonical representative when A is
     rank-deficient.  The returned log likelihood depends only on the fitted
-    values, so it is invariant to which least-squares solution is picked.
+    values, so it is invariant to which least-squares solution is picked,
+    and a square root of the data has the data's residual sum of squares.
     """
-    theta_hat = np.linalg.lstsq(prob.A, prob.y, rcond=None)[0]
-    resid = prob.y - prob.A @ theta_hat
+    theta_hat = np.linalg.lstsq(stats.A, stats.y, rcond=None)[0]
+    resid = stats.y - stats.A @ theta_hat
     log_lik = -0.5 * (
-        prob.n * (LOG_2PI + math.log(prob.sigma2)) + float(resid @ resid) / prob.sigma2
+        stats.n * (LOG_2PI + math.log(stats.sigma2)) + float(resid @ resid) / stats.sigma2
     )
     return theta_hat, log_lik
 
@@ -223,8 +200,8 @@ def rlct_score(log_lik_mle, lam: float, n):
     With ``lam = d/2`` this reduces to :func:`bic_score`; for rank-r designs
     the correct coefficient is ``lam = r/2``.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     return log_lik_mle - lam * log_n(n)
 
 
@@ -268,15 +245,11 @@ def full_laplace_log_evidence(stats: SufficientStatistics) -> float:
     return float(log_joint(stats, post.mean)) + 0.5 * stats.d * LOG_2PI - 0.5 * chol_logdet(post.chol)
 
 
-def evidence_record(
-    data: GaussianLinearProblem | SufficientStatistics, lam: float
-) -> EvidenceRecord:
+def evidence_record(stats: SufficientStatistics, lam: float) -> EvidenceRecord:
     """Assemble the exact value and both approximations at this sample size:
-    the one-cell call of :func:`root_evidence_batch` on the rows of the
-    problem or statistics."""
-    stats = data.statistics() if isinstance(data, GaussianLinearProblem) else data
+    the one-cell call of :func:`root_evidence_batch` on the statistics' rows."""
     out = root_evidence_batch(
-        np.array([stats.n]), stats.R[None], stats.z[None], stats.d,
+        np.array([stats.n]), stats.A[None], stats.y[None], stats.d,
         stats.sigma2, stats.tau2, lam,
     )
     return EvidenceRecord(n=stats.n, **{key: value[0].item() for key, value in out.items()})
@@ -297,8 +270,8 @@ def root_evidence_batch(
     sum g^2 / (1 + alpha s) / (2 sigma2)`` sums at most k terms, nonnegative
     in exact arithmetic: no O(n) cancels.  Non-finite rows raise
     ``np.linalg.LinAlgError``."""
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     logs = log_n(n)
     U, sv, _ = np.linalg.svd(A, full_matrices=False)
     if not np.isfinite(sv).all():   # an inf row gives NaN values without raising

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._linalg import NumericalError, numerical_rank, spectral_rank
 from ._rng import substream, wishart_roots
-from .evidence import SufficientStatistics
+from .evidence import SufficientStatistics, check_positive
 
 _MAX_FACTOR_ATTEMPTS = 8
 
@@ -46,8 +46,7 @@ class RankRegressionSpec:
             raise ValueError(f"B_star must be a nonempty matrix, got shape {self.B_star.shape}")
         if self.theta_star.shape != (self.d,):
             raise ValueError(f"theta_star shape {self.theta_star.shape} != ({self.d},)")
-        if self.sigma2 <= 0 or self.tau2 <= 0:
-            raise ValueError("sigma2 and tau2 must be positive")
+        check_positive(sigma2=self.sigma2, tau2=self.tau2)
 
     @property
     def p(self) -> int:
@@ -177,7 +176,7 @@ def sample_statistics(
     not the same draw."""
     Z = wishart_roots(cfg.seed, "wishart", [n], spec.p + 1)[0]
     X, y = wishart_rows(spec.B_star, spec.theta_star, spec.sigma2, Z)
-    return SufficientStatistics(n=n, R=X @ spec.B_star, z=y, sigma2=spec.sigma2, tau2=spec.tau2)
+    return SufficientStatistics(n=n, A=X @ spec.B_star, y=y, sigma2=spec.sigma2, tau2=spec.tau2)
 
 
 def wishart_rows(

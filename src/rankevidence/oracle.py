@@ -1,17 +1,18 @@
 """Brute-force verification of the closed-form evidence.
 
 Two independent routes: adaptive cubature of the joint density for d <= 2,
-and self-normalized importance sampling for d <= 5.  Both read only
-:class:`~rankevidence.evidence.SufficientStatistics`, the input of
-:func:`~rankevidence.evidence.evidence_record`, and integrate the one Gaussian
-:func:`~rankevidence.evidence.log_joint` in log space with max subtraction,
-since the n log sigma2 terms reach magnitudes where naive exponentiation
-underflows.  The cubature domain is a box centered at the posterior mean
-with a radius measured in posterior standard deviations; the integrand is
-the raw joint density at every node, so the posterior only places the box.
-The cubature is plain numpy: each round of box refinement evaluates the
-open boxes of every problem of one d together, each tagged with its problem,
-in chunks of a fixed node count, so the working set stays bounded.
+and self-normalized importance sampling for d <= 5.  Both read only the
+model's one data type, :class:`~rankevidence.evidence.SufficientStatistics`
+(the data or a square root), which the closed forms read too, and integrate
+the one Gaussian :func:`~rankevidence.evidence.log_joint` in log space with
+max subtraction, since the n log sigma2 terms reach magnitudes where naive
+exponentiation underflows.  The cubature domain is a box centered at the
+posterior mean with a radius measured in posterior standard deviations; the
+integrand is the raw joint density at every node, so the posterior only
+places the box.  The cubature is plain numpy: each round of box refinement
+evaluates the open boxes of every problem of one d together, each tagged
+with its problem, in chunks of a fixed node count, so the working set stays
+bounded.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from ._linalg import chol_logdet
 from ._rng import substream
-from .evidence import LOG_2PI, GaussianLinearProblem, SufficientStatistics, log_joint, posterior
+from .evidence import (LOG_2PI, GaussianLinearProblem, SufficientStatistics, check_positive,
+                       log_joint, posterior)
 
 
 # 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 39.
@@ -166,8 +168,7 @@ def importance_log_weights(
         raise ValueError(f"importance oracle supports d <= 5, got d={d}")
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
-    if proposal_scale <= 0:
-        raise ValueError("proposal_scale must be positive")
+    check_positive(proposal_scale=proposal_scale)
     post = posterior(stats)
     L = post.chol
     z = substream(seed, "importance").standard_normal((n_samples, d))
@@ -205,8 +206,9 @@ def importance_estimate(logw: np.ndarray) -> tuple[float, float]:
 
 def random_problem(
     rng: np.random.Generator, max_d: int, max_n: int, min_n: int = 2
-) -> GaussianLinearProblem:
-    """Draw a random well-scaled problem for verification sweeps."""
+) -> SufficientStatistics:
+    """Draw a random well-scaled problem for verification sweeps: the
+    statistics of its data (:func:`~rankevidence.evidence.GaussianLinearProblem`)."""
     d = int(rng.integers(1, max_d + 1))
     n = int(rng.integers(max(min_n, 2), max_n + 1))
     sigma2 = float(rng.uniform(0.3, 3.0))

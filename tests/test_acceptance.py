@@ -57,12 +57,11 @@ def test_criterion_1_closed_form_vs_quadrature():
     worst = 0.0
     for _ in range(100):
         prob = random_problem(rng, max_d=2, max_n=50)
-        stats = prob.statistics()
-        quad = quadrature_log_evidence(stats)
+        quad = quadrature_log_evidence(prob)
         worst = max(
             worst,
             abs(exact_log_evidence(prob) - quad),
-            abs(evidence_record(stats, lam=0.0).log_z_exact - quad),
+            abs(evidence_record(prob, lam=0.0).log_z_exact - quad),
         )
     elapsed = time.monotonic() - start
     _report(
@@ -81,7 +80,7 @@ def test_criterion_2_laplace_exactness():
     for _ in range(200):
         prob = random_problem(rng, max_d=20, max_n=1000, min_n=2)
         exact = exact_log_evidence(prob)
-        worst = max(worst, abs(full_laplace_log_evidence(prob.statistics()) - exact) / abs(exact))
+        worst = max(worst, abs(full_laplace_log_evidence(prob) - exact) / abs(exact))
     elapsed = time.monotonic() - start
     _report(
         "criterion 2 (Gaussian Laplace exactness)",

@@ -6,7 +6,6 @@ import scipy.stats
 
 from rankevidence._linalg import spectral_rank
 from rankevidence.dictionary import (
-    DictionaryDataset,
     DictionarySpec,
     DictionaryStatistics,
     dict_log_likelihood,
@@ -45,7 +44,7 @@ class TestMarginalCovariance:
 class TestDictLogLikelihood:
     def test_zero_dictionary_zero_data(self):
         spec = DictionarySpec(np.zeros((4, 2)), tau2=1.0, sigma2=1.0)
-        data = DictionaryDataset(n=1, Y=np.zeros((1, 4)))
+        data = DictionaryStatistics(n=1, Y=np.zeros((1, 4)))
         np.testing.assert_allclose(
             dict_log_likelihood(spec, data), -2.0 * math.log(2 * math.pi), rtol=1e-13
         )
@@ -53,7 +52,7 @@ class TestDictLogLikelihood:
     def test_scalar_case(self):
         """p = d = 1 with D = 1 and unit variances: y ~ N(0, 2)."""
         spec = DictionarySpec(np.array([[1.0]]), tau2=1.0, sigma2=1.0)
-        data = DictionaryDataset(n=1, Y=np.zeros((1, 1)))
+        data = DictionaryStatistics(n=1, Y=np.zeros((1, 1)))
         np.testing.assert_allclose(
             dict_log_likelihood(spec, data), -0.5 * math.log(4 * math.pi), rtol=1e-13
         )
@@ -64,7 +63,7 @@ class TestDictLogLikelihood:
         D = rng.standard_normal((5, 3))
         spec = DictionarySpec(D, tau2=0.8, sigma2=1.3)
         Y = rng.standard_normal((3, 5))
-        data = DictionaryDataset(n=3, Y=Y)
+        data = DictionaryStatistics(n=3, Y=Y)
         sigma_y = 0.8 * D @ D.T + 1.3 * np.eye(5)
         inv = np.linalg.inv(sigma_y)
         _, logdet = np.linalg.slogdet(sigma_y)
@@ -87,7 +86,7 @@ class TestDictLogLikelihood:
     def test_dimension_mismatch_rejected(self):
         spec = DictionarySpec(np.zeros((4, 2)), 1.0, 1.0)
         with pytest.raises(ValueError):
-            dict_log_likelihood(spec, DictionaryDataset(n=2, Y=np.zeros((2, 5))))
+            dict_log_likelihood(spec, DictionaryStatistics(n=2, Y=np.zeros((2, 5))))
 
     def test_matches_scipy_multivariate_normal(self):
         """scipy's row-by-row logpdf as the reference, on both members of
@@ -132,11 +131,13 @@ class TestSampleDictionaryData:
 
 class TestSampleDictionaryStatistics:
     def test_dataset_and_its_statistics_agree(self):
+        """The n data rows and the rows ``R`` of their QR factor, whose scatter
+        ``R^T R`` is the data's, give the same likelihood and fit."""
         for seed, n in [(0, 5), (1, 50), (2, 800)]:
             pair = make_dictionary_pair(8, 3, 6, seed=seed)
             data = sample_dictionary_data(pair[0], n, seed)
-            stats = data.statistics()
-            assert stats.n == n and stats.YY.shape == (8, 8)
+            stats = DictionaryStatistics(n=n, Y=np.linalg.qr(data.Y, mode="r"))
+            assert data.n == n and data.YY.shape == stats.YY.shape == (8, 8)
             for spec in pair:
                 a, b = dict_log_likelihood(spec, data), dict_log_likelihood(spec, stats)
                 assert abs(a - b) <= 1e-12 * abs(a)
@@ -173,9 +174,11 @@ class TestSampleDictionaryStatistics:
         with pytest.raises(ValueError):
             sample_dictionary_statistics(minimal, 0, seed=0)
         with pytest.raises(ValueError):
-            dict_log_likelihood(minimal, DictionaryStatistics(n=10, YY=np.eye(5)))
+            dict_log_likelihood(minimal, DictionaryStatistics(n=10, Y=np.eye(5)))
         with pytest.raises(ValueError):
-            DictionaryStatistics(n=10, YY=np.ones((8, 5)))
+            DictionaryStatistics(n=10, Y=np.ones(8))
+        with pytest.raises(ValueError):
+            DictionaryStatistics(n=-5, Y=np.ones((2, 8)))
 
     @pytest.mark.parametrize("n", [5, 50, 800])
     def test_same_law_as_direct_draws(self, n):
@@ -254,7 +257,7 @@ class TestMlFitTerm:
     def test_all_eigenvalues_below_noise_clamp_to_isotropic(self):
         rng = np.random.default_rng(7)
         Y = 0.01 * rng.standard_normal((50, 4))
-        data = DictionaryDataset(n=50, Y=Y)
+        data = DictionaryStatistics(n=50, Y=Y)
         fit = ml_fit_term(data, shape_d=2, sigma2=1.0)
         C = Y.T @ Y / 50
         expected = -0.5 * 50 * (4 * LOG_2PI + 4 * math.log(1.0) + np.trace(C) / 1.0)
@@ -265,7 +268,7 @@ class TestMlFitTerm:
         unconstrained Gaussian maximum."""
         rng = np.random.default_rng(8)
         Y = 5.0 * rng.standard_normal((200, 3))
-        data = DictionaryDataset(n=200, Y=Y)
+        data = DictionaryStatistics(n=200, Y=Y)
         ell = np.linalg.eigvalsh(Y.T @ Y / 200)
         assert ell.min() > 1.0
         fit = ml_fit_term(data, shape_d=3, sigma2=1.0)
@@ -297,7 +300,7 @@ class TestMlFitTerm:
 
     def test_degenerate_data_rejected(self):
         with pytest.raises(ValueError):
-            ml_fit_term(DictionaryDataset(n=0, Y=np.zeros((0, 3))), 2, 1.0)
+            ml_fit_term(DictionaryStatistics(n=0, Y=np.zeros((0, 3))), 2, 1.0)
 
 
 class TestDictionaryComparison:

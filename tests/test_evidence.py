@@ -7,6 +7,7 @@ import scipy.integrate
 import scipy.stats
 
 from rankevidence._linalg import NumericalError
+from rankevidence.dictionary import DictionarySpec, DictionaryStatistics, ml_fit_term
 from rankevidence.evidence import (
     GaussianLinearProblem,
     SufficientStatistics,
@@ -27,6 +28,7 @@ from rankevidence.linear_models import (
     sample_dataset,
     sample_statistics,
 )
+from rankevidence.oracle import importance_log_weights
 
 DEFAULT_GRID = [50 * 2**k for k in range(9)]
 
@@ -103,7 +105,7 @@ class TestExactLogEvidence:
         y = rng.standard_normal(3)
         prob = GaussianLinearProblem(A=A, y=y, sigma2=1.3, tau2=0.7)
         # d-dimensional route, assembled here from the same formula
-        alpha = prob.alpha
+        alpha = prob.tau2 / prob.sigma2
         cap = np.eye(8) + alpha * A.T @ A
         sign, logdet = np.linalg.slogdet(cap)
         assert sign > 0
@@ -249,7 +251,7 @@ class TestLogJoint:
         rng = np.random.default_rng(6)
         prob = _random_problem(rng, d=3, n=40)
         thetas = rng.standard_normal((4, 5, 3))
-        got = log_joint(prob.statistics(), thetas)
+        got = log_joint(prob, thetas)
         assert got.shape == (4, 5)
         for idx in np.ndindex(4, 5):
             t = thetas[idx]
@@ -262,14 +264,14 @@ class TestLogJoint:
 class TestPosterior:
     def test_zero_design(self):
         prob = GaussianLinearProblem(A=np.zeros((4, 3)), y=np.ones(4), sigma2=2.0, tau2=0.5)
-        post = posterior(prob.statistics())
+        post = posterior(prob)
         np.testing.assert_allclose(post.precision, np.eye(3) / 0.5, rtol=1e-14)
         np.testing.assert_allclose(post.mean, 0.0, atol=1e-14)
 
     def test_scalar_case(self):
         y = np.array([0.4, 2.0])
         prob = GaussianLinearProblem(A=np.array([[1.0], [1.0]]), y=y, sigma2=1.0, tau2=1.0)
-        post = posterior(prob.statistics())
+        post = posterior(prob)
         np.testing.assert_allclose(post.precision, [[3.0]], rtol=1e-14)
         np.testing.assert_allclose(post.mean, [y.sum() / 3.0], rtol=1e-14)
 
@@ -278,7 +280,7 @@ class TestPosterior:
         rng = np.random.default_rng(7)
         for _ in range(10):
             prob = _random_problem(rng, d=5, n=12)
-            post = posterior(prob.statistics())
+            post = posterior(prob)
             lhs = post.precision @ post.mean
             rhs = prob.A.T @ prob.y / prob.sigma2
             np.testing.assert_allclose(lhs, rhs, atol=1e-10 * max(1.0, np.abs(rhs).max()))
@@ -293,7 +295,7 @@ class TestFullLaplace:
             n = int(rng.integers(2, 1001))
             prob = _random_problem(rng, d=d, n=n)
             exact = exact_log_evidence(prob)
-            lap = full_laplace_log_evidence(prob.statistics())
+            lap = full_laplace_log_evidence(prob)
             assert abs(lap - exact) / abs(exact) < 1e-8
 
     def test_zero_design_case(self):
@@ -301,7 +303,7 @@ class TestFullLaplace:
         y = rng.standard_normal(6)
         prob = GaussianLinearProblem(A=np.zeros((6, 2)), y=y, sigma2=1.7, tau2=0.9)
         np.testing.assert_allclose(
-            full_laplace_log_evidence(prob.statistics()), exact_log_evidence(prob), rtol=1e-12
+            full_laplace_log_evidence(prob), exact_log_evidence(prob), rtol=1e-12
         )
 
 
@@ -338,14 +340,14 @@ class TestEvidenceRecord:
         with pytest.raises(ValueError):
             GaussianLinearProblem(A=np.zeros((3, 2)), y=np.zeros(3), sigma2=-1.0, tau2=1.0)
         with pytest.raises(ValueError):
-            SufficientStatistics(n=3, R=np.eye(2), z=np.zeros(3), sigma2=1.0, tau2=1.0)
+            SufficientStatistics(n=3, A=np.eye(2), y=np.zeros(3), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
-            SufficientStatistics(n=3, R=np.zeros(3), z=np.zeros(3), sigma2=1.0, tau2=1.0)
+            SufficientStatistics(n=3, A=np.zeros(3), y=np.zeros(3), sigma2=1.0, tau2=1.0)
 
     def test_sizes_past_the_log_n_rule_are_rejected(self):
         """n = 2**64 is a ValueError naming n, and so is a non-integer size in
         a batch."""
-        stats = SufficientStatistics(n=2**64, R=np.eye(2), z=np.ones(2), sigma2=1.0, tau2=1.0)
+        stats = SufficientStatistics(n=2**64, A=np.eye(2), y=np.ones(2), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError, match=str(2**64)):
             evidence_record(stats, lam=0.5)
         with pytest.raises(ValueError, match="sample sizes must be integers"):
@@ -357,21 +359,21 @@ class TestEvidenceRecord:
         study turns into failed cells (an inf makes the SVD return NaN values
         without raising)."""
         stats = sample_statistics(make_spec(6, 6, 2, seed=0), 100, DataGenConfig(seed=0))
-        R = stats.R.copy()
-        R[3, 2] = bad
+        A = stats.A.copy()
+        A[3, 2] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            evidence_record(replace(stats, R=R), lam=1.0)
+            evidence_record(replace(stats, A=A), lam=1.0)
 
 
 def _exact_products(stats, mpmath):
-    """The Gram matrix of ``[R z]``, which holds ``S = R^T R``, ``b = R^T z``
-    and ``yy = z^T z`` of the statistics' float rows, exactly, as an mpmath
+    """The Gram matrix of ``[A y]``, which holds ``S = A^T A``, ``b = A^T y``
+    and ``yy = y^T y`` of the statistics' float rows, exactly, as an mpmath
     matrix.  A square root's few rows multiply in mpmath.  Data rows go
     through Ozaki's splitting: each column is cut into k slices of at most 15
     bits on a grid of its own, fine enough that the last leaves nothing, so a
     product of two slices and a sum of up to 2**22 of them are exact in
     float64, and the float Gram matrix of all k slices holds exact terms."""
-    M = np.column_stack([stats.R, stats.z])
+    M = np.column_stack([stats.A, stats.y])
     if len(M) <= M.shape[1]:
         rows = mpmath.matrix(M.tolist())
         return rows.T * rows
@@ -432,8 +434,7 @@ def test_precision_against_mpmath(rank, n, route):
     gen = DataGenConfig(seed=0)
     if route == "data":
         ds = sample_dataset(spec, n, gen)
-        prob = GaussianLinearProblem(A=ds.A, y=ds.y, sigma2=spec.sigma2, tau2=spec.tau2)
-        stats = prob.statistics()
+        stats = GaussianLinearProblem(A=ds.A, y=ds.y, sigma2=spec.sigma2, tau2=spec.tau2)
     else:
         stats = sample_statistics(spec, n, gen)
     rec = evidence_record(stats, lam=rank / 2.0)
@@ -468,3 +469,57 @@ def test_kept_rank_equals_true_rank():
                     prob = GaussianLinearProblem(A=ds.X @ spec.B_star, y=ds.y, sigma2=1.0, tau2=1.0)
                     assert evidence_record(prob, lam=rank / 2.0).rank == min(n, rank), (
                         p, rank, seed, n)
+
+
+@pytest.mark.parametrize("p, ranks, tol_z", [(6, (1, 3, 6), 1e-12), (50, (10, 25, 50), 1e-10)])
+def test_cholesky_references_score_the_study_roots(p, ranks, tol_z):
+    """``exact_log_evidence`` and ``mle_fit_term`` take a cell's Wishart root
+    rows like data: on ``sample_statistics`` cells at d = p, seeds 0-9 and n
+    from 2 to 1e9 they agree with ``evidence_record`` to a relative ``tol_z``
+    on log Z and 1e-13 on the fit.  On this grid the worst are 6.0e-14
+    (p = 6) and 1.4e-11 (p = 50) on log Z, margins 16x and 7x, and 2.3e-14
+    on the fit, margin 4x; the closed form's O(n) cancellation is the larger
+    error."""
+    worst_z = worst_fit = 0.0
+    for rank in ranks:
+        for seed in range(10):
+            spec = make_spec(p, p, rank, seed=seed)
+            for n in (2, 3, 5, 10, p + 1, 100, 10**3, 10**5, 10**7, 10**9):
+                stats = sample_statistics(spec, n, DataGenConfig(seed=seed))
+                rec = evidence_record(stats, lam=rank / 2.0)
+                log_z, fit = exact_log_evidence(stats), mle_fit_term(stats)[1]
+                worst_z = max(worst_z, abs(log_z - rec.log_z_exact) / abs(log_z))
+                worst_fit = max(worst_fit, abs(fit - rec.log_lik_mle) / abs(fit))
+    assert worst_z < tol_z and worst_fit < 1e-13, (worst_z, worst_fit)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_variances_and_scales_outside_zero_to_inf_are_rejected(bad):
+    """Every variance and the proposal scale must lie in (0, inf): a NaN, an
+    infinity, zero or a negative value is a ``ValueError``, not a NaN or
+    infinite score."""
+    stats = GaussianLinearProblem(A=np.eye(3), y=np.ones(3), sigma2=1.0, tau2=1.0)
+    calls = [
+        lambda: GaussianLinearProblem(A=np.eye(3), y=np.ones(3), sigma2=bad, tau2=1.0),
+        lambda: SufficientStatistics(n=5, A=np.eye(3), y=np.ones(3), sigma2=1.0, tau2=bad),
+        lambda: make_spec(3, 3, 2, sigma2=bad),
+        lambda: make_spec(3, 3, 2, tau2=bad),
+        lambda: DictionarySpec(np.eye(3), 1.0, bad),
+        lambda: DictionarySpec(np.eye(3), bad, 1.0),
+        lambda: ml_fit_term(DictionaryStatistics(n=3, Y=np.eye(3)), 2, bad),
+        lambda: importance_log_weights(stats, 2000, seed=0, proposal_scale=bad),
+    ]
+    for i, call in enumerate(calls):
+        with pytest.raises(ValueError):
+            call()
+            pytest.fail(f"call {i} accepted {bad}")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_lambda_outside_zero_to_inf_is_rejected(bad):
+    """lambda must lie in [0, inf) for both scores that read it."""
+    stats = GaussianLinearProblem(A=np.eye(3), y=np.ones(3), sigma2=1.0, tau2=1.0)
+    with pytest.raises(ValueError, match="lambda"):
+        rlct_score(0.0, bad, 100)
+    with pytest.raises(ValueError, match="lambda"):
+        evidence_record(stats, lam=bad)

@@ -17,6 +17,7 @@ import rankevidence.oracle as oracle
 from rankevidence._linalg import spd_cholesky
 from rankevidence.evidence import (
     GaussianLinearProblem,
+    SufficientStatistics,
     evidence_record,
     exact_log_evidence,
     log_joint,
@@ -36,28 +37,27 @@ from rankevidence.oracle import (
 def _verify_problems() -> list:
     """The statistics of the 100 quadrature problems ``rankevidence verify`` draws."""
     rng = np.random.default_rng(2024)
-    return [random_problem(rng, max_d=2, max_n=50).statistics() for _ in range(100)]
+    return [random_problem(rng, max_d=2, max_n=50) for _ in range(100)]
 
 
-def _nested_quad_log_evidence(prob: GaussianLinearProblem) -> float:
+def _nested_quad_log_evidence(stats: SufficientStatistics) -> float:
     """The oracle as it was before the batched cubature, kept here as the
     slow reference: scipy's QUADPACK on the raw joint, one scalar integrand
     call per point, nested for d = 2 over the same whitened box."""
-    stats = prob.statistics()
     post = posterior(stats)
     mu = post.mean
     radius = oracle.RADIUS
     log_peak = float(log_joint(stats, mu))
     yty, b, S = stats.yy, stats.b, stats.S
     const = -0.5 * (
-        prob.n * (math.log(2.0 * math.pi) + math.log(prob.sigma2))
-        + prob.d * (math.log(2.0 * math.pi) + math.log(prob.tau2))
+        stats.n * (math.log(2.0 * math.pi) + math.log(stats.sigma2))
+        + stats.d * (math.log(2.0 * math.pi) + math.log(stats.tau2))
     )
-    inv_s2, inv_t2 = 1.0 / prob.sigma2, 1.0 / prob.tau2
+    inv_s2, inv_t2 = 1.0 / stats.sigma2, 1.0 / stats.tau2
     quad = dict(epsabs=0.0, epsrel=oracle.REL_TOL, limit=oracle.MAX_BOXES)
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
-        if prob.d == 1:
+        if stats.d == 1:
             b0, s00 = float(b[0]), float(S[0, 0])
 
             def log_f(t: float) -> float:
@@ -103,24 +103,24 @@ class TestQuadrature:
         y = rng.standard_normal(5)
         prob = GaussianLinearProblem(A=np.zeros((5, 1)), y=y, sigma2=1.8, tau2=0.6)
         expected = float(np.sum(scipy.stats.norm.logpdf(y, scale=math.sqrt(1.8))))
-        assert abs(quadrature_log_evidence(prob.statistics()) - expected) < 1e-10
+        assert abs(quadrature_log_evidence(prob) - expected) < 1e-10
 
     def test_d1_reference_problem(self):
         prob = GaussianLinearProblem(
             A=np.array([[1.0], [1.0]]), y=np.array([1.0, -1.0]), sigma2=1.0, tau2=1.0
         )
-        assert abs(quadrature_log_evidence(prob.statistics()) - exact_log_evidence(prob)) < 1e-8
+        assert abs(quadrature_log_evidence(prob) - exact_log_evidence(prob)) < 1e-8
 
     def test_d2_random_problems(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             prob = random_problem(rng, max_d=2, max_n=20)
-            assert abs(quadrature_log_evidence(prob.statistics()) - exact_log_evidence(prob)) < 1e-6
+            assert abs(quadrature_log_evidence(prob) - exact_log_evidence(prob)) < 1e-6
 
     def test_d3_rejected(self):
         prob = GaussianLinearProblem(A=np.zeros((4, 3)), y=np.zeros(4), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
-            quadrature_log_evidence(prob.statistics())
+            quadrature_log_evidence(prob)
 
     def test_matches_nested_quadpack_reference(self):
         """The batched cubature and the scalar nested QUADPACK reference
@@ -131,7 +131,7 @@ class TestQuadrature:
             prob = random_problem(rng, max_d=2, max_n=50)
             dims.append(prob.d)
             ref = _nested_quad_log_evidence(prob)
-            assert abs(quadrature_log_evidence(prob.statistics()) - ref) < 1e-9, prob.d
+            assert abs(quadrature_log_evidence(prob) - ref) < 1e-9, prob.d
         assert set(dims) == {1, 2}
 
     def test_wrong_posterior_cannot_bias_the_value(self, monkeypatch):
@@ -162,7 +162,7 @@ class TestQuadrature:
             refused[shift] = 0
             for prob in problems:
                 try:
-                    value = quadrature_log_evidence(prob.statistics())
+                    value = quadrature_log_evidence(prob)
                 except OracleError:
                     refused[shift] += 1
                     continue
@@ -179,7 +179,7 @@ class TestQuadrature:
         monkeypatch.setattr(oracle, "RADIUS", 1e7)
         monkeypatch.setattr(oracle, "MAX_BOXES", 10)
         with pytest.raises(OracleError, match="non-positive mass"):
-            quadrature_log_evidence(prob.statistics())
+            quadrature_log_evidence(prob)
 
     def test_box_budget_exhaustion_is_an_error(self, monkeypatch):
         """At the default radius this problem needs one split: a budget of one
@@ -188,9 +188,9 @@ class TestQuadrature:
         prob = random_problem(rng, max_d=1, max_n=40, min_n=20)
         monkeypatch.setattr(oracle, "MAX_BOXES", 1)
         with pytest.raises(OracleError, match="did not converge"):
-            quadrature_log_evidence(prob.statistics())
+            quadrature_log_evidence(prob)
         monkeypatch.setattr(oracle, "MAX_BOXES", 2)
-        assert abs(quadrature_log_evidence(prob.statistics()) - exact_log_evidence(prob)) < 1e-9
+        assert abs(quadrature_log_evidence(prob) - exact_log_evidence(prob)) < 1e-9
 
 
 class TestQuadratureBatch:
@@ -275,14 +275,14 @@ class TestImportanceSampling:
         rng = np.random.default_rng(2)
         for i in range(5):
             prob = random_problem(rng, max_d=5, max_n=100, min_n=5)
-            logw = importance_log_weights(prob.statistics(), 2000, seed=i)
+            logw = importance_log_weights(prob, 2000, seed=i)
             assert float(np.var(logw)) < 1e-18
 
     def test_estimate_matches_exact_with_tiny_stderr(self):
         rng = np.random.default_rng(3)
         for i in range(5):
             prob = random_problem(rng, max_d=5, max_n=100, min_n=5)
-            est, stderr = importance_log_evidence(prob.statistics(), 2000, seed=i)
+            est, stderr = importance_log_evidence(prob, 2000, seed=i)
             assert stderr < 1e-10
             assert abs(est - exact_log_evidence(prob)) <= 3 * stderr + 1e-9
 
@@ -291,7 +291,7 @@ class TestImportanceSampling:
         for i in range(5):
             prob = random_problem(rng, max_d=4, max_n=60, min_n=5)
             est, stderr = importance_log_evidence(
-                prob.statistics(), 20_000, seed=i, proposal_scale=2.0
+                prob, 20_000, seed=i, proposal_scale=2.0
             )
             assert stderr > 0
             assert abs(est - exact_log_evidence(prob)) <= 4 * stderr
@@ -300,18 +300,18 @@ class TestImportanceSampling:
         """1e3 vs 1e5 samples: stderr should drop by roughly sqrt(100)."""
         rng = np.random.default_rng(5)
         prob = random_problem(rng, max_d=3, max_n=40, min_n=5)
-        _, se_small = importance_log_evidence(prob.statistics(), 1000, seed=7, proposal_scale=2.0)
-        _, se_big = importance_log_evidence(prob.statistics(), 100_000, seed=7, proposal_scale=2.0)
+        _, se_small = importance_log_evidence(prob, 1000, seed=7, proposal_scale=2.0)
+        _, se_big = importance_log_evidence(prob, 100_000, seed=7, proposal_scale=2.0)
         ratio = se_small / se_big
         assert 4.0 < ratio < 25.0
 
     def test_input_validation(self):
         prob = GaussianLinearProblem(A=np.zeros((4, 6)), y=np.zeros(4), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
-            importance_log_evidence(prob.statistics(), 2000, seed=0)     # d > 5
+            importance_log_evidence(prob, 2000, seed=0)     # d > 5
         small = GaussianLinearProblem(A=np.zeros((4, 2)), y=np.zeros(4), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
-            importance_log_evidence(small.statistics(), 100, seed=0)     # too few samples
+            importance_log_evidence(small, 100, seed=0)     # too few samples
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
