@@ -10,15 +10,14 @@ RANKEVIDENCE_OUTPUT_DIR environment variable, else the config value.  Every
 run writes ``effective_config.json`` next to its outputs so the run can be
 reproduced by pointing ``--config`` at it.
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 numerical failure that
-aborted a study.
+Exit codes: 0 success, 1 usage, configuration or I/O error, 2 numerical
+failure that aborted a study (its records and ``summary.txt`` are written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import NumericalError
-from .evidence import evidence_record, exact_log_evidence, full_laplace_log_evidence
+from .evidence import evidence_record, exact_log_evidence, full_laplace_log_evidence, log_n
 from .experiments import (
     FIELD_TYPES,
     STUDIES,
@@ -58,15 +57,6 @@ _STUDY_BY_COMMAND = {study.replace("_", "-"): study for study in STUDIES}
 
 # the subcommand fixes the study, and --output-dir / the environment the output dir
 _OVERRIDABLE = sorted(set(FIELD_TYPES) - {"study", "output_dir"})
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors."""
-
-    def error(self, message: str) -> None:  # noqa: A003 - argparse API
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -156,8 +146,9 @@ def build_config(study: str, args: argparse.Namespace) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _log_n_rows(curve: dict[str, list], *names: str) -> list[list]:
-    """Rows of n, log n and each named seed-mean column of a kept curve."""
-    return [[n, math.log(n), *values] for n, *values in zip(*(curve[k] for k in ("n", *names)))]
+    """Rows of n, :func:`log_n` and each named seed-mean column of a kept curve."""
+    logs = log_n(np.array(curve["n"])).tolist()
+    return [list(row) for row in zip(curve["n"], logs, *(curve[k] for k in names))]
 
 
 def _spectra_rows(result: StudyResult) -> list[list]:
@@ -289,8 +280,13 @@ def emit_plot_data(result: StudyResult, out_dir: str | Path, plot: bool = False)
 
 def _run_study_command(command: str, args: argparse.Namespace) -> int:
     cfg = build_config(_STUDY_BY_COMMAND[command], args)
-    result = run_study(cfg)
     out = Path(cfg.output_dir)
+    try:
+        result = run_study(cfg)
+    except NumericalError as exc:   # an aborted aggregation still leaves records and failures
+        if getattr(exc, "result", None) is not None:
+            write_study_outputs(exc.result, out)
+        raise
     write_study_outputs(result, out)
     emit_plot_data(result, out, plot=args.plot)
     write_atomic(out / "effective_config.json", json.dumps(cfg.to_dict(), indent=2) + "\n")
@@ -350,15 +346,15 @@ def _run_verify_command() -> int:
     return 0 if all(ok for *_, ok in checks) else 2
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="rankevidence",
         description="Exact vs approximate evidence studies for rank-deficient "
         "linear-Gaussian models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file mirroring ExperimentConfig")
         p.add_argument(
             "--overrides",
@@ -384,9 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _run_verify_command()
         return _run_study_command(args.command, args)
-    except SystemExit as exc:  # argparse usage errors and --help
-        code = exc.code
-        return code if isinstance(code, int) else 1
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
+        return 1 if exc.code else 0
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1

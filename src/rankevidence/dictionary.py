@@ -113,8 +113,6 @@ def _log_likelihoods(L: np.ndarray, n, YY: np.ndarray) -> np.ndarray:
 
 def sample_dictionary_data(spec: DictionarySpec, n: int, seed: int) -> DictionaryStatistics:
     """Draw n observations y_i = D z_i + eps_i, deterministic per seed, as rows."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     rng = substream(seed, "dict-data", n)
     Z = math.sqrt(spec.tau2) * rng.standard_normal((n, spec.d))
     E = math.sqrt(spec.sigma2) * rng.standard_normal((n, spec.p))

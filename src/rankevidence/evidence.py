@@ -135,19 +135,16 @@ def exact_log_evidence(stats: SufficientStatistics) -> float:
     two agree by the determinant identity det(I_d + alpha A^T A) =
     det(I_q + alpha A A^T) and the matching Woodbury identity for the
     quadratic form.  ``n`` enters only the constants, so a square root of
-    the data gives the data's value.
+    the data gives the data's value; the d-form reads the cached S, b and yy.
     """
     A, y = stats.A, stats.y
     q, d = A.shape
     alpha = stats.tau2 / stats.sigma2
     if d <= q:
-        cap = np.eye(d) + alpha * (A.T @ A)
-        L = spd_cholesky(cap, context="exact_log_evidence")
-        aty = A.T @ y
-        quad = float(y @ y) - alpha * float(aty @ chol_solve(L, aty))
+        L = spd_cholesky(np.eye(d) + alpha * stats.S, context="exact_log_evidence")
+        quad = stats.yy - alpha * float(stats.b @ chol_solve(L, stats.b))
     else:
-        cap = np.eye(q) + alpha * (A @ A.T)
-        L = spd_cholesky(cap, context="exact_log_evidence")
+        L = spd_cholesky(np.eye(q) + alpha * (A @ A.T), context="exact_log_evidence")
         quad = float(y @ chol_solve(L, y))
     n, sigma2 = stats.n, stats.sigma2
     return -0.5 * (n * LOG_2PI + n * math.log(sigma2) + chol_logdet(L) + quad / sigma2)

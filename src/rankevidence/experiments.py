@@ -11,10 +11,10 @@ for the same subspace on shared data.  :func:`run_study` runs either.
 A study keeps its cells in one columnar :class:`CellTable`, filled once from
 the batch and read by the record CSV and the aggregation, which groups each
 (study, rank) once (:func:`seed_grid`) and keeps the curves the figures
-draw; :func:`read_cell_table` reads either record CSV back.  Raw records
-are persisted before any aggregation, floats are joined in as shortest
-round-trip decimals (:func:`table_text`), and timestamps live in a sidecar
-file, so identical configs produce byte-identical raw CSVs.
+draw; :func:`read_cell_table` reads either record CSV back.  An aborted
+aggregation still leaves the raw records to persist, floats are joined in as
+shortest round-trip decimals (:func:`table_text`), and timestamps live in a
+sidecar file, so identical configs produce byte-identical raw CSVs.
 """
 
 from __future__ import annotations
@@ -156,12 +156,10 @@ class ExperimentConfig:
 
     @classmethod
     def default_for(cls, study: str) -> "ExperimentConfig":
-        """Study-appropriate defaults (dictionary runs observe in 8 dimensions)."""
+        """Study defaults (dictionary runs observe in 8 dimensions); validate() checks the name."""
         if study == "dict_compare":
             return cls(study=study, p=8, d=6, ranks=[3])
-        if study == "rank_sweep":
-            return cls(study=study)
-        raise ConfigError(f"unknown study {study!r}; choose from {STUDIES}")
+        return cls(study=study)
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "ExperimentConfig":
@@ -271,7 +269,8 @@ def seed_grid(table: CellTable, columns: dict[str, np.ndarray], rank: int) -> tu
     one value per cell); its seeds, by first appearance; the columns laid
     out (columns, sizes, seeds), zero where a cell is missing; and the mask
     of present cells.  A mean sums the contiguous seed axis (``np.mean``'s
-    bits on a complete grid) and divides by the count."""
+    bits on a complete grid) and divides by the count.  A rank with cells at
+    fewer than 2 sizes has no slope: :class:`NumericalError`."""
     rows = table.rank == rank
     n, seed = table.n[rows], table.seed[rows]
     ns = sorted(set(n.tolist()))   # not np.unique: it loads numpy.ma
@@ -283,6 +282,8 @@ def seed_grid(table: CellTable, columns: dict[str, np.ndarray], rank: int) -> tu
     present[n_at, seed_at] = True
     if np.count_nonzero(present) != len(n_at):
         raise ValueError(f"rank {rank} has a (seed, n) cell more than once")
+    if len(ns) < 2:
+        raise NumericalError(f"rank {rank} has surviving cells at fewer than 2 sizes")
     grid = np.zeros((len(columns), *present.shape))
     grid[:, n_at, seed_at] = [column[rows] for column in columns.values()]
     means = grid.sum(axis=-1) / present.sum(axis=-1)
@@ -379,10 +380,6 @@ def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> tuple[list[R
     for rank in sorted(ranks):
         curve, seeds, grid, present = seed_grid(table, columns, rank)
         ns = curve["n"]
-        if not ns:
-            raise NumericalError(f"no surviving cells for rank {rank}")
-        if len(ns) < 2:
-            raise NumericalError(f"rank {rank} has fewer than 2 usable grid points after failures")
         fit_delta_rlct = fit_log_n_slope(zip(ns, curve["delta_rlct"]))
         summaries.append(RankSummary(
             rank=rank,
@@ -446,8 +443,6 @@ def aggregate_dict_comparison(table: CellTable, cfg: ExperimentConfig) -> tuple:
         "fit_gap": col("fit_minimal") - col("fit_overcomplete"),
     }
     curve = seed_grid(table, gaps, cfg.ranks[0])[0]
-    if len(curve["n"]) < 2:
-        raise NumericalError("dictionary study has fewer than 2 usable grid points")
     slopes = {name: fit_log_n_slope(zip(curve["n"], curve[name])) for name in gaps}
     table_n = min(cfg.n_grid, key=lambda n: abs(n - _DICT_TABLE_TARGET_N))
     at = (table.seed == cfg.seeds[0]) & (table.n == table_n)   # no row when that cell failed
@@ -498,7 +493,7 @@ def summarize(result: StudyResult) -> str:
         lines.append(f"comparison at n={result.dict_table_n} (first seed):")
         for key in DICT_TABLE_QUANTITIES:
             lines.append(f"  {key:<22} {result.dict_table[key]:.2f}")
-    elif cfg.study == "dict_compare":
+    elif result.dict_table_n is not None:
         lines.append(f"comparison at n={result.dict_table_n} (first seed): cell failed, no table")
     if result.dict_gap_slopes is not None:
         gaps = result.dict_gap_slopes
@@ -580,6 +575,8 @@ def read_cell_table(path: str | Path) -> CellTable:
         scores = np.array([[float(v) for v in column] for column in scores]).T
     except ValueError as exc:   # a field that is not a number
         raise ValueError(f"{path}: {exc}") from None
+    if not np.isfinite(scores).all():   # a cell with a non-finite score failed: it has no row
+        raise ValueError(f"{path}: scores must be finite")
     if not all(0 <= s < SEED_LIMIT for s in seed):
         raise ValueError(f"{path}: seeds must lie in [0, 2**64)")
     return CellTable(
@@ -590,18 +587,19 @@ def read_cell_table(path: str | Path) -> CellTable:
 
 def write_study_outputs(result: StudyResult, out_dir: str | Path) -> list[Path]:
     """Persist raw records, the slope/table summary CSV, the text summary,
-    and the timestamp sidecar.  Returns the written paths."""
+    and the timestamp sidecar.  Returns the written paths; an aborted
+    aggregation's result has no slope or table CSV."""
     if result.config.study == "dict_compare":
         files = {"dict_records.csv": cell_table_csv_text(result.cells)}
         if result.dict_table is not None:
             files["dict_compare.csv"] = table_text(["quantity", "value"], [
                 DICT_TABLE_QUANTITIES, [result.dict_table[k] for k in DICT_TABLE_QUANTITIES]])
     else:
-        files = {
-            "evidence_records.csv": cell_table_csv_text(result.cells),
-            "slopes.csv": slopes_csv_text(result.rank_summaries),
-            "per_seed_slopes.csv": table_text(PER_SEED_SLOPE_COLUMNS, zip(*result.per_seed_slopes)),
-        }
+        files = {"evidence_records.csv": cell_table_csv_text(result.cells)}
+        if result.rank_summaries:
+            files["slopes.csv"] = slopes_csv_text(result.rank_summaries)
+            files["per_seed_slopes.csv"] = table_text(
+                PER_SEED_SLOPE_COLUMNS, zip(*result.per_seed_slopes))
     files["summary.txt"] = summarize(result)
     files["run_meta.json"] = json.dumps(result.metadata, indent=2) + "\n"
     out = Path(out_dir)
@@ -612,16 +610,22 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path) -> list[Path]:
 
 def run_study(cfg: ExperimentConfig) -> StudyResult:
     """Validate ``cfg`` and run its study: the dictionary comparison for
-    ``dict_compare``, the per-rank regression cells and slopes otherwise."""
+    ``dict_compare``, the per-rank regression cells and slopes otherwise.
+    A :class:`NumericalError` aborting the aggregation carries the cells
+    and failures as its ``result``."""
     cfg.validate()
     started = time.time()
-    if cfg.study == "dict_compare":
-        result = _dict_study(cfg)
-        (result.dict_table_n, result.dict_table, result.dict_gap_slopes,
-         result.dict_gap_curve) = aggregate_dict_comparison(result.cells, cfg)
-    else:
-        result = _regression_study(cfg)
-        result.rank_summaries, result.per_seed_slopes = aggregate_rank_summaries(
-            result.cells, cfg.ranks)
-    result.metadata = _metadata(cfg, started, len(result.cells), len(result.failures))
+    result = (_dict_study if cfg.study == "dict_compare" else _regression_study)(cfg)
+    try:
+        if cfg.study == "dict_compare":
+            (result.dict_table_n, result.dict_table, result.dict_gap_slopes,
+             result.dict_gap_curve) = aggregate_dict_comparison(result.cells, cfg)
+        else:
+            result.rank_summaries, result.per_seed_slopes = aggregate_rank_summaries(
+                result.cells, cfg.ranks)
+    except NumericalError as exc:
+        exc.result = result
+        raise
+    finally:
+        result.metadata = _metadata(cfg, started, len(result.cells), len(result.failures))
     return result

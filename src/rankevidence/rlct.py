@@ -4,7 +4,7 @@ For rank-r linear-Gaussian regression the log evidence carries a
 ``-lambda log n`` term with ``lambda = r/2`` (each of the r curved directions
 contributes 1/2; the remaining d - r flat directions contribute O(1)).  The
 routines here provide that analytic value, ordinary least squares of score
-sequences against log n, and the empirical slope estimator of lambda.
+sequences against ``evidence.log_n``, and the empirical slope estimator of lambda.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+
+from .evidence import log_n
 
 
 @dataclass(frozen=True)
@@ -36,18 +38,16 @@ def analytic_rlct(r: int) -> float:
 
 
 def log_n_slopes(ns: list[int] | np.ndarray, values: np.ndarray) -> np.ndarray:
-    """OLS slopes of ``values`` against ``log ns`` along the last axis.
+    """OLS slopes of ``values`` against ``log_n(ns)`` along the last axis.
 
     The centred closed form ``sum(x~ v~) / sum(x~^2)``, broadcast over the
     leading axes of ``values``.  Requires at least two distinct sample
-    sizes, all >= 2.
+    sizes, integers in [2, 2**64).
     """
-    ns = np.asarray(ns, dtype=float)
-    if np.any(ns < 2):
-        raise ValueError("all sample sizes must be >= 2")
-    if len(set(ns.tolist())) < 2:   # not np.unique: it loads numpy.ma
+    ns = np.asarray(ns)
+    x = log_n(ns)
+    if len(set(ns.tolist())) < 2:   # sizes: two near 2**64 share a log; np.unique loads numpy.ma
         raise ValueError("need at least 2 distinct sample sizes to fit a slope")
-    x = np.log(ns)
     xc = x - x.mean()
     vc = values - np.mean(values, axis=-1, keepdims=True)
     return np.sum(xc * vc, axis=-1) / np.sum(xc * xc)
@@ -56,15 +56,15 @@ def log_n_slopes(ns: list[int] | np.ndarray, values: np.ndarray) -> np.ndarray:
 def fit_log_n_slope(points: Iterable[tuple[int, float]]) -> SlopeFit:
     """Ordinary least squares of value against log n, by :func:`log_n_slopes`.
 
-    Requires at least two distinct sample sizes, all >= 2.  The slope
-    standard error uses the classical homoskedastic formula; with exactly two
-    points (zero residual degrees of freedom) it is reported as 0.
+    Requires at least two distinct sample sizes, integers in [2, 2**64).
+    The slope standard error uses the classical homoskedastic formula; with
+    exactly two points (zero residual degrees of freedom) it is reported as 0.
     """
     pts = list(points)
-    ns = np.array([p[0] for p in pts], dtype=float)
+    ns = np.array([p[0] for p in pts])
     vals = np.array([p[1] for p in pts], dtype=float)
     slope = float(log_n_slopes(ns, vals))
-    x = np.log(ns)
+    x = log_n(ns)
     intercept = float(vals.mean() - slope * x.mean())
 
     resid = vals - (intercept + slope * x)

@@ -253,6 +253,34 @@ class TestMain:
             assert err.startswith("config error") and str(path) in err, err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command,overrides,records,failed,message", [
+        ("rank-sweep", ",ranks=1+2", "evidence_records.csv", 36,
+         "non-finite value in evidence record"),
+        ("dict-compare", "", "dict_records.csv", 18, "Cholesky factorization failed"),
+    ])
+    def test_aggregation_abort_exits_2_and_keeps_records(
+        self, tmp_path, capsys, command, overrides, records, failed, message
+    ):
+        """With sigma2 = 1e-10 and tau2 = 1e300 every cell fails, so the
+        aggregation aborts: exit 2 with the numerical failure line, and the
+        record CSV (its header alone), summary.txt with a line per failed
+        cell and run_meta.json are still written; no slope, table or figure."""
+        out = tmp_path / "out"
+        assert main([
+            command, "--overrides", f"sigma2=1e-10,tau2=1e300,seeds=0..1{overrides}",
+            "--output-dir", str(out), "--plot",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: rank ")
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            [records, "summary.txt", "run_meta.json"])
+        assert (out / records).read_text().count("\n") == 1
+        summary = (out / "summary.txt").read_text()
+        assert f"failed cells: {failed}\n" in summary
+        assert summary.count(message) == failed
+        assert json.loads((out / "run_meta.json").read_text())["n_failures"] == failed
+
     def test_unwritable_output_dir_exits_1(self, tmp_path, capsys):
         rodir = tmp_path / "ro"
         rodir.mkdir()

@@ -173,6 +173,9 @@ class TestSampleDictionaryStatistics:
         minimal, _ = make_dictionary_pair(8, 3, 6, seed=0)
         with pytest.raises(ValueError):
             sample_dictionary_statistics(minimal, 0, seed=0)
+        for n in (0, -1):   # the statistics' check, and the stream index's
+            with pytest.raises(ValueError):
+                sample_dictionary_data(minimal, n, seed=0)
         with pytest.raises(ValueError):
             dict_log_likelihood(minimal, DictionaryStatistics(n=10, Y=np.eye(5)))
         with pytest.raises(ValueError):

@@ -318,6 +318,8 @@ class TestConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"study": "rank_sweep", "widgets": 3})
+        with pytest.raises(ConfigError, match="unknown study 'nope'"):
+            ExperimentConfig.from_dict({"study": "nope"})
 
     def test_from_dict_rejects_non_integers_for_int_fields(self):
         for bad in ({"d": 4.7}, {"ranks": [1.9, 2]}, {"seeds": [0, True]}):
@@ -473,6 +475,51 @@ class TestRankSweep:
             assert cells.n[mine].tolist() == [50, 200, 400]
             deltas = np.stack([cells.score("delta_bic")[mine], cells.score("delta_rlct")[mine]])
             assert slopes == log_n_slopes([50, 200, 400], deltas).tolist()
+
+    def test_slopes_fit_against_the_scores_log_n(self):
+        """On a grid holding 9170, where np.log and math.log round apart,
+        every per-seed slope and every summary slope equals, bit for bit,
+        the centred OLS slope against [math.log(n) for n in grid], the log n
+        that every score subtracted."""
+        grid = [50, 400, 9170, 20000]
+        assert np.log(9170.0) != math.log(9170)
+        cfg = tiny_config(ranks=[1, 3, 6], seeds=list(range(5)), n_grid=grid)
+        res = run_study(cfg)
+        xc = np.array([math.log(n) for n in grid])
+        xc -= xc.mean()
+
+        def slope(values):
+            vc = np.array(values) - np.mean(values)
+            return float(np.sum(xc * vc) / np.sum(xc * xc))
+
+        rows = _rows(res.cells)
+        per_seed = []
+        for summary in res.rank_summaries:
+            mine = [row for row in rows if row["rank"] == summary.rank]
+            ns, means = _mean_by_n(mine, lambda r: r["delta_bic"], lambda r: r["delta_rlct"])
+            assert ns == grid
+            assert [summary.fit_delta_bic.slope, summary.fit_delta_rlct.slope] == [
+                slope(mean) for mean in means]
+            for seed in cfg.seeds:
+                cells = [row for row in mine if row["seed"] == seed]
+                per_seed.append((summary.rank, seed, *(
+                    slope([row[k] for row in cells]) for k in ("delta_bic", "delta_rlct"))))
+        assert res.per_seed_slopes == per_seed
+
+    def test_a_rank_needs_cells_at_two_sizes(self):
+        """A rank with surviving cells at one size, or none, has no slope:
+        both aggregations abort with a NumericalError naming the rank."""
+        cells = run_study(tiny_config()).cells
+        floor = "has surviving cells at fewer than 2 sizes"
+        for keep in ((cells.rank == 1) | (cells.n == 50), cells.rank == 1):
+            with pytest.raises(NumericalError, match=f"^rank 2 {floor}"):
+                aggregate_rank_summaries(_without(cells, keep), [1, 2])
+        dcfg = replace(ExperimentConfig.default_for("dict_compare"), seeds=[0, 1],
+                       n_grid=[50, 100])
+        cells = run_study(dcfg).cells
+        for keep in (cells.n == 50, cells.n == 0):
+            with pytest.raises(NumericalError, match=f"^rank 3 {floor}"):
+                aggregate_dict_comparison(_without(cells, keep), dcfg)
 
     def test_regular_rank_predicts_zero_not_minus_zero(self):
         """The rank-d row's predicted BIC slope prints as 0.00, not -0.00."""
@@ -854,6 +901,9 @@ class TestPersistence:
             header + "\n" + row + ",0.5\n",                  # ragged row
             header + "\n" + row + "\n" + row.replace(",6,6,", ",5,6,") + "\n",
             *(header + "\n" + bad + "\n" for bad in not_numbers),
+            # a non-finite score: the program writes none, a failed cell has no row
+            *(header + "\n" + row + "\n" + row.replace(",50,", ",100,")[:-3] + bad + "\n"
+              for bad in ("nan", "inf")),
         ):
             path.write_text(text)
             with pytest.raises(ValueError, match=r"records\.csv: "):

@@ -97,6 +97,11 @@ class TestFitLogNSlope:
             fit_log_n_slope([(1, 1.0), (100, 2.0)])
         with pytest.raises(ValueError, match="distinct"):
             log_n_slopes([100, 100, 100], np.zeros((2, 3)))
+        # sizes are integers, as for the scores' log n: a float size is rejected
+        with pytest.raises(ValueError, match="integers"):
+            log_n_slopes([50.0, 100.0], np.zeros(2))
+        with pytest.raises(ValueError, match="integers"):
+            fit_log_n_slope([(50, 1.0), (100.0, 2.0)])
 
 
 class TestLogNSlopes:
