@@ -32,7 +32,7 @@ from ._linalg import (
     symmetrize,
 )
 from ._rng import substream, wishart_roots
-from .evidence import LOG_2PI, check_positive, log_n
+from .evidence import LOG_2PI, bic_score, check_positive, rlct_score
 from .rlct import analytic_rlct
 
 
@@ -237,32 +237,32 @@ def comparison_batch(
     """The ten score fields of :class:`DictionaryComparison`, in field order,
     as arrays over ``n_grid``: one seed's scatters, formed from the minimal
     spec by two batched matmuls, scored with one Cholesky factor per member
-    and one ``eigvalsh`` stack.  A non-finite scatter gets NaN scores."""
+    and one ``eigvalsh`` stack; the penalised scores are :func:`bic_score`
+    and :func:`rlct_score` of the fits.  A non-finite scatter gets NaN scores."""
     minimal, overcomplete = pair
     if minimal.r != overcomplete.r:
         raise ValueError(
             f"pair members disagree on span dimension: {minimal.r} vs {overcomplete.r}"
         )
     n = np.array(n_grid)
-    logs = log_n(n)
     L_min, L_over = (spd_cholesky(marginal_covariance(s), context="comparison_batch") for s in pair)
     LT = L_min @ wishart_roots(seed, "dict-wishart", n_grid, minimal.p).swapaxes(-1, -2)
     YY = symmetrize(LT @ LT.swapaxes(-1, -2))
     ell = _sample_eigenvalues(n, YY)
     fit_min = _ml_fits(n, ell, minimal.d, minimal.sigma2)
     fit_over = _ml_fits(n, ell, overcomplete.d, overcomplete.sigma2)
-    lam_log_n = analytic_rlct(minimal.r) * logs
+    lam = analytic_rlct(minimal.r)
     return {
         "exact_minimal": _log_likelihoods(L_min, n, YY),
         "exact_overcomplete": _log_likelihoods(L_over, n, YY),
         "fit_minimal": fit_min,
         "fit_overcomplete": fit_over,
-        "bic_minimal": fit_min - 0.5 * minimal.d * logs,
-        "bic_overcomplete": fit_min - 0.5 * overcomplete.d * logs,
-        "rlct_minimal": fit_min - lam_log_n,
-        "rlct_overcomplete": fit_min - lam_log_n,
-        "bic_overcomplete_ml": fit_over - 0.5 * overcomplete.d * logs,
-        "rlct_overcomplete_ml": fit_over - lam_log_n,
+        "bic_minimal": bic_score(fit_min, minimal.d, n),
+        "bic_overcomplete": bic_score(fit_min, overcomplete.d, n),
+        "rlct_minimal": rlct_score(fit_min, lam, n),
+        "rlct_overcomplete": rlct_score(fit_min, lam, n),
+        "bic_overcomplete_ml": bic_score(fit_over, overcomplete.d, n),
+        "rlct_overcomplete_ml": rlct_score(fit_over, lam, n),
     }
 
 

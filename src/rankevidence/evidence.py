@@ -172,9 +172,13 @@ def log_n(n):
     one size, an array of the same shape for an array (empty included).  The
     one log-n rule of every score; ``np.log`` rounds some values differently."""
     sizes = np.asarray(n)
-    if sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 2):
+    if sizes.dtype.kind not in "iu":   # float64 for a list mixing sizes past 2**63 with smaller ones
+        sizes = np.asarray(n, dtype=object)
+    values = sizes.ravel().tolist()
+    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 1 < k < 2**64
+               for k in values):
         raise ValueError(f"sample sizes must be integers in [2, 2**64) for log-n scores, got {n}")
-    logs = [math.log(k) for k in sizes.ravel().tolist()]
+    logs = list(map(math.log, values))
     return logs[0] if sizes.ndim == 0 else np.array(logs).reshape(sizes.shape)
 
 
@@ -244,37 +248,33 @@ def full_laplace_log_evidence(stats: SufficientStatistics) -> float:
 
 def evidence_record(stats: SufficientStatistics, lam: float) -> EvidenceRecord:
     """Assemble the exact value and both approximations at this sample size:
-    the one-cell call of :func:`root_evidence_batch` on the statistics' rows."""
-    out = root_evidence_batch(
-        np.array([stats.n]), stats.A[None], stats.y[None], stats.d,
-        stats.sigma2, stats.tau2, lam,
-    )
-    return EvidenceRecord(n=stats.n, **{key: value[0].item() for key, value in out.items()})
+    :func:`root_evidence_batch` of the statistics' rows (q, k), no stack axes."""
+    out = root_evidence_batch(stats.n, stats.A, stats.y, stats.d, stats.sigma2, stats.tau2, lam)
+    return EvidenceRecord(n=stats.n, **{key: value.item() for key, value in out.items()})
 
 
 def root_evidence_batch(
-    n: np.ndarray, A: np.ndarray, y: np.ndarray, d: int,
+    n: int | np.ndarray, A: np.ndarray, y: np.ndarray, d: int,
     sigma2: float, tau2: float, lam: float,
 ) -> dict[str, np.ndarray]:
     """Every :class:`EvidenceRecord` field but ``n`` for cells given by rows
-    ``A`` (m, q, k) and ``y`` (m, q) whose products are the statistics of
-    ``n`` observations, in k coordinates of a d-parameter model.  Of one
-    batched thin SVD ``A = U diag(sv) W^T`` each cell keeps its ``"rank"``
-    leading directions, the count of ``sv`` above the rank rule for
-    ``max(q, k)`` rows (:func:`~rankevidence._linalg.spectral_rank`), as
-    ``s = sv^2`` and ``g = U^T y``; ``RSS = |y - U g|^2`` is a sum of squares.
-    The centered term ``log_lik_mle - log_z_exact = 1/2 sum log1p(alpha s) +
-    sum g^2 / (1 + alpha s) / (2 sigma2)`` sums at most k terms, nonnegative
-    in exact arithmetic: no O(n) cancels.  Non-finite rows raise
+    ``A`` (..., q, k) and ``y`` (..., q) whose products are the statistics of
+    ``n`` observations (broadcast against the leading axes), in k coordinates
+    of a d-parameter model.  Of one batched thin SVD ``A = U diag(sv) W^T``
+    each cell keeps its ``"rank"`` leading directions, the count of ``sv``
+    above the rank rule for ``max(q, k)`` rows
+    (:func:`~rankevidence._linalg.spectral_rank`), as ``s = sv^2`` and
+    ``g = U^T y``; ``RSS = |y - U g|^2`` is a sum of squares.  The centered
+    term ``log_lik_mle - log_z_exact = 1/2 sum log1p(alpha s) + sum g^2 /
+    (1 + alpha s) / (2 sigma2)`` sums at most k terms, nonnegative in exact
+    arithmetic: no O(n) cancels.  The scores are :func:`bic_score` and
+    :func:`rlct_score` of the fit and centered terms.  Non-finite rows raise
     ``np.linalg.LinAlgError``."""
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
-    logs = log_n(n)
     U, sv, _ = np.linalg.svd(A, full_matrices=False)
     if not np.isfinite(sv).all():   # an inf row gives NaN values without raising
         raise np.linalg.LinAlgError("SVD of non-finite rows")
     rank = spectral_rank(sv, max(A.shape[-2:]))
-    kept = np.arange(sv.shape[-1]) < rank[:, None]
+    kept = np.arange(sv.shape[-1]) < rank[..., None]
     g = np.where(kept, (U.swapaxes(-1, -2) @ y[..., None])[..., 0], 0.0)
     rss = np.sum((y - (U @ g[..., None])[..., 0]) ** 2, axis=-1)
     s = np.where(kept, sv**2, 0.0)
@@ -286,10 +286,10 @@ def root_evidence_batch(
     return {
         "log_z_exact": fit - centered,
         "log_lik_mle": fit,
-        "log_z_bic": fit - 0.5 * d * logs,
-        "log_z_rlct": fit - lam * logs,
-        "delta_bic": centered - 0.5 * d * logs,
-        "delta_rlct": centered - lam * logs,
+        "log_z_bic": bic_score(fit, d, n),
+        "log_z_rlct": rlct_score(fit, lam, n),
+        "delta_bic": bic_score(centered, d, n),
+        "delta_rlct": rlct_score(centered, lam, n),
         "rank": rank,
     }
 

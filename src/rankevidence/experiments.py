@@ -337,13 +337,13 @@ def _regression_study(cfg: ExperimentConfig) -> StudyResult:
     roots ``Z`` (:func:`wishart_roots`), ``theta_star`` and factor draw
     (:func:`rank_r_factors`) serve every rank; a rank scores its cells in
     the r identifiable coordinates of its factors' SVD, which also checked
-    their rank, with one :func:`root_evidence_batch`."""
+    their rank, with one :func:`root_evidence_batch` of its (seed, n) stack."""
     scores = np.full((len(cfg.ranks), len(cfg.seeds), len(cfg.n_grid), len(_SCORE_COLUMNS)), np.nan)
     messages = []
     q = cfg.p + 1
     Z = np.stack([wishart_roots(seed, "wishart", cfg.n_grid, q) for seed in cfg.seeds])
     theta = np.stack([draw_theta(cfg.d, cfg.tau2, seed) for seed in cfg.seeds])[:, None]
-    ns = np.tile(cfg.n_grid, len(cfg.seeds))
+    n = np.array(cfg.n_grid)
     factors = rank_r_factors(cfg.p, cfg.d, cfg.ranks, cfg.seeds)
     for rank, table, (B, U, s) in zip(cfg.ranks, scores, factors):
         X, y = wishart_rows(B[:, None], theta, cfg.sigma2, Z)
@@ -351,11 +351,8 @@ def _regression_study(cfg: ExperimentConfig) -> StudyResult:
         A = X @ (U[..., :rank] * s[..., None, :rank])[:, None]
         message = "non-finite value in evidence record"
         try:
-            out = root_evidence_batch(
-                ns, A.reshape(-1, q, rank), y.reshape(-1, q), cfg.d,
-                cfg.sigma2, cfg.tau2, analytic_rlct(rank),
-            )
-            table[:] = np.stack([out[key] for key in _SCORE_COLUMNS], axis=-1).reshape(table.shape)
+            out = root_evidence_batch(n, A, y, cfg.d, cfg.sigma2, cfg.tau2, analytic_rlct(rank))
+            table[:] = np.stack([out[key] for key in _SCORE_COLUMNS], axis=-1)
         except np.linalg.LinAlgError as exc:
             message = str(exc)
         messages.append([message] * len(cfg.seeds))

@@ -41,13 +41,12 @@ def log_n_slopes(ns: list[int] | np.ndarray, values: np.ndarray) -> np.ndarray:
     """OLS slopes of ``values`` against ``log_n(ns)`` along the last axis.
 
     The centred closed form ``sum(x~ v~) / sum(x~^2)``, broadcast over the
-    leading axes of ``values``.  Requires at least two distinct sample
-    sizes, integers in [2, 2**64).
+    leading axes of ``values``.  Requires integer sample sizes in
+    [2, 2**64) with at least two distinct logs.
     """
-    ns = np.asarray(ns)
     x = log_n(ns)
-    if len(set(ns.tolist())) < 2:   # sizes: two near 2**64 share a log; np.unique loads numpy.ma
-        raise ValueError("need at least 2 distinct sample sizes to fit a slope")
+    if len(set(x.tolist())) < 2:   # logs: two sizes near 2**64 share one; np.unique loads numpy.ma
+        raise ValueError("need sample sizes with at least 2 distinct logs to fit a slope")
     xc = x - x.mean()
     vc = values - np.mean(values, axis=-1, keepdims=True)
     return np.sum(xc * vc, axis=-1) / np.sum(xc * xc)
@@ -56,12 +55,12 @@ def log_n_slopes(ns: list[int] | np.ndarray, values: np.ndarray) -> np.ndarray:
 def fit_log_n_slope(points: Iterable[tuple[int, float]]) -> SlopeFit:
     """Ordinary least squares of value against log n, by :func:`log_n_slopes`.
 
-    Requires at least two distinct sample sizes, integers in [2, 2**64).
+    Requires integer sample sizes in [2, 2**64) with two distinct logs.
     The slope standard error uses the classical homoskedastic formula; with
     exactly two points (zero residual degrees of freedom) it is reported as 0.
     """
     pts = list(points)
-    ns = np.array([p[0] for p in pts])
+    ns = [p[0] for p in pts]   # not an array: numpy makes sizes past 2**63 among smaller ones float
     vals = np.array([p[1] for p in pts], dtype=float)
     slope = float(log_n_slopes(ns, vals))
     x = log_n(ns)

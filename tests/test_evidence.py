@@ -7,7 +7,13 @@ import scipy.integrate
 import scipy.stats
 
 from rankevidence._linalg import NumericalError
-from rankevidence.dictionary import DictionarySpec, DictionaryStatistics, ml_fit_term
+from rankevidence.dictionary import (
+    DictionarySpec,
+    DictionaryStatistics,
+    comparison_batch,
+    make_dictionary_pair,
+    ml_fit_term,
+)
 from rankevidence.evidence import (
     GaussianLinearProblem,
     SufficientStatistics,
@@ -230,11 +236,14 @@ class TestScores:
         top = np.array([2**64 - 1], dtype=np.uint64)
         assert log_n(top)[0] == log_n(2**64 - 1) == math.log(2**64 - 1)
         assert log_n(np.array([], dtype=int)).shape == log_n([]).shape == (0,)
+        # a list mixing sizes past 2**63 with smaller ones, float64 to numpy
+        assert log_n([5, 2**64 - 1]).tolist() == [math.log(5), math.log(2**64 - 1)]
 
     @pytest.mark.parametrize("n", [
         True, 1, -3, 7.389, 100.0, 2**64, np.float64(200.0),
         np.array([True, True]), [100, True], [100, 1], [100, 7.5], [100, 2**64],
-        np.array([50.0, 100.0]),
+        np.array([50.0, 100.0]), [2**64 - 1, True], [2**64 - 1, 1], [2**64 - 1, 7.5],
+        [2**64 - 1, 2**64],
     ], ids=repr)
     def test_sizes_outside_the_log_n_rule_are_rejected(self, n):
         """bool, non-integer, < 2 and >= 2**64 sizes, alone or in an array."""
@@ -363,6 +372,50 @@ class TestEvidenceRecord:
         A[3, 2] = bad
         with pytest.raises(np.linalg.LinAlgError):
             evidence_record(replace(stats, A=A), lam=1.0)
+
+    def test_every_penalised_column_is_a_score_of_its_term(self):
+        """Each penalised column of both study batches is bic_score or
+        rlct_score of its fit or centered term, bit for bit, on stacks.  The
+        centered term is root_evidence_batch's delta_rlct at lambda = 0."""
+        rng = np.random.default_rng(7)
+        n = np.array([3, 9170, 10**9])
+        A, y = rng.standard_normal((2, 3, 7, 4)), rng.standard_normal((2, 3, 7))
+        centered = root_evidence_batch(n, A, y, 6, 0.8, 1.7, 0.0)["delta_rlct"]
+        out = root_evidence_batch(n, A, y, 6, 0.8, 1.7, 1.5)
+        fit = out["log_lik_mle"]
+        expected = {
+            "log_z_bic": bic_score(fit, 6, n), "log_z_rlct": rlct_score(fit, 1.5, n),
+            "delta_bic": bic_score(centered, 6, n), "delta_rlct": rlct_score(centered, 1.5, n),
+        }
+        minimal, overcomplete = pair = make_dictionary_pair(8, 3, 6, seed=2)
+        grid = [50, 400, 9170, 10**9]
+        scores = comparison_batch(pair, grid, seed=2)
+        fit_min, fit_over = scores["fit_minimal"], scores["fit_overcomplete"]
+        dict_expected = {
+            "bic_minimal": bic_score(fit_min, minimal.d, grid),
+            "bic_overcomplete": bic_score(fit_min, overcomplete.d, grid),
+            "rlct_minimal": rlct_score(fit_min, 1.5, grid),
+            "rlct_overcomplete": rlct_score(fit_min, 1.5, grid),
+            "bic_overcomplete_ml": bic_score(fit_over, overcomplete.d, grid),
+            "rlct_overcomplete_ml": rlct_score(fit_over, 1.5, grid),
+        }
+        for got, want in ((out, expected), (scores, dict_expected)):
+            for name, value in want.items():
+                assert got[name].shape == value.shape and (got[name] == value).all(), name
+
+    def test_a_stack_of_cells_scores_like_its_flattened_batch(self):
+        """A (2, 3, q, k) stack with n of shape (3,) broadcast against it gives
+        the bits of the (6, q, k) call with n tiled, a rank-deficient cell too."""
+        rng = np.random.default_rng(8)
+        n = np.array([2, 400, 2**40])
+        A, y = rng.standard_normal((2, 3, 5, 4)), rng.standard_normal((2, 3, 5))
+        A[1, 0, :, 3] = A[1, 0, :, 0]
+        stacked = root_evidence_batch(n, A, y, 6, 0.8, 1.7, 1.5)
+        flat = root_evidence_batch(np.tile(n, 2), A.reshape(6, 5, 4), y.reshape(6, 5), 6, 0.8, 1.7, 1.5)
+        assert flat["rank"].tolist() == [4, 4, 4, 3, 4, 4]
+        for name, value in flat.items():
+            assert stacked[name].shape == (2, 3)
+            assert stacked[name].ravel().tolist() == value.tolist(), name
 
 
 def _exact_products(stats, mpmath):

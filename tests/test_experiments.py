@@ -385,7 +385,7 @@ class TestRankSweep:
         def poisoned(n, A, y, d, sigma2, tau2, lam):
             out = real(n, A, y, d, sigma2, tau2, lam)
             if lam == 0.5:   # the rank-1 batch: seed 0 at n = 50, 100, 200
-                out["log_z_exact"][list(n).index(100)] = float("nan")
+                out["log_z_exact"][0, list(n).index(100)] = float("nan")
             return out
 
         monkeypatch.setattr(experiments, "root_evidence_batch", poisoned)
@@ -420,7 +420,7 @@ class TestRankSweep:
         def poisoned(n, A, y, d, sigma2, tau2, lam):
             out = real(n, A, y, d, sigma2, tau2, lam)
             if lam == 0.5:   # rank 1, seed 0, n = 50
-                out["delta_bic"][0] = float("nan")
+                out["delta_bic"][0, 0] = float("nan")
             return out
 
         monkeypatch.setattr(experiments, "root_evidence_batch", poisoned)
@@ -460,7 +460,7 @@ class TestRankSweep:
         def poisoned(n, A, y, d, sigma2, tau2, lam):
             out = real(n, A, y, d, sigma2, tau2, lam)
             if lam == 0.5:   # rank 1: every seed at n = 100
-                out["delta_rlct"][np.asarray(n) == 100] = float("nan")
+                out["delta_rlct"][:, np.asarray(n) == 100] = float("nan")
             return out
 
         monkeypatch.setattr(experiments, "root_evidence_batch", poisoned)
@@ -546,8 +546,8 @@ class TestRankSweep:
 
         def recording(n, A, y, d, sigma2, tau2, lam):
             out = real(n, A, y, d, sigma2, tau2, lam)
-            kept.extend(out["rank"].tolist())
-            expected.extend(np.minimum(n, A.shape[-1]).tolist())
+            kept.extend(out["rank"].ravel().tolist())
+            expected.extend(np.broadcast_to(np.minimum(n, A.shape[-1]), A.shape[:-2]).ravel().tolist())
             return out
 
         monkeypatch.setattr(experiments, "root_evidence_batch", recording)
@@ -609,7 +609,7 @@ class TestRankSweep:
             return wrapper
 
         def svd(a, *args, **kwargs):
-            counts["cell_svd"] += a.shape[:-2] == (len(cfg.seeds) * len(cfg.n_grid),)
+            counts["cell_svd"] += a.shape[:-2] == (len(cfg.seeds), len(cfg.n_grid))
             return real_svd(a, *args, **kwargs)
 
         def roots(seed, tag, n_grid, q):
@@ -942,7 +942,7 @@ class TestPersistence:
         def poisoned(n, A, y, d, sigma2, tau2, lam):
             out = real(n, A, y, d, sigma2, tau2, lam)
             if lam == 0.5:   # rank 1, seed 3, n = 100
-                out["log_z_exact"][1] = float("nan")
+                out["log_z_exact"][0, 1] = float("nan")
             return out
 
         monkeypatch.setattr(experiments, "root_evidence_batch", poisoned)

@@ -44,6 +44,10 @@ class TestFitLogNSlope:
         assert fit.stderr_slope == 0.0
         # two points leave no residual: the line passes through both
         np.testing.assert_allclose(fit.intercept + fit.slope * math.log(10), 1.0, rtol=1e-12)
+        # a list mixing a size past 2**63 with a smaller one (float64 to numpy)
+        top = 1.0 / (math.log(2**64 - 1) - math.log(5))
+        np.testing.assert_allclose(fit_log_n_slope([(5, 0.0), (2**64 - 1, 1.0)]).slope, top, rtol=1e-12)
+        np.testing.assert_allclose(log_n_slopes([5, 2**64 - 1], np.array([0.0, 1.0])), top, rtol=1e-12)
 
     def test_residuals_orthogonal_to_regressors(self):
         rng = np.random.default_rng(0)
@@ -102,6 +106,14 @@ class TestFitLogNSlope:
             log_n_slopes([50.0, 100.0], np.zeros(2))
         with pytest.raises(ValueError, match="integers"):
             fit_log_n_slope([(50, 1.0), (100.0, 2.0)])
+        with pytest.raises(ValueError, match="integers"):
+            fit_log_n_slope([(2**64 - 1, 1.0), (100.0, 2.0)])
+        # two distinct sizes that share one float log: no slope, not NaN
+        assert math.log(2**64 - 2) == math.log(2**64 - 1)
+        with pytest.raises(ValueError, match="distinct"):
+            fit_log_n_slope([(2**64 - 2, 0.0), (2**64 - 1, 1.0)])
+        with pytest.raises(ValueError, match="distinct"):
+            log_n_slopes([2**64 - 2, 2**64 - 1], np.zeros(2))
 
 
 class TestLogNSlopes:
