@@ -22,7 +22,7 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
 
 
 def spd_cholesky(M: np.ndarray, *, context: str = "") -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
+    """Lower Cholesky factor of each symmetric positive-definite matrix of a stack.
 
     The input is symmetrized first to absorb asymmetry from accumulated
     rounding.  No jitter is added: failure is surfaced as
@@ -37,7 +37,7 @@ def spd_cholesky(M: np.ndarray, *, context: str = "") -> np.ndarray:
         return np.linalg.cholesky(M)
     except (np.linalg.LinAlgError, ValueError) as exc:
         where = f" in {context}" if context else ""
-        diag = np.diag(M)
+        diag = np.diagonal(M, axis1=-2, axis2=-1)
         detail = (
             f"shape={M.shape}, finite={bool(np.isfinite(M).all())}, "
             f"diag=[{diag.min():.6g}, {diag.max():.6g}]"
@@ -49,14 +49,15 @@ def spd_cholesky(M: np.ndarray, *, context: str = "") -> np.ndarray:
         ) from exc
 
 
-def chol_logdet(L: np.ndarray) -> float:
-    """log det of the matrix whose lower Cholesky factor is ``L``."""
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+def chol_logdet(L: np.ndarray):
+    """log det of each matrix whose lower Cholesky factor is ``L``; a float for one."""
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    return float(logdet) if logdet.ndim == 0 else logdet
 
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``M x = b`` given the lower Cholesky factor ``L`` of ``M``."""
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+    """Solve ``M x = b`` given the lower Cholesky factor ``L`` of ``M``, stacks broadcast."""
+    return np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, b))
 
 
 def numerical_rank(M: np.ndarray) -> int:

@@ -12,8 +12,8 @@ Both the exact likelihood and the ML fit depend on the data only through
 type, :class:`DictionaryStatistics`, keeps rows whose scatter it is: the n
 observations themselves, or the p rows ``(L T)^T`` of a square root,
 ``L L^T = Sigma_y``, drawn exactly at a cost that does not depend on n.
-A study's cells run as arrays, one :func:`comparison_batch` per (pair, seed);
-the one-cell functions are calls of the same array code.
+A study's cells run as arrays, its whole (seed, size) grid in one
+:func:`comparison_batch`; the one-cell functions are calls of the same array code.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def dict_log_likelihood(spec: DictionarySpec, stats: DictionaryStatistics) -> fl
 
 
 def _log_likelihoods(L: np.ndarray, n, YY: np.ndarray) -> np.ndarray:
-    """:func:`dict_log_likelihood` of scatters ``YY`` (..., p, p), ``L`` = chol(Sigma_y)."""
+    """:func:`dict_log_likelihood` of stacks of scatters ``YY`` and ``L`` = chol(Sigma_y)."""
     quad = np.trace(chol_solve(L, YY), axis1=-2, axis2=-1)
-    return -0.5 * (n * (L.shape[0] * LOG_2PI + chol_logdet(L)) + quad)
+    return -0.5 * (n * (L.shape[-1] * LOG_2PI + chol_logdet(L)) + quad)
 
 
 def sample_dictionary_data(spec: DictionarySpec, n: int, seed: int) -> DictionaryStatistics:
@@ -232,21 +232,25 @@ class DictionaryComparison:
 
 
 def comparison_batch(
-    pair: tuple[DictionarySpec, DictionarySpec], n_grid: list[int], seed: int
+    pairs: list[tuple[DictionarySpec, DictionarySpec]], n_grid: list[int], seeds: list[int]
 ) -> dict[str, np.ndarray]:
     """The ten score fields of :class:`DictionaryComparison`, in field order,
-    as arrays over ``n_grid``: one seed's scatters, formed from the minimal
-    spec by two batched matmuls, scored with one Cholesky factor per member
-    and one ``eigvalsh`` stack; the penalised scores are :func:`bic_score`
-    and :func:`rlct_score` of the fits.  A non-finite scatter gets NaN scores."""
-    minimal, overcomplete = pair
-    if minimal.r != overcomplete.r:
-        raise ValueError(
-            f"pair members disagree on span dimension: {minimal.r} vs {overcomplete.r}"
-        )
+    as (pairs, sizes) arrays: pair i on seed i's scatters over ``n_grid``,
+    formed from its minimal spec by two batched matmuls of the (seeds, sizes)
+    root stack, scored with one stacked Cholesky per member and one
+    ``eigvalsh`` stack; the penalised scores are :func:`bic_score` and
+    :func:`rlct_score` of the fits.  A non-finite scatter gets NaN scores.
+    Pairs that disagree on column counts, span dimension or sigma2 raise ValueError."""
+    minimal, overcomplete = pairs[0]
+    shapes = {(m.p, m.d, o.d, m.r, o.r, m.sigma2, o.sigma2) for m, o in pairs}
+    if len(shapes) != 1 or minimal.r != overcomplete.r or len(pairs) != len(seeds):
+        raise ValueError(f"need one seed per pair and one (p, d, d', r, r', sigma2, sigma2'), "
+                         f"got {len(seeds)} seeds for {len(pairs)} pairs of {sorted(shapes)}")
     n = np.array(n_grid)
-    L_min, L_over = (spd_cholesky(marginal_covariance(s), context="comparison_batch") for s in pair)
-    LT = L_min @ wishart_roots(seed, "dict-wishart", n_grid, minimal.p).swapaxes(-1, -2)
+    L_min, L_over = (spd_cholesky([marginal_covariance(s) for s in member],
+                                  context="comparison_batch")[:, None] for member in zip(*pairs))
+    Z = np.stack([wishart_roots(seed, "dict-wishart", n_grid, minimal.p) for seed in seeds])
+    LT = L_min @ Z.swapaxes(-1, -2)
     YY = symmetrize(LT @ LT.swapaxes(-1, -2))
     ell = _sample_eigenvalues(n, YY)
     fit_min = _ml_fits(n, ell, minimal.d, minimal.sigma2)
@@ -271,5 +275,5 @@ def dictionary_comparison(
 ) -> DictionaryComparison:
     """Evaluate both members of a pair on one dataset's statistics, drawn from
     the minimal spec: the one-cell case of :func:`comparison_batch`."""
-    scores = comparison_batch(pair, [n], seed)
-    return DictionaryComparison(n, seed, *(float(v[0]) for v in scores.values()))
+    scores = comparison_batch([pair], [n], [seed])
+    return DictionaryComparison(n, seed, *(v.item() for v in scores.values()))

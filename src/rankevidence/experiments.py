@@ -240,15 +240,15 @@ class CellTable:
 
 
 def _cell_table(cfg: ExperimentConfig, ranks: list[int], scores: np.ndarray,
-                columns: list[str], messages: list) -> tuple[CellTable, list[CellFailure]]:
+                columns: list[str], messages: list[str]) -> tuple[CellTable, list[CellFailure]]:
     """The finite cells of ``scores`` (rank, seed, n, score) over ``ranks``,
     ``cfg.seeds`` and ``cfg.n_grid``, and a failure for each other cell with
-    the message of its (rank, seed) batch; a failed cell's scores are NaN."""
+    the message of its rank's batch; a failed cell's scores are NaN."""
     finite = np.isfinite(scores).all(axis=-1)
     failures = [
         CellFailure(rank, seed, n, message)
-        for rank, rank_ok, rank_messages in zip(ranks, finite.tolist(), messages)
-        for seed, seed_ok, message in zip(cfg.seeds, rank_ok, rank_messages)
+        for rank, rank_ok, message in zip(ranks, finite.tolist(), messages)
+        for seed, seed_ok in zip(cfg.seeds, rank_ok)
         for n, ok in zip(cfg.n_grid, seed_ok) if not ok
     ]
     ok = finite.ravel()
@@ -355,7 +355,7 @@ def _regression_study(cfg: ExperimentConfig) -> StudyResult:
             table[:] = np.stack([out[key] for key in _SCORE_COLUMNS], axis=-1)
         except np.linalg.LinAlgError as exc:
             message = str(exc)
-        messages.append([message] * len(cfg.seeds))
+        messages.append(message)
     cells, failures = _cell_table(cfg, cfg.ranks, scores, _SCORE_COLUMNS, messages)
     return StudyResult(cfg, cells, failures)
 
@@ -401,25 +401,20 @@ _DICT_TABLE_TARGET_N = 200
 
 
 def _dict_study(cfg: ExperimentConfig) -> StudyResult:
-    """Minimal vs overcomplete dictionary scores over seeds and sample sizes,
-    one :func:`comparison_batch` per seed (an error it raises fails the
-    seed), and the Gram spectra of the first seed's pair."""
-    r = cfg.ranks[0]
-    scores = np.full((len(cfg.seeds), len(cfg.n_grid), len(_DICT_SCORE_COLUMNS)), np.nan)
-    messages = []
-    spectra = None
-    for seed, table in zip(cfg.seeds, scores):
-        pair = make_dictionary_pair(cfg.p, r, cfg.d, seed, tau2=cfg.tau2, sigma2=cfg.sigma2)
-        if spectra is None:
-            spectra = (gram_spectrum(pair[0]), gram_spectrum(pair[1]))
-        try:
-            out = comparison_batch(pair, cfg.n_grid, seed)
-            table[:] = np.column_stack([out[key] for key in _DICT_SCORE_COLUMNS])
-            messages.append("non-finite value in dictionary comparison")
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            messages.append(str(exc))
-    cells, failures = _cell_table(cfg, [r], scores[None], _DICT_SCORE_COLUMNS, [messages])
-    return StudyResult(cfg, cells, failures, spectra=spectra)
+    """Minimal vs overcomplete dictionary scores over seeds and sample sizes, each
+    seed's pair on its own draws, from one :func:`comparison_batch` (an error it
+    raises fails every cell), and the Gram spectra of the first seed's pair."""
+    pairs = [make_dictionary_pair(cfg.p, cfg.ranks[0], cfg.d, seed, tau2=cfg.tau2,
+                                  sigma2=cfg.sigma2) for seed in cfg.seeds]
+    scores = np.full((1, len(cfg.seeds), len(cfg.n_grid), len(_DICT_SCORE_COLUMNS)), np.nan)
+    message = "non-finite value in dictionary comparison"
+    try:
+        out = comparison_batch(pairs, cfg.n_grid, cfg.seeds)
+        scores[0] = np.stack([out[key] for key in _DICT_SCORE_COLUMNS], axis=-1)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        message = str(exc)
+    cells, failures = _cell_table(cfg, cfg.ranks, scores, _DICT_SCORE_COLUMNS, [message])
+    return StudyResult(cfg, cells, failures, spectra=tuple(map(gram_spectrum, pairs[0])))
 
 
 def aggregate_dict_comparison(table: CellTable, cfg: ExperimentConfig) -> tuple:

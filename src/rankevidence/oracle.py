@@ -78,7 +78,7 @@ def _cubature(group: list[SufficientStatistics], d: int, index: np.ndarray) -> n
     # theta = mu + L^{-T} u maps the unit ball of the posterior metric to the
     # u coordinates; |det L^{-T}| = 1/prod(diag L).
     T = np.linalg.solve(L.swapaxes(-1, -2), np.eye(d))
-    log_jacobian = -np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    log_jacobian = -0.5 * chol_logdet(L)
     # One row of statistics per problem, to broadcast against (problem, node, d).
     rows = {f: np.array([getattr(s, f) for s in group])[:, None]
             for f in ("n", "S", "b", "yy", "sigma2", "tau2")}

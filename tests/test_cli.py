@@ -148,10 +148,9 @@ class TestMain:
         assert main([*args, str(tmp_path / "clean")]) == 0
         real = experiments.comparison_batch
 
-        def poisoned(pair, n_grid, seed):
-            out = real(pair, n_grid, seed)
-            if seed == 0:
-                out["exact_minimal"][n_grid.index(200)] = float("nan")
+        def poisoned(pairs, n_grid, seeds):
+            out = real(pairs, n_grid, seeds)
+            out["exact_minimal"][0, n_grid.index(200)] = float("nan")
             return out
 
         monkeypatch.setattr(experiments, "comparison_batch", poisoned)

@@ -387,9 +387,10 @@ class TestEvidenceRecord:
             "log_z_bic": bic_score(fit, 6, n), "log_z_rlct": rlct_score(fit, 1.5, n),
             "delta_bic": bic_score(centered, 6, n), "delta_rlct": rlct_score(centered, 1.5, n),
         }
-        minimal, overcomplete = pair = make_dictionary_pair(8, 3, 6, seed=2)
+        pairs = [make_dictionary_pair(8, 3, 6, seed=seed) for seed in (2, 3)]
+        minimal, overcomplete = pairs[0]
         grid = [50, 400, 9170, 10**9]
-        scores = comparison_batch(pair, grid, seed=2)
+        scores = comparison_batch(pairs, grid, [2, 3])
         fit_min, fit_over = scores["fit_minimal"], scores["fit_overcomplete"]
         dict_expected = {
             "bic_minimal": bic_score(fit_min, minimal.d, grid),

@@ -12,6 +12,7 @@ import pytest
 import rankevidence._rng as _rng
 import rankevidence.cli as cli
 import rankevidence.dictionary as dictionary
+import rankevidence.evidence as evidence
 import rankevidence.experiments as experiments
 import rankevidence.linear_models as linear_models
 from rankevidence._linalg import NumericalError
@@ -750,11 +751,12 @@ class TestDictCompare:
                zip(cells.n.tolist(), cells.seed.tolist(), cells.scores.tolist())]
         assert got == expected
 
-    def test_one_factor_per_member_and_one_eigvalsh_per_seed(self, monkeypatch):
+    def test_one_factor_per_member_and_one_eigvalsh_per_study(self, monkeypatch):
         """Structural guard: the default study factors each member's Sigma_y
-        once per seed and runs one stacked eigvalsh per seed (plus the two
-        Gram spectra), with its 180 scatter draws unchanged."""
-        counts = {"factor": 0, "cholesky": 0, "eigvalsh": 0}
+        of every seed in one stacked Cholesky, runs one stacked eigvalsh
+        (plus the two Gram spectra) and reads log n once per penalised
+        column, with its 180 scatter draws unchanged."""
+        counts = {"factor": 0, "cholesky": 0, "eigvalsh": 0, "log_n": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -771,11 +773,13 @@ class TestDictCompare:
         monkeypatch.setattr(dictionary, "wishart_roots", roots)
         monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(evidence, "log_n", counting("log_n", evidence.log_n))
         res = run_study(ExperimentConfig.default_for("dict_compare"))
         assert len(res.cells) == 180 and not res.failures
         assert counts["factor"] == 180
-        assert counts["cholesky"] <= 40
-        assert counts["eigvalsh"] <= 23
+        assert counts["cholesky"] <= 2
+        assert counts["eigvalsh"] <= 3
+        assert counts["log_n"] == 6
 
     def test_non_finite_scatter_fails_alone(self, monkeypatch):
         """A NaN scatter at (seed 1, n 100) fails that cell only; every other
@@ -797,24 +801,37 @@ class TestDictCompare:
         assert [(f.seed, f.n) for f in res.failures] == [(1, 100)]
         _assert_same_table(res.cells, _without(clean, (clean.seed != 1) | (clean.n != 100)))
 
-    def test_batch_error_fails_its_seed(self, monkeypatch):
-        real = experiments.comparison_batch
-
-        def failing(pair, n_grid, seed):
-            if seed == 1:
-                raise NumericalError("Cholesky factorization failed in probe")
-            return real(pair, n_grid, seed)
-
-        monkeypatch.setattr(experiments, "comparison_batch", failing)
+    def test_batch_error_fails_every_cell_of_the_batch(self, monkeypatch):
+        """An error raised by the study's one batch fails all its cells with
+        the error's message: raised by the batch, or by the stacked Cholesky
+        when one seed's Sigma_y is not finite."""
         cfg = ExperimentConfig(
             study="dict_compare", p=8, d=6, ranks=[3], seeds=[0, 1], n_grid=[50, 100, 200]
         )
-        res = run_study(cfg)
-        assert [(f.seed, f.n) for f in res.failures] == [(1, 50), (1, 100), (1, 200)]
-        assert {f.message for f in res.failures} == {"Cholesky factorization failed in probe"}
-        assert list(zip(res.cells.seed.tolist(), res.cells.n.tolist())) == [
-            (0, 50), (0, 100), (0, 200)
-        ]
+        every_cell = [(3, seed, n) for seed in (0, 1) for n in (50, 100, 200)]
+
+        def failing(pairs, n_grid, seeds):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "comparison_batch", failing)
+            res = experiments._dict_study(cfg)
+        assert [(f.rank, f.seed, f.n) for f in res.failures] == every_cell
+        assert {f.message for f in res.failures} == {"Eigenvalues did not converge"}
+        assert len(res.cells) == 0
+        calls = []
+
+        def poisoned(spec):
+            calls.append(spec)
+            return marginal_covariance(spec) * (np.nan if len(calls) == 2 else 1.0)
+
+        monkeypatch.setattr(dictionary, "marginal_covariance", poisoned)
+        res = experiments._dict_study(cfg)
+        assert len(res.cells) == 0
+        assert [(f.rank, f.seed, f.n) for f in res.failures] == every_cell
+        (message,) = {f.message for f in res.failures}
+        assert message.startswith(
+            "Cholesky factorization failed in comparison_batch (shape=(2, 8, 8), finite=False")
 
 
 class TestPersistence:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rankevidence._linalg import NumericalError, chol_solve, spd_cholesky
+from rankevidence._linalg import NumericalError, chol_logdet, chol_solve, spd_cholesky
 
 EPS = np.finfo(float).eps
 
@@ -84,3 +84,33 @@ class TestSolvesAgainstScipy:
             ref = scipy.linalg.solve_triangular(L, eye, lower=True, trans="T")
             tol = 8 * np.linalg.cond(L) * EPS * np.abs(ref).max()
             assert np.abs(np.linalg.solve(L.T, eye) - ref).max() <= tol
+
+
+class TestStacks:
+    def test_a_stack_gives_the_bits_of_one_matrix_at_a_time(self):
+        """Each helper on a (2, 3, p, p) stack equals its one-matrix calls
+        bit for bit; one matrix keeps a Python float log-determinant."""
+        rng = np.random.default_rng(21)
+        matrices = [M for M, _, _ in _spd_matrices() if M.shape == (4, 4)][:6]
+        M = np.reshape(matrices, (2, 3, 4, 4))
+        B = rng.standard_normal((2, 3, 4, 5))
+        L = spd_cholesky(M)
+        X, logdet = chol_solve(L, B), chol_logdet(L)
+        assert X.shape == B.shape and logdet.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            L_ij = spd_cholesky(M[i, j])
+            assert np.array_equal(L[i, j], L_ij)
+            assert np.array_equal(X[i, j], chol_solve(L_ij, B[i, j]))
+            assert type(chol_logdet(L_ij)) is float and logdet[i, j] == chol_logdet(L_ij)
+        # one factor broadcasts against a stack of right-hand sides
+        assert np.array_equal(chol_solve(L[0, 0], B[1]),
+                              np.stack([chol_solve(L[0, 0], b) for b in B[1]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_one_bad_member_fails_the_stack_with_its_shape(self, bad):
+        """A stack with one member not finite or not positive definite
+        raises NumericalError naming the stack's shape."""
+        M = np.stack([np.eye(3)] * 4)
+        M[2, 1, 1] = bad
+        with pytest.raises(NumericalError, match=r"in probe-context \(shape=\(4, 3, 3\), "):
+            spd_cholesky(M, context="probe-context")
