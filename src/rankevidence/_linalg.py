@@ -26,8 +26,8 @@ def spd_cholesky(M: np.ndarray, *, context: str = "") -> np.ndarray:
 
     The input is symmetrized first to absorb asymmetry from accumulated
     rounding.  No jitter is added: failure is surfaced as
-    :class:`NumericalError` with shape and diagonal diagnostics rather than
-    silently repaired.
+    :class:`NumericalError` naming a stack's first failing member, with shape
+    and diagonal diagnostics, rather than silently repaired.
     """
     M = symmetrize(np.asarray(M, dtype=float))
     try:
@@ -36,10 +36,16 @@ def spd_cholesky(M: np.ndarray, *, context: str = "") -> np.ndarray:
             raise ValueError("array must not contain infs or NaNs")
         return np.linalg.cholesky(M)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        where = f" in {context}" if context else ""
+        where, member = f" in {context}" if context else "", ""
+        for index in np.ndindex(M.shape[:-2]) if M.ndim > 2 else ():
+            try:
+                spd_cholesky(M[index])
+            except NumericalError:
+                member = f"member {', '.join(map(str, index))} of "
+                break
         diag = np.diagonal(M, axis1=-2, axis2=-1)
         detail = (
-            f"shape={M.shape}, finite={bool(np.isfinite(M).all())}, "
+            f"{member}shape={M.shape}, finite={bool(np.isfinite(M).all())}, "
             f"diag=[{diag.min():.6g}, {diag.max():.6g}]"
             if diag.size
             else f"shape={M.shape}"

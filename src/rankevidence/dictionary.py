@@ -127,7 +127,7 @@ def sample_dictionary_statistics(
     draw, with the law of :func:`sample_dictionary_data`'s scatter but not
     the same draw."""
     L = spd_cholesky(marginal_covariance(spec), context="sample_dictionary_statistics")
-    LT = L @ wishart_roots(seed, "dict-wishart", [n], spec.p)[0].T
+    LT = L @ wishart_roots([seed], "dict-wishart", [n], spec.p)[0, 0].T
     return DictionaryStatistics(n=n, Y=LT.T)
 
 
@@ -249,7 +249,7 @@ def comparison_batch(
     n = np.array(n_grid)
     L_min, L_over = (spd_cholesky([marginal_covariance(s) for s in member],
                                   context="comparison_batch")[:, None] for member in zip(*pairs))
-    Z = np.stack([wishart_roots(seed, "dict-wishart", n_grid, minimal.p) for seed in seeds])
+    Z = wishart_roots(seeds, "dict-wishart", n_grid, minimal.p)
     LT = L_min @ Z.swapaxes(-1, -2)
     YY = symmetrize(LT @ LT.swapaxes(-1, -2))
     ell = _sample_eigenvalues(n, YY)

@@ -340,8 +340,7 @@ def _regression_study(cfg: ExperimentConfig) -> StudyResult:
     their rank, with one :func:`root_evidence_batch` of its (seed, n) stack."""
     scores = np.full((len(cfg.ranks), len(cfg.seeds), len(cfg.n_grid), len(_SCORE_COLUMNS)), np.nan)
     messages = []
-    q = cfg.p + 1
-    Z = np.stack([wishart_roots(seed, "wishart", cfg.n_grid, q) for seed in cfg.seeds])
+    Z = wishart_roots(cfg.seeds, "wishart", cfg.n_grid, cfg.p + 1)
     theta = np.stack([draw_theta(cfg.d, cfg.tau2, seed) for seed in cfg.seeds])[:, None]
     n = np.array(cfg.n_grid)
     factors = rank_r_factors(cfg.p, cfg.d, cfg.ranks, cfg.seeds)

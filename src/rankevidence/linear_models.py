@@ -174,7 +174,7 @@ def sample_statistics(
     on the p + 1 :func:`wishart_rows` of the ``(cfg.seed, "wishart", n)``
     factor.  They have the law of :func:`sample_dataset`'s statistics but are
     not the same draw."""
-    Z = wishart_roots(cfg.seed, "wishart", [n], spec.p + 1)[0]
+    Z = wishart_roots([cfg.seed], "wishart", [n], spec.p + 1)[0, 0]
     X, y = wishart_rows(spec.B_star, spec.theta_star, spec.sigma2, Z)
     return SufficientStatistics(n=n, A=X @ spec.B_star, y=y, sigma2=spec.sigma2, tau2=spec.tau2)
 

@@ -52,20 +52,21 @@ def wishart_factor(rng, n, q):
 
 @pytest.mark.parametrize("tag", ["wishart", "dict-wishart"])
 def test_wishart_roots_match_per_cell_factors(tag):
-    """Each slot of the root stack holds the rows T^T of the cell's own
-    :func:`wishart_factor`, bit for bit, above zero rows up to q: for n < q,
-    n = q and n > q.  A size below 1 is rejected."""
-    q, grid = 7, [1, 2, 6, 7, 8, 50, 12800, 10**9]
-    for seed in (0, 5, 2**64 - 1):
-        Z = wishart_roots(seed, tag, grid, q)
-        assert Z.shape == (len(grid), q, q)
-        for Z_n, n in zip(Z, grid):
+    """Each (seed, n) slot of one root stack holds the rows T^T of the cell's
+    own :func:`wishart_factor` on its :func:`substream`, bit for bit, above
+    zero rows up to q: for n < q, n = q and n > q, up to the largest seed and
+    size.  A size below 1 is rejected."""
+    q, grid, seeds = 7, [1, 2, 6, 7, 8, 50, 12800, 10**9, 2**32 - 1], (0, 5, 2**64 - 1)
+    Z = wishart_roots(seeds, tag, grid, q)
+    assert Z.shape == (len(seeds), len(grid), q, q)
+    for seed, Z_seed in zip(seeds, Z):
+        for Z_n, n in zip(Z_seed, grid):
             T = wishart_factor(substream(seed, tag, n), n, q)
             expected = np.zeros((q, q))
             expected[:T.shape[1]] = T.T
             np.testing.assert_array_equal(Z_n, expected)
     with pytest.raises(ValueError):
-        wishart_roots(0, tag, [5, 0], q)
+        wishart_roots([0], tag, [5, 0], q)
 
 
 def _per_cell_scores(spec, n, seed, lam) -> list[float]:
@@ -597,9 +598,10 @@ class TestRankSweep:
 
     def test_one_draw_per_seed_and_n_and_one_svd_per_rank(self, monkeypatch):
         """Structural guard: the default sweep draws each (seed, n) Wishart
-        factor once for all ranks, scores each rank's cells with one batched
-        SVD, and runs no eigendecomposition, so no threshold on one."""
-        counts = {"factor": 0, "eigh": 0, "cell_svd": 0}
+        factor once for all ranks, in one root stack, scores each rank's cells
+        with one batched SVD, and runs no eigendecomposition, so no threshold
+        on one."""
+        counts = {"roots": 0, "factor": 0, "eigh": 0, "cell_svd": 0}
         cfg = ExperimentConfig()
         real_svd, real_roots = np.linalg.svd, experiments.wishart_roots
 
@@ -613,15 +615,17 @@ class TestRankSweep:
             counts["cell_svd"] += a.shape[:-2] == (len(cfg.seeds), len(cfg.n_grid))
             return real_svd(a, *args, **kwargs)
 
-        def roots(seed, tag, n_grid, q):
-            counts["factor"] += len(n_grid)
-            return real_roots(seed, tag, n_grid, q)
+        def roots(seeds, tag, n_grid, q):
+            counts["roots"] += 1
+            counts["factor"] += len(seeds) * len(n_grid)
+            return real_roots(seeds, tag, n_grid, q)
 
         monkeypatch.setattr(experiments, "wishart_roots", roots)
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "svd", svd)
         res = run_study(cfg)
         assert len(res.cells) == len(cfg.ranks) * len(cfg.seeds) * len(cfg.n_grid)
+        assert counts["roots"] == 1
         assert counts["factor"] == len(cfg.seeds) * len(cfg.n_grid) == 180
         assert counts["cell_svd"] == len(cfg.ranks)
         assert counts["eigh"] == 0
@@ -631,7 +635,8 @@ class TestRankSweep:
         of its factors (their identifiable coordinates, and the singular
         values that check each factor's rank, so no SVD per factor) and one
         of its cells, and draws each seed's factors and theta_star once for
-        every rank: 180 Wishart + 20 factor + 20 theta streams."""
+        every rank: 20 factor + 20 theta streams, and the 180 Wishart keys
+        from one hash, so no substream of their own."""
         counts = {"svd": 0, "substream": 0}
 
         def counting(name, real):
@@ -647,7 +652,7 @@ class TestRankSweep:
         res = run_study(cfg)
         assert len(res.cells) == 1080 and not res.failures
         assert counts["svd"] <= 2 * len(cfg.ranks)
-        assert counts["substream"] <= 220
+        assert counts["substream"] == 2 * len(cfg.seeds) == 40
 
     def test_large_n_grid_recovers_lambda(self):
         """At n = 1e6..1e9 the finite-n bias is gone: every rank's lambda_hat
@@ -755,8 +760,8 @@ class TestDictCompare:
         """Structural guard: the default study factors each member's Sigma_y
         of every seed in one stacked Cholesky, runs one stacked eigvalsh
         (plus the two Gram spectra) and reads log n once per penalised
-        column, with its 180 scatter draws unchanged."""
-        counts = {"factor": 0, "cholesky": 0, "eigvalsh": 0, "log_n": 0}
+        column, with its 180 scatter draws unchanged and in one root stack."""
+        counts = {"roots": 0, "factor": 0, "cholesky": 0, "eigvalsh": 0, "log_n": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -766,9 +771,10 @@ class TestDictCompare:
 
         real_roots = dictionary.wishart_roots
 
-        def roots(seed, tag, n_grid, q):
-            counts["factor"] += len(n_grid)
-            return real_roots(seed, tag, n_grid, q)
+        def roots(seeds, tag, n_grid, q):
+            counts["roots"] += 1
+            counts["factor"] += len(seeds) * len(n_grid)
+            return real_roots(seeds, tag, n_grid, q)
 
         monkeypatch.setattr(dictionary, "wishart_roots", roots)
         monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
@@ -776,6 +782,7 @@ class TestDictCompare:
         monkeypatch.setattr(evidence, "log_n", counting("log_n", evidence.log_n))
         res = run_study(ExperimentConfig.default_for("dict_compare"))
         assert len(res.cells) == 180 and not res.failures
+        assert counts["roots"] == 1
         assert counts["factor"] == 180
         assert counts["cholesky"] <= 2
         assert counts["eigvalsh"] <= 3
@@ -790,10 +797,10 @@ class TestDictCompare:
         clean = run_study(cfg).cells
         real_roots = dictionary.wishart_roots
 
-        def nan_roots(seed, tag, n_grid, q):
-            Z = real_roots(seed, tag, n_grid, q)
-            if (seed, tag) == (1, "dict-wishart"):
-                Z[n_grid.index(100)] *= np.nan
+        def nan_roots(seeds, tag, n_grid, q):
+            Z = real_roots(seeds, tag, n_grid, q)
+            if tag == "dict-wishart":
+                Z[seeds.index(1), n_grid.index(100)] *= np.nan
             return Z
 
         monkeypatch.setattr(dictionary, "wishart_roots", nan_roots)
@@ -804,7 +811,7 @@ class TestDictCompare:
     def test_batch_error_fails_every_cell_of_the_batch(self, monkeypatch):
         """An error raised by the study's one batch fails all its cells with
         the error's message: raised by the batch, or by the stacked Cholesky
-        when one seed's Sigma_y is not finite."""
+        when one seed's Sigma_y is not finite, which the message names."""
         cfg = ExperimentConfig(
             study="dict_compare", p=8, d=6, ranks=[3], seeds=[0, 1], n_grid=[50, 100, 200]
         )
@@ -831,7 +838,7 @@ class TestDictCompare:
         assert [(f.rank, f.seed, f.n) for f in res.failures] == every_cell
         (message,) = {f.message for f in res.failures}
         assert message.startswith(
-            "Cholesky factorization failed in comparison_batch (shape=(2, 8, 8), finite=False")
+            "Cholesky factorization failed in comparison_batch (member 1 of shape=(2, 8, 8), finite=False")
 
 
 class TestPersistence:

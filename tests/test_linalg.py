@@ -109,8 +109,11 @@ class TestStacks:
     @pytest.mark.parametrize("bad", [np.nan, -1.0])
     def test_one_bad_member_fails_the_stack_with_its_shape(self, bad):
         """A stack with one member not finite or not positive definite
-        raises NumericalError naming the stack's shape."""
-        M = np.stack([np.eye(3)] * 4)
-        M[2, 1, 1] = bad
-        with pytest.raises(NumericalError, match=r"in probe-context \(shape=\(4, 3, 3\), "):
+        raises NumericalError naming that member and the stack's shape, on
+        one stacked axis or two; a later bad member is not named."""
+        M = np.stack([np.eye(3)] * 6)
+        M[2, 1, 1] = M[4, 0, 0] = bad
+        with pytest.raises(NumericalError, match=r"in probe-context \(member 2 of shape=\(6, 3, 3\), "):
             spd_cholesky(M, context="probe-context")
+        with pytest.raises(NumericalError, match=r"^[^(]*\(member 0, 2 of shape=\(2, 3, 3, 3\), "):
+            spd_cholesky(M.reshape(2, 3, 3, 3))
