@@ -44,12 +44,9 @@ def spd_cholesky(M: np.ndarray, *, context: str = "") -> np.ndarray:
                 member = f"member {', '.join(map(str, index))} of "
                 break
         diag = np.diagonal(M, axis1=-2, axis2=-1)
-        detail = (
-            f"{member}shape={M.shape}, finite={bool(np.isfinite(M).all())}, "
-            f"diag=[{diag.min():.6g}, {diag.max():.6g}]"
-            if diag.size
-            else f"shape={M.shape}"
-        )
+        diag = diag[np.isfinite(diag)]   # the range of the finite entries: one NaN hides none
+        detail = f"{member}shape={M.shape}, finite={bool(np.isfinite(M).all())}" + (
+            f", diag=[{diag.min():.6g}, {diag.max():.6g}]" if diag.size else "")
         raise NumericalError(
             f"Cholesky factorization failed{where} ({detail}): {exc}"
         ) from exc

@@ -22,9 +22,9 @@ of a few rows, with which a cell costs the same at every ``n``.  One
 function, :func:`root_evidence_batch` (one cell: :func:`evidence_record`),
 scores rows through a thin SVD and keeps the directions above the package's
 one rank rule, :func:`~rankevidence._linalg.spectral_rank`.
-:func:`log_joint`, :func:`posterior` and :func:`full_laplace_log_evidence`
-read the products; the Cholesky references :func:`exact_log_evidence` and
-:func:`mle_fit_term` read the rows.
+:func:`log_joint`, :func:`posterior`, :func:`full_laplace_log_evidence` and the
+d-form of :func:`exact_log_evidence` read the products, or a stack's of one d
+(:func:`stack_statistics`); the q-form and :func:`mle_fit_term` read the rows.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -135,19 +136,17 @@ def exact_log_evidence(stats: SufficientStatistics) -> float:
     two agree by the determinant identity det(I_d + alpha A^T A) =
     det(I_q + alpha A A^T) and the matching Woodbury identity for the
     quadratic form.  ``n`` enters only the constants, so a square root of
-    the data gives the data's value; the d-form reads the cached S, b and yy.
+    the data gives the data's value; the d-form reads S, b and yy, or a stack's.
     """
-    A, y = stats.A, stats.y
-    q, d = A.shape
-    alpha = stats.tau2 / stats.sigma2
-    if d <= q:
-        L = spd_cholesky(np.eye(d) + alpha * stats.S, context="exact_log_evidence")
-        quad = stats.yy - alpha * float(stats.b @ chol_solve(L, stats.b))
-    else:
-        L = spd_cholesky(np.eye(q) + alpha * (A @ A.T), context="exact_log_evidence")
-        quad = float(y @ chol_solve(L, y))
+    wide = isinstance(stats, SufficientStatistics) and stats.d > len(stats.y)   # d > q: the q-form
+    alpha = np.asarray(stats.tau2 / stats.sigma2)[..., None, None]
+    M, v = (stats.A @ stats.A.T, stats.y[:, None]) if wide else (stats.S, stats.b[..., None])
+    L = spd_cholesky(np.eye(M.shape[-1]) + alpha * M, context="exact_log_evidence")
+    vv = (v.swapaxes(-1, -2) @ chol_solve(L, v))[..., 0, 0]
+    quad = vv if wide else stats.yy - alpha[..., 0, 0] * vv
     n, sigma2 = stats.n, stats.sigma2
-    return -0.5 * (n * LOG_2PI + n * math.log(sigma2) + chol_logdet(L) + quad / sigma2)
+    value = -0.5 * (n * LOG_2PI + n * _math_log(sigma2) + chol_logdet(L) + quad / sigma2)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def mle_fit_term(stats: SufficientStatistics) -> tuple[np.ndarray, float]:
@@ -182,6 +181,9 @@ def log_n(n):
     return logs[0] if sizes.ndim == 0 else np.array(logs).reshape(sizes.shape)
 
 
+_math_log = np.vectorize(math.log, otypes=[float])   # np.log rounds some values differently
+
+
 def bic_score(log_lik_mle, d: int, n):
     """BIC-style score: maximized log likelihood minus (d/2) log n, for one
     sample size or an array of them (:func:`log_n`).
@@ -207,43 +209,55 @@ def rlct_score(log_lik_mle, lam: float, n):
 
 
 def log_joint(stats: SufficientStatistics, theta: np.ndarray) -> np.ndarray:
-    """``log p(y | theta) + log prior(theta)`` for parameters stacked along
-    the last axis of ``theta`` (shape ``(..., d)``, result ``(...)``), from the
-    statistics alone: the residual sum of squares is
-    ``yy - 2 theta^T b + theta^T S theta``.  The statistics may be a stack
-    whose fields broadcast against ``theta``: the scalars against ``(...)``,
-    ``S`` against ``(..., d, d)`` and ``b`` against ``(..., 1, d)``."""
-    b = np.asarray(stats.b)
-    rss = stats.yy - 2.0 * (theta @ b.reshape(b.shape[:-2] + (-1, 1)))[..., 0] + np.einsum(
-        "...i,...ij,...j->...", theta, stats.S, theta
+    """``log p(y | theta) + log prior(theta)`` from the statistics alone: the
+    residual sum of squares is ``yy - 2 theta^T b + theta^T S theta``.  For
+    statistics stacked on axes ``stack`` (:func:`stack_statistics`; ``()``
+    for one problem), ``theta`` is ``(*stack, ..., d)``, each member's points
+    after its index, and the result is ``(*stack, ...)``."""
+    stack, d = np.shape(stats.sigma2), theta.shape[-1]
+    points = theta.reshape(stack + (-1, d))
+    n, yy, sigma2, tau2 = (np.reshape(getattr(stats, f), stack + (1,)) for f in STACKED_FIELDS[:4])
+    rss = yy - 2.0 * (points @ stats.b[..., None])[..., 0] + np.einsum(
+        "...i,...ij,...j->...", points, stats.S[..., None, :, :], points
     )
-    # math.log for one problem: np.log rounds some values differently.
-    log = np.log if isinstance(stats.sigma2, np.ndarray) else math.log
-    return -0.5 * (
-        stats.n * (LOG_2PI + log(stats.sigma2))
-        + theta.shape[-1] * (LOG_2PI + log(stats.tau2))
-        + rss / stats.sigma2
-        + np.einsum("...i,...i->...", theta, theta) / stats.tau2
+    value = -0.5 * (
+        n * (LOG_2PI + _math_log(sigma2))
+        + d * (LOG_2PI + _math_log(tau2))
+        + rss / sigma2
+        + np.einsum("...i,...i->...", points, points) / tau2
     )
+    return value.reshape(theta.shape[:-1])
+
+
+STACKED_FIELDS = ("n", "yy", "sigma2", "tau2", "b", "S")   # what a stack holds of a problem
+
+
+def stack_statistics(group: list[SufficientStatistics]) -> SimpleNamespace:
+    """The products of k problems of one d on a leading axis: ``n``, ``yy``,
+    ``sigma2`` and ``tau2`` (k,), ``b`` (k, d) and ``S`` (k, d, d)."""
+    return SimpleNamespace(**{f: np.array([getattr(s, f) for s in group]) for f in STACKED_FIELDS})
 
 
 def posterior(stats: SufficientStatistics) -> PosteriorGaussian:
-    """Posterior precision and mean, via an SPD factorization."""
-    precision = stats.S / stats.sigma2 + np.eye(stats.d) / stats.tau2
+    """Posterior precision and mean, via an SPD factorization; a stack's too."""
+    sigma2, tau2 = (np.asarray(v)[..., None, None] for v in (stats.sigma2, stats.tau2))
+    precision = stats.S / sigma2 + np.eye(stats.S.shape[-1]) / tau2
     L = spd_cholesky(precision, context="posterior")
-    mean = chol_solve(L, stats.b / stats.sigma2)
+    mean = chol_solve(L, stats.b[..., None] / sigma2)[..., 0]
     return PosteriorGaussian(precision=precision, mean=mean, chol=L)
 
 
 def full_laplace_log_evidence(stats: SufficientStatistics) -> float:
-    """Laplace approximation expanded around the MAP point, with all terms.
+    """Laplace approximation expanded around the MAP point, with all terms; a stack's too.
 
     Returns ``log p(y | mu) + log prior(mu) + (d/2) log 2pi
     - 1/2 log det(precision)``.  Because the log posterior is exactly
     quadratic here, this equals :func:`exact_log_evidence` up to rounding.
     """
     post = posterior(stats)
-    return float(log_joint(stats, post.mean)) + 0.5 * stats.d * LOG_2PI - 0.5 * chol_logdet(post.chol)
+    value = (log_joint(stats, post.mean) + 0.5 * post.mean.shape[-1] * LOG_2PI
+             - 0.5 * chol_logdet(post.chol))
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def evidence_record(stats: SufficientStatistics, lam: float) -> EvidenceRecord:

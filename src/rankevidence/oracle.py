@@ -3,16 +3,16 @@
 Two independent routes: adaptive cubature of the joint density for d <= 2,
 and self-normalized importance sampling for d <= 5.  Both read only the
 model's one data type, :class:`~rankevidence.evidence.SufficientStatistics`
-(the data or a square root), which the closed forms read too, and integrate
-the one Gaussian :func:`~rankevidence.evidence.log_joint` in log space with
-max subtraction, since the n log sigma2 terms reach magnitudes where naive
-exponentiation underflows.  The cubature domain is a box centered at the
-posterior mean with a radius measured in posterior standard deviations; the
-integrand is the raw joint density at every node, so the posterior only
-places the box.  The cubature is plain numpy: each round of box refinement
-evaluates the open boxes of every problem of one d together, each tagged
-with its problem, in chunks of a fixed node count, so the working set stays
-bounded.
+(the data or a square root), or a stack of it of one d, as the closed forms
+do, and integrate the one Gaussian :func:`~rankevidence.evidence.log_joint`
+in log space with max subtraction, since the n log sigma2 terms reach
+magnitudes where naive exponentiation underflows.  The cubature domain is a
+box centered at the posterior mean with a radius measured in posterior
+standard deviations; the integrand is the raw joint density at every node,
+so the posterior only places the box.  The cubature is plain numpy: each
+round of box refinement evaluates the open boxes of every problem of one d
+together, each tagged with its problem, in chunks of a fixed node count, so
+the working set stays bounded.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from ._linalg import chol_logdet
 from ._rng import substream
 from .evidence import (LOG_2PI, GaussianLinearProblem, SufficientStatistics, check_positive,
-                       log_joint, posterior)
+                       log_joint, posterior, stack_statistics)
 
 
 # 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 39.
@@ -68,21 +68,17 @@ def quadrature_batch(stats: list[SufficientStatistics]) -> np.ndarray:
     out = np.empty(len(stats))
     for d in sorted(set(dims.tolist())):   # not np.unique: it loads numpy.ma, 1.5 MiB
         index = np.flatnonzero(dims == d)
-        out[index] = _cubature([stats[i] for i in index], d, index)
+        out[index] = _cubature(stack_statistics([stats[i] for i in index]), d, index)
     return out
 
 
-def _cubature(group: list[SufficientStatistics], d: int, index: np.ndarray) -> np.ndarray:
-    posts = [posterior(s) for s in group]
-    mu, L = np.stack([p.mean for p in posts]), np.stack([p.chol for p in posts])
+def _cubature(stats, d: int, index: np.ndarray) -> np.ndarray:
+    post = posterior(stats)
     # theta = mu + L^{-T} u maps the unit ball of the posterior metric to the
     # u coordinates; |det L^{-T}| = 1/prod(diag L).
-    T = np.linalg.solve(L.swapaxes(-1, -2), np.eye(d))
-    log_jacobian = -0.5 * chol_logdet(L)
-    # One row of statistics per problem, to broadcast against (problem, node, d).
-    rows = {f: np.array([getattr(s, f) for s in group])[:, None]
-            for f in ("n", "S", "b", "yy", "sigma2", "tau2")}
-    log_peak = log_joint(SimpleNamespace(**rows), mu[:, None, :])[:, 0]
+    T = np.linalg.solve(post.chol.swapaxes(-1, -2), np.broadcast_to(np.eye(d), post.chol.shape))
+    log_jacobian = -0.5 * chol_logdet(post.chol)
+    log_peak = log_joint(stats, post.mean)
 
     def evaluate(owner, centres, half, points, reduce):
         """``reduce`` of each box's log joint over its problem's peak, by chunks."""
@@ -91,9 +87,9 @@ def _cubature(group: list[SufficientStatistics], d: int, index: np.ndarray) -> n
             who, c = owner[lo:lo + step], centres[lo:lo + step]
             # Coordinate planes (d, boxes, nodes) keep numpy's inner loops long.
             u = c.T[:, :, None] + half * points.T[:, None, :]
-            theta = mu.T[:, who, None] + np.einsum("bij,jbk->ibk", T[who], u)
-            stack = SimpleNamespace(**{f: x[who] for f, x in rows.items()})
-            parts.append(reduce(log_joint(stack, theta.transpose(1, 2, 0)) - log_peak[who, None]))
+            theta = post.mean.T[:, who, None] + np.einsum("bij,jbk->ibk", T[who], u)
+            boxes = SimpleNamespace(**{f: x[who] for f, x in vars(stats).items()})
+            parts.append(reduce(log_joint(boxes, theta.transpose(1, 2, 0)) - log_peak[who, None]))
         return np.concatenate(parts)
 
     def refuse(bad, message):
@@ -102,12 +98,12 @@ def _cubature(group: list[SufficientStatistics], d: int, index: np.ndarray) -> n
             raise OracleError(f"problem {index[i]}: {message(i)}")
 
     def per_problem(owner, values=None):
-        return np.bincount(owner, values, minlength=len(group))
+        return np.bincount(owner, values, minlength=len(index))
 
     # The rule's nodes on the box faces, with the corners.
     ring = _tensor_grid(np.concatenate([[-1.0], _GL_NODES, [1.0]]), d)
     faces = RADIUS * ring[np.abs(ring).max(axis=1) == 1.0]
-    owner, centres, half = np.arange(len(group)), np.zeros((len(group), d)), RADIUS
+    owner, centres, half = np.arange(len(index)), np.zeros((len(index), d)), RADIUS
     log_edge = evaluate(owner, centres, 1.0, faces, lambda x: x.max(axis=1))
     refuse(log_edge > math.log(REL_TOL), lambda i: (
         f"the integration box does not hold the mass: the joint density on "
@@ -122,8 +118,8 @@ def _cubature(group: list[SufficientStatistics], d: int, index: np.ndarray) -> n
         return evaluate(owner, centres, half, nodes, lambda x: np.exp(x) @ weights) * half**d
 
     coarse = rule(owner, centres, half)
-    value, abserr = np.zeros(len(group)), np.zeros(len(group))   # accepted mass, its error
-    n_boxes = np.ones(len(group), dtype=int)
+    value, abserr = np.zeros(len(index)), np.zeros(len(index))   # accepted mass, its error
+    n_boxes = np.ones(len(index), dtype=int)
     while coarse.size:
         centres = (centres[:, None, :] + half * halves).reshape(-1, d)
         half /= 2.0
@@ -161,26 +157,30 @@ def importance_log_weights(
 
     The proposal is N(mu, proposal_scale^2 * precision^{-1}).  At scale 1 the
     proposal equals the posterior, so the weights are constant up to floating
-    point — a sharp correctness check on the whole pipeline.
+    point — a sharp correctness check on the whole pipeline.  A stack of
+    statistics takes one seed or one per member: weights ``(*stack, n_samples)``.
     """
-    d = stats.d
+    d = stats.b.shape[-1]
     if d > 5:
         raise ValueError(f"importance oracle supports d <= 5, got d={d}")
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
     check_positive(proposal_scale=proposal_scale)
     post = posterior(stats)
-    L = post.chol
-    z = substream(seed, "importance").standard_normal((n_samples, d))
-    # x = mu + scale * L^{-T} z has covariance scale^2 * precision^{-1}.
-    offsets = np.linalg.solve(L.T, z.T).T
-    thetas = post.mean + proposal_scale * offsets
+    seeds = np.broadcast_to(np.asarray(seed, dtype=object), np.shape(stats.sigma2))   # Python ints
+    z = np.empty(seeds.shape + (n_samples, d))
+    for index, member_seed in np.ndenumerate(seeds):
+        substream(member_seed, "importance").standard_normal(out=z[index])
     log_proposal = (
         -0.5 * d * LOG_2PI
         - d * math.log(proposal_scale)
-        + 0.5 * chol_logdet(L)
-        - 0.5 * np.sum(z * z, axis=1)
+        + 0.5 * np.asarray(chol_logdet(post.chol))[..., None]
+        - 0.5 * np.sum(z * z, axis=-1)
     )
+    # x = mu + scale * L^{-T} z has covariance scale^2 * precision^{-1}.
+    thetas = np.linalg.solve(post.chol.swapaxes(-1, -2), z.swapaxes(-1, -2)).swapaxes(-1, -2)
+    thetas *= proposal_scale   # in place: a stack's samples are the largest arrays of a pass
+    thetas += post.mean[..., None, :]
     return log_joint(stats, thetas) - log_proposal
 
 

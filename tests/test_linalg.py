@@ -117,3 +117,16 @@ class TestStacks:
             spd_cholesky(M, context="probe-context")
         with pytest.raises(NumericalError, match=r"^[^(]*\(member 0, 2 of shape=\(2, 3, 3, 3\), "):
             spd_cholesky(M.reshape(2, 3, 3, 3))
+
+    def test_the_diagonal_range_is_over_finite_entries(self):
+        """One NaN member names itself and leaves the range of the finite
+        diagonal entries; a stack with no finite entry reports no range and
+        raises no RuntimeWarning on the way."""
+        M = np.stack([np.eye(3)] * 5)
+        M[1, 1, 1] = np.nan
+        with pytest.raises(NumericalError, match=r"\(member 1 of shape=\(5, 3, 3\), "
+                                                 r"finite=False, diag=\[1, 1\]\)"):
+            spd_cholesky(M)
+        with pytest.raises(NumericalError, match=r"\(member 0 of shape=\(5, 3, 3\), "
+                                                 r"finite=False\): "):
+            spd_cholesky(np.full((5, 3, 3), np.nan))
