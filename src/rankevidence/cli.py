@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import NumericalError
-from .evidence import (STACKED_FIELDS, SufficientStatistics, evidence_record, exact_log_evidence,
-                       full_laplace_log_evidence, log_n, stack_statistics)
+from .evidence import (STACKED_FIELDS, evidence_record, exact_log_evidence,
+                       full_laplace_log_evidence, log_n, per_dimension)
 from .experiments import (
     FIELD_TYPES,
     STUDIES,
@@ -302,22 +302,23 @@ def run_verification() -> list[tuple[str, float, float, bool]]:
 
     The quadrature is checked against both closed forms: the Cholesky one on
     the data and the evidence record of the same rows, scored like the study
-    cells.  Each reference takes one call per d (:func:`_per_dimension`)."""
+    cells.  Each reference takes one call per d, on the stack of its
+    problems (:func:`~rankevidence.evidence.per_dimension`)."""
     seed = 2024   # fixed: other seeds' problem mixes differ in run time by up to 36 %
     rng = np.random.default_rng(seed)
     problems = [random_problem(rng, max_d=2, max_n=50) for _ in range(100)]
-    # products, not rows (10 MiB on a pass's peak), but for the d > q problem's q-form
-    laplace = [p if p.d > len(p.y) else SimpleNamespace(**{f: getattr(p, f) for f in STACKED_FIELDS})
+    # products, not rows (10 MiB on a pass's peak)
+    laplace = [SimpleNamespace(**{f: getattr(p, f) for f in STACKED_FIELDS})
                for p in (random_problem(rng, max_d=20, max_n=1000, min_n=5) for _ in range(200))]
     importance = [random_problem(rng, max_d=5, max_n=200, min_n=5) for _ in range(20)]
-    exact = _per_dimension(lambda s, _: exact_log_evidence(s), problems + laplace + importance)
+    exact = per_dimension(lambda s, _: exact_log_evidence(s), problems + laplace + importance)
     quad_exact, lap_exact, is_exact = np.split(exact, [len(problems), len(problems) + len(laplace)])
     quad = quadrature_batch(problems)
     record = np.array([evidence_record(prob, lam=0.0).log_z_exact for prob in problems])
     quad_worst = float(np.max([np.abs(quad_exact - quad), np.abs(record - quad)]))
-    lap = _per_dimension(lambda s, _: full_laplace_log_evidence(s), laplace)
+    lap = per_dimension(lambda s, _: full_laplace_log_evidence(s), laplace)
     lap_worst = float(np.max(np.abs(lap - lap_exact) / np.abs(lap_exact)))
-    weight_var, estimate, stderr = _per_dimension(lambda s, index: [
+    weight_var, estimate, stderr = per_dimension(lambda s, index: [
         (np.var(w), *importance_estimate(w))
         for w in importance_log_weights(s, 2000, seed=seed + np.array(index))], importance, 3).T
     weight_var_worst = float(np.max(weight_var))
@@ -332,19 +333,6 @@ def run_verification() -> list[tuple[str, float, float, bool]]:
         ("importance |estimate - exact| beyond 3*stderr (20 problems)",
          max(is_dev_worst, 0.0), 1e-9, is_dev_worst < 1e-9),
     ]
-
-
-def _per_dimension(score, problems, *shape):
-    """``score(stack, indices)`` of each problem, ``(len(problems), *shape)``: one call
-    per d on a stack, but a problem with d > q alone, as itself (the q-form)."""
-    keys = [-1 - i if isinstance(p, SufficientStatistics) and p.d > len(p.y) else len(p.b)
-            for i, p in enumerate(problems)]
-    out = np.empty((len(problems), *shape))
-    for key in sorted(set(keys)):   # not np.unique: it loads numpy.ma, 1.5 MiB
-        index = [i for i, k in enumerate(keys) if k == key]
-        group = problems[index[0]] if key < 0 else stack_statistics([problems[i] for i in index])
-        out[index] = score(group, index)
-    return out
 
 
 def _run_verify_command() -> int:

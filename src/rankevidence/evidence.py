@@ -22,9 +22,9 @@ of a few rows, with which a cell costs the same at every ``n``.  One
 function, :func:`root_evidence_batch` (one cell: :func:`evidence_record`),
 scores rows through a thin SVD and keeps the directions above the package's
 one rank rule, :func:`~rankevidence._linalg.spectral_rank`.
-:func:`log_joint`, :func:`posterior`, :func:`full_laplace_log_evidence` and the
-d-form of :func:`exact_log_evidence` read the products, or a stack's of one d
-(:func:`stack_statistics`); the q-form and :func:`mle_fit_term` read the rows.
+:func:`log_joint`, :func:`posterior`, :func:`full_laplace_log_evidence` and
+:func:`exact_log_evidence` read the products, or a stack's of one d
+(:func:`stack_statistics`, :func:`per_dimension`); :func:`mle_fit_term` reads the rows.
 """
 
 from __future__ import annotations
@@ -129,21 +129,14 @@ class EvidenceRecord:
 
 
 def exact_log_evidence(stats: SufficientStatistics) -> float:
-    """Closed-form log marginal likelihood.
-
-    Works through a Cholesky factorization of the capacitance matrix in
-    whichever of the d- or q-dimensional forms is smaller, for q rows; the
-    two agree by the determinant identity det(I_d + alpha A^T A) =
-    det(I_q + alpha A A^T) and the matching Woodbury identity for the
-    quadratic form.  ``n`` enters only the constants, so a square root of
-    the data gives the data's value; the d-form reads S, b and yy, or a stack's.
-    """
-    wide = isinstance(stats, SufficientStatistics) and stats.d > len(stats.y)   # d > q: the q-form
+    """Closed-form log marginal likelihood from S, b and yy, or a stack's,
+    through a Cholesky factorization of the capacitance matrix ``I_d + alpha S``.
+    ``n`` enters only the constants, so a square root of the data gives the
+    data's value.  For q << d rows, :func:`evidence_record` costs O(q^2 d)."""
     alpha = np.asarray(stats.tau2 / stats.sigma2)[..., None, None]
-    M, v = (stats.A @ stats.A.T, stats.y[:, None]) if wide else (stats.S, stats.b[..., None])
-    L = spd_cholesky(np.eye(M.shape[-1]) + alpha * M, context="exact_log_evidence")
-    vv = (v.swapaxes(-1, -2) @ chol_solve(L, v))[..., 0, 0]
-    quad = vv if wide else stats.yy - alpha[..., 0, 0] * vv
+    L = spd_cholesky(np.eye(stats.S.shape[-1]) + alpha * stats.S, context="exact_log_evidence")
+    v = stats.b[..., None]
+    quad = stats.yy - alpha[..., 0, 0] * (v.swapaxes(-1, -2) @ chol_solve(L, v))[..., 0, 0]
     n, sigma2 = stats.n, stats.sigma2
     value = -0.5 * (n * LOG_2PI + n * _math_log(sigma2) + chol_logdet(L) + quad / sigma2)
     return float(value) if np.ndim(value) == 0 else value
@@ -236,6 +229,17 @@ def stack_statistics(group: list[SufficientStatistics]) -> SimpleNamespace:
     """The products of k problems of one d on a leading axis: ``n``, ``yy``,
     ``sigma2`` and ``tau2`` (k,), ``b`` (k, d) and ``S`` (k, d, d)."""
     return SimpleNamespace(**{f: np.array([getattr(s, f) for s in group]) for f in STACKED_FIELDS})
+
+
+def per_dimension(score, problems: list, *shape) -> np.ndarray:
+    """``score(stack, indices)`` of each problem, ``(len(problems), *shape)``:
+    one call per d, on the stack of that d's problems (:func:`stack_statistics`)."""
+    dims = [len(p.b) for p in problems]
+    out = np.empty((len(problems), *shape))
+    for d in sorted(set(dims)):   # not np.unique: it loads numpy.ma, 1.5 MiB
+        index = [i for i, k in enumerate(dims) if k == d]
+        out[index] = score(stack_statistics([problems[i] for i in index]), index)
+    return out
 
 
 def posterior(stats: SufficientStatistics) -> PosteriorGaussian:

@@ -239,15 +239,15 @@ class CellTable:
         return self.scores[:, self.score_columns.index(name)]
 
 
-def _cell_table(cfg: ExperimentConfig, ranks: list[int], scores: np.ndarray,
-                columns: list[str], messages: list[str]) -> tuple[CellTable, list[CellFailure]]:
-    """The finite cells of ``scores`` (rank, seed, n, score) over ``ranks``,
+def _cell_table(cfg: ExperimentConfig, scores: np.ndarray, columns: list[str],
+                messages: list[str]) -> tuple[CellTable, list[CellFailure]]:
+    """The finite cells of ``scores`` (rank, seed, n, score) over ``cfg.ranks``,
     ``cfg.seeds`` and ``cfg.n_grid``, and a failure for each other cell with
     the message of its rank's batch; a failed cell's scores are NaN."""
     finite = np.isfinite(scores).all(axis=-1)
     failures = [
         CellFailure(rank, seed, n, message)
-        for rank, rank_ok, message in zip(ranks, finite.tolist(), messages)
+        for rank, rank_ok, message in zip(cfg.ranks, finite.tolist(), messages)
         for seed, seed_ok in zip(cfg.seeds, rank_ok)
         for n, ok in zip(cfg.n_grid, seed_ok) if not ok
     ]
@@ -255,9 +255,9 @@ def _cell_table(cfg: ExperimentConfig, ranks: list[int], scores: np.ndarray,
     n_seeds, n_sizes = len(cfg.seeds), len(cfg.n_grid)
     return CellTable(
         cfg.study, cfg.d, cfg.p,
-        rank=np.repeat(np.array(ranks, dtype=int), n_seeds * n_sizes)[ok],
-        seed=np.tile(np.repeat(np.array(cfg.seeds, dtype=np.uint64), n_sizes), len(ranks))[ok],
-        n=np.tile(np.array(cfg.n_grid, dtype=int), len(ranks) * n_seeds)[ok],
+        rank=np.repeat(np.array(cfg.ranks, dtype=int), n_seeds * n_sizes)[ok],
+        seed=np.tile(np.repeat(np.array(cfg.seeds, dtype=np.uint64), n_sizes), len(cfg.ranks))[ok],
+        n=np.tile(np.array(cfg.n_grid, dtype=int), len(cfg.ranks) * n_seeds)[ok],
         score_columns=columns,
         scores=scores.reshape(ok.size, -1)[ok],
     ), failures
@@ -355,7 +355,7 @@ def _regression_study(cfg: ExperimentConfig) -> StudyResult:
         except np.linalg.LinAlgError as exc:
             message = str(exc)
         messages.append(message)
-    cells, failures = _cell_table(cfg, cfg.ranks, scores, _SCORE_COLUMNS, messages)
+    cells, failures = _cell_table(cfg, scores, _SCORE_COLUMNS, messages)
     return StudyResult(cfg, cells, failures)
 
 
@@ -412,7 +412,7 @@ def _dict_study(cfg: ExperimentConfig) -> StudyResult:
         scores[0] = np.stack([out[key] for key in _DICT_SCORE_COLUMNS], axis=-1)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         message = str(exc)
-    cells, failures = _cell_table(cfg, cfg.ranks, scores, _DICT_SCORE_COLUMNS, [message])
+    cells, failures = _cell_table(cfg, scores, _DICT_SCORE_COLUMNS, [message])
     return StudyResult(cfg, cells, failures, spectra=tuple(map(gram_spectrum, pairs[0])))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from ._linalg import chol_logdet
 from ._rng import substream
 from .evidence import (LOG_2PI, GaussianLinearProblem, SufficientStatistics, check_positive,
-                       log_joint, posterior, stack_statistics)
+                       log_joint, per_dimension, posterior)
 
 
 # 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 39.
@@ -65,14 +65,11 @@ def quadrature_batch(stats: list[SufficientStatistics]) -> np.ndarray:
     dims = np.array([s.d for s in stats], dtype=int)
     if np.any(dims > 2):
         raise ValueError(f"quadrature oracle supports d <= 2, got d={dims.max()}")
-    out = np.empty(len(stats))
-    for d in sorted(set(dims.tolist())):   # not np.unique: it loads numpy.ma, 1.5 MiB
-        index = np.flatnonzero(dims == d)
-        out[index] = _cubature(stack_statistics([stats[i] for i in index]), d, index)
-    return out
+    return per_dimension(_cubature, stats)
 
 
-def _cubature(stats, d: int, index: np.ndarray) -> np.ndarray:
+def _cubature(stats, index: list[int]) -> np.ndarray:
+    d = stats.b.shape[-1]
     post = posterior(stats)
     # theta = mu + L^{-T} u maps the unit ball of the posterior metric to the
     # u coordinates; |det L^{-T}| = 1/prod(diag L).

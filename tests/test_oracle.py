@@ -24,6 +24,7 @@ from rankevidence.evidence import (
     exact_log_evidence,
     full_laplace_log_evidence,
     log_joint,
+    per_dimension,
     posterior,
     stack_statistics,
 )
@@ -311,33 +312,43 @@ class TestVerifyByDimension:
             for j, one in enumerate(map(posterior, group)):
                 for field in ("precision", "mean", "chol"):
                     assert np.array_equal(getattr(post, field)[j], getattr(one, field))
-        exact = cli._per_dimension(lambda stack, _: exact_log_evidence(stack), every)
-        lap = cli._per_dimension(lambda stack, _: full_laplace_log_evidence(stack), every)
+        exact = per_dimension(lambda stack, _: exact_log_evidence(stack), every)
+        lap = per_dimension(lambda stack, _: full_laplace_log_evidence(stack), every)
         one_lap = np.array([full_laplace_log_evidence(p) for p in every])
         assert np.array_equal(exact, [exact_log_evidence(p) for p in every])
         assert np.all(np.abs(lap - one_lap) <= 8 * np.finfo(float).eps * np.abs(one_lap))
-        logw = cli._per_dimension(lambda stack, index: importance_log_weights(
+        logw = per_dimension(lambda stack, index: importance_log_weights(
             stack, 2000, seed=2024 + np.array(index)), importance, 2000)
         one_logw = [importance_log_weights(p, 2000, seed=2024 + i) for i, p in enumerate(importance)]
         assert np.array_equal(logw, one_logw)
 
-    def test_a_problem_with_more_parameters_than_rows_keeps_its_q_form(self):
-        """One MAP-Laplace problem of verify has d > q.  It is scored alone,
-        as itself, so its closed form is the q-form; the d-form of the same
-        statistics, on a stack of one, agrees with it to rounding."""
+    def test_the_wide_problem_joins_the_stack_of_its_d(self, monkeypatch):
+        """One MAP-Laplace problem of verify has d > q (d = 18, q = 5).  The
+        grouping makes one call per distinct d, 20 over the 200 problems, and
+        that problem joins the d = 18 stack of 7; no call of a pass receives
+        a lone problem.  Its stacked closed form is its one-problem value,
+        bit for bit."""
         _, laplace, _ = _all_verify_problems()
         wide = [i for i, p in enumerate(laplace) if p.d > len(p.y)]
-        assert len(wide) == 1
+        assert [(laplace[i].d, len(laplace[i].y)) for i in wide] == [(18, 5)]
         calls = []
-        cli._per_dimension(lambda stack, index: calls.append((index, stack)) or 0.0, laplace)
-        alone = [(index, stack) for index, stack in calls if isinstance(stack, SufficientStatistics)]
-        assert [index for index, _ in alone] == [wide] and alone[0][1] is laplace[wide[0]]
-        prob = laplace[wide[0]]
-        q_form = exact_log_evidence(prob)
-        d_form = exact_log_evidence(stack_statistics([prob]))
-        assert d_form.shape == (1,)
-        assert abs(d_form[0] - q_form) <= 1e-12 * abs(q_form)
-        assert abs(full_laplace_log_evidence(prob) - q_form) < 1e-8 * abs(q_form)
+        per_dimension(lambda stack, index: calls.append((index, stack)) or 0.0, laplace)
+        assert sorted(stack.b.shape[-1] for _, stack in calls) == list(range(1, 21))
+        index, stack = next((index, stack) for index, stack in calls if wide[0] in index)
+        assert len(index) == 7 and stack.b.shape == (7, 18)
+        assert np.array_equal(exact_log_evidence(stack), [exact_log_evidence(laplace[i]) for i in index])
+
+        stacks = []
+
+        def recorded(score, problems, *shape):
+            return per_dimension(lambda stack, index: stacks.append(stack) or score(stack, index),
+                                 problems, *shape)
+
+        monkeypatch.setattr(cli, "per_dimension", recorded)
+        monkeypatch.setattr(oracle, "per_dimension", recorded)
+        cli.run_verification()
+        assert len(stacks) == 2 + 20 + 20 + 5   # quadrature, closed form, MAP-Laplace, importance
+        assert not any(isinstance(stack, SufficientStatistics) for stack in stacks)
 
     def test_a_pass_keeps_the_products_not_the_rows(self):
         """A pass holds the products of its 200 MAP-Laplace problems, not
@@ -352,8 +363,8 @@ class TestVerifyByDimension:
         assert peak < 4 * 2**20, peak
 
     def test_one_factorization_per_dimension(self, monkeypatch):
-        """A verify pass makes at most 60 Cholesky and 120 solve calls
-        (measured: 49 and 105; one per problem made 640 and 1,302).  No
+        """A verify pass makes at most 50 Cholesky and 110 solve calls
+        (measured: 47 and 101; one per problem made 640 and 1,302).  No
         stacked solve passes a right-hand side with one axis fewer than its
         matrices: numpy before 2.0 reads that as a stack of vectors, from 2.0
         on as one matrix."""
@@ -368,7 +379,7 @@ class TestVerifyByDimension:
 
             monkeypatch.setattr(np.linalg, name, counted)
         assert all(passed for *_, passed in cli.run_verification())
-        assert calls["cholesky"] <= 60 and calls["solve"] <= 120, calls
+        assert calls["cholesky"] <= 50 and calls["solve"] <= 110, calls
         assert ambiguous == []
 
 
