@@ -1,15 +1,17 @@
 """Deterministic random substreams.
 
-All randomness in the package flows through Philox streams keyed by
+All randomness of the studies flows through Philox streams keyed by
 ``(seed, purpose-tag, index)``: :func:`substream` defines one, and
 :func:`stream_keys`, checked against it bit for bit, keys a whole grid at
 once.  Keying streams this way means adding new sample sizes or new draw
 purposes never perturbs draws from existing streams, and the bit stream is
-reproducible across runs, platforms, and thread counts.
+reproducible across runs, platforms, and thread counts.  Every Wishart root,
+of a keyed stream or of ``verify``'s generator, is one :func:`wishart_root`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import zlib
 
@@ -77,32 +79,36 @@ def stream_keys(seeds: list[int], tag: str, indices: list[int]) -> np.ndarray:
 
 
 def wishart_roots(seeds: list[int], tag: str, n_grid: list[int], q: int) -> np.ndarray:
-    """The rows ``Z = T^T`` of a factor with ``T T^T ~ Wishart_q(n, I)``
-    from the ``(seed, tag, n)`` stream of each seed and n of ``n_grid``, in
-    one (seeds, sizes, q, q) stack, drawn by one Philox set to each
-    :func:`stream_keys` key in turn.  For ``n >= q``, ``T`` is the
-    lower-triangular Bartlett factor, O(q^3) whatever ``n`` is: the square
-    roots of chi-square draws on n, n-1, ..., n-q+1 degrees of freedom on its
-    diagonal, then normals below it in row-major order.  Below q, ``Z`` is
-    n x q normals above q - n zero rows."""
+    """The :func:`wishart_root` of each seed and n of ``n_grid`` from its
+    ``(seed, tag, n)`` stream, in one (seeds, sizes, q, q) stack, drawn by
+    one Philox set to each :func:`stream_keys` key in turn."""
     if any(n < 1 for n in n_grid):
         raise ValueError(f"sample sizes must be >= 1, got {n_grid}")
     Z = np.zeros((len(seeds), len(n_grid), q, q))
-    flat = Z.reshape(len(seeds), len(n_grid), q * q)
-    rows, cols = np.tril_indices(q, -1)
-    upper = cols * q + rows   # where T's strict lower triangle goes in a flat Z[s, i]
-    dof = [n - np.arange(q) for n in n_grid]
     bitgen = np.random.Philox(0)
     rng, state = np.random.Generator(bitgen), bitgen.state
-    for seed_keys, seed_Z in zip(stream_keys(seeds, tag, n_grid), flat):
-        for key, Z_n, n, df in zip(seed_keys, seed_Z, n_grid, dof):
+    for seed_keys, seed_Z in zip(stream_keys(seeds, tag, n_grid), Z):
+        for key, Z_n, n in zip(seed_keys, seed_Z, n_grid):
             state["state"]["key"] = key
             bitgen.state = state
-            if n >= q:
-                Z_n[::q + 1] = rng.chisquare(df)
-                Z_n[upper] = rng.standard_normal(len(upper))
-            else:
-                Z_n[:n * q] = rng.standard_normal(n * q)
-    bartlett = np.array(n_grid) >= q
-    flat[:, bartlett, ::q + 1] = np.sqrt(flat[:, bartlett, ::q + 1])
+            Z_n[:] = wishart_root(rng, n, q)
     return Z
+
+
+def wishart_root(rng: np.random.Generator, n: int, q: int) -> np.ndarray:
+    """The rows ``Z = T^T`` (q, q) of a factor with ``T T^T ~ Wishart_q(n, I)``
+    from ``rng``.  For ``n >= q``, ``T`` is the lower-triangular Bartlett
+    factor, O(q^3) whatever ``n`` is: the square roots of chi-square draws on
+    n, n-1, ..., n-q+1 degrees of freedom on its diagonal, then normals below
+    it in row-major order.  Below q, ``Z`` is n x q normals above q - n zero rows."""
+    Z = np.zeros(q * q)
+    if n >= q:
+        Z[::q + 1] = np.sqrt(rng.chisquare(np.arange(n, n - q, -1)))
+        Z[_tril_flat(q)] = rng.standard_normal(q * (q - 1) // 2)
+    else:
+        Z[:n * q] = rng.standard_normal(n * q)
+    return Z.reshape(q, q)
+
+
+# where T's strict lower triangle, in row-major order, lies in a flat T^T; one array per q
+_tril_flat = functools.cache(lambda q: np.ravel_multi_index(np.tril_indices(q, -1)[::-1], (q, q)))

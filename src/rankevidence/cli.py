@@ -23,14 +23,13 @@ import sys
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from ._linalg import NumericalError
-from .evidence import (STACKED_FIELDS, evidence_record, exact_log_evidence,
-                       full_laplace_log_evidence, log_n, per_dimension)
+from .evidence import (evidence_record, exact_log_evidence, full_laplace_log_evidence, log_n,
+                       per_dimension)
 from .experiments import (
     FIELD_TYPES,
     STUDIES,
@@ -307,9 +306,7 @@ def run_verification() -> list[tuple[str, float, float, bool]]:
     seed = 2024   # fixed: other seeds' problem mixes differ in run time by up to 36 %
     rng = np.random.default_rng(seed)
     problems = [random_problem(rng, max_d=2, max_n=50) for _ in range(100)]
-    # products, not rows (10 MiB on a pass's peak)
-    laplace = [SimpleNamespace(**{f: getattr(p, f) for f in STACKED_FIELDS})
-               for p in (random_problem(rng, max_d=20, max_n=1000, min_n=5) for _ in range(200))]
+    laplace = [random_problem(rng, max_d=20, max_n=1000, min_n=5, root=True) for _ in range(200)]
     importance = [random_problem(rng, max_d=5, max_n=200, min_n=5) for _ in range(20)]
     exact = per_dimension(lambda s, _: exact_log_evidence(s), problems + laplace + importance)
     quad_exact, lap_exact, is_exact = np.split(exact, [len(problems), len(problems) + len(laplace)])

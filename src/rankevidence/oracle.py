@@ -9,10 +9,10 @@ in log space with max subtraction, since the n log sigma2 terms reach
 magnitudes where naive exponentiation underflows.  The cubature domain is a
 box centered at the posterior mean with a radius measured in posterior
 standard deviations; the integrand is the raw joint density at every node,
-so the posterior only places the box.  The cubature is plain numpy: each
-round of box refinement evaluates the open boxes of every problem of one d
-together, each tagged with its problem, in chunks of a fixed node count, so
-the working set stays bounded.
+so the posterior only places the box.  Each round of box refinement
+evaluates the open boxes of every problem of one d together, in chunks of a
+fixed node count that bound the working set, one broadcast sum per node
+plane.  The sweeps' problems (:func:`random_problem`) are rows or roots.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._linalg import chol_logdet
-from ._rng import substream
-from .evidence import (LOG_2PI, GaussianLinearProblem, SufficientStatistics, check_positive,
-                       log_joint, per_dimension, posterior)
+from ._rng import substream, wishart_root
+from .evidence import (LOG_2PI, SufficientStatistics, check_positive, log_joint,
+                       per_dimension, posterior)
 
 
 # 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 39.
@@ -82,11 +82,9 @@ def _cubature(stats, index: list[int]) -> np.ndarray:
         step, parts = max(1, _CHUNK_NODES // len(points)), []
         for lo in range(0, len(owner), step):
             who, c = owner[lo:lo + step], centres[lo:lo + step]
-            # Coordinate planes (d, boxes, nodes) keep numpy's inner loops long.
-            u = c.T[:, :, None] + half * points.T[:, None, :]
-            theta = post.mean.T[:, who, None] + np.einsum("bij,jbk->ibk", T[who], u)
+            theta = _nodes(post.mean[who], T[who], c, half, points)
             boxes = SimpleNamespace(**{f: x[who] for f, x in vars(stats).items()})
-            parts.append(reduce(log_joint(boxes, theta.transpose(1, 2, 0)) - log_peak[who, None]))
+            parts.append(reduce(log_joint(boxes, theta) - log_peak[who, None]))
         return np.concatenate(parts)
 
     def refuse(bad, message):
@@ -137,6 +135,15 @@ def _cubature(stats, index: list[int]) -> np.ndarray:
     refuse(abserr > 10.0 * REL_TOL * value, lambda i: (
         f"quadrature error estimate {abserr[i]:.3e} exceeds budget for mass {value[i]:.6e}"))
     return log_peak + log_jacobian + np.log(value)
+
+
+def _nodes(mean, T, centres, half, points) -> np.ndarray:
+    """``theta = mean + T u`` (boxes, nodes, d) at the nodes ``u = centres + half * points``
+    of each box: a view of planes (d, boxes, nodes), so numpy's inner loops stay long."""
+    d = mean.shape[-1]
+    u = [centres[:, j, None] + half * points[:, j] for j in range(d)]
+    return np.stack([mean[:, i, None] + sum(T[:, i, j, None] * u[j] for j in range(d))
+                     for i in range(d)]).transpose(1, 2, 0)
 
 
 def _tensor_grid(points, d: int) -> np.ndarray:
@@ -202,15 +209,20 @@ def importance_estimate(logw: np.ndarray) -> tuple[float, float]:
 
 
 def random_problem(
-    rng: np.random.Generator, max_d: int, max_n: int, min_n: int = 2
+    rng: np.random.Generator, max_d: int, max_n: int, min_n: int = 2, root: bool = False
 ) -> SufficientStatistics:
-    """Draw a random well-scaled problem for verification sweeps: the
-    statistics of its data (:func:`~rankevidence.evidence.GaussianLinearProblem`)."""
+    """Draw a random well-scaled problem for verification sweeps: d, n, the
+    variances, a scale c and theta, and rows ``A = c Z[:, :d]``, ``y = A theta
+    + sigma Z[:, d]`` of normals ``Z`` (n, d + 1), or with ``root`` of the
+    :func:`~rankevidence._rng.wishart_root` of n observations, <= d + 1 rows."""
     d = int(rng.integers(1, max_d + 1))
     n = int(rng.integers(max(min_n, 2), max_n + 1))
     sigma2 = float(rng.uniform(0.3, 3.0))
     tau2 = float(rng.uniform(0.3, 3.0))
-    A = rng.uniform(0.5, 2.0) * rng.standard_normal((n, d))
+    scale = rng.uniform(0.5, 2.0)
+    X = None if root else rng.standard_normal((n, d))   # the normal rows draw Z[:, :d] before theta
     theta = math.sqrt(tau2) * rng.standard_normal(d)
-    y = A @ theta + math.sqrt(sigma2) * rng.standard_normal(n)
-    return GaussianLinearProblem(A=A, y=y, sigma2=sigma2, tau2=tau2)
+    Z = wishart_root(rng, n, d + 1)[:n] if root else np.column_stack([X, rng.standard_normal(n)])
+    A = scale * Z[:, :d]
+    return SufficientStatistics(n=n, A=A, y=A @ theta + math.sqrt(sigma2) * Z[:, d],
+                                sigma2=sigma2, tau2=tau2)

@@ -17,6 +17,7 @@ import rankevidence
 import rankevidence.oracle as oracle
 from rankevidence import cli
 from rankevidence._linalg import spd_cholesky
+from rankevidence._rng import wishart_root
 from rankevidence.evidence import (
     GaussianLinearProblem,
     SufficientStatistics,
@@ -42,10 +43,11 @@ from rankevidence.oracle import (
 
 def _all_verify_problems() -> tuple[list, list, list]:
     """The quadrature, MAP-Laplace and importance problems of
-    ``rankevidence verify``, drawn in its order."""
+    ``rankevidence verify``, drawn in its order: the MAP-Laplace ones on
+    Wishart roots, the others on rows."""
     rng = np.random.default_rng(2024)
     return ([random_problem(rng, max_d=2, max_n=50) for _ in range(100)],
-            [random_problem(rng, max_d=20, max_n=1000, min_n=5) for _ in range(200)],
+            [random_problem(rng, max_d=20, max_n=1000, min_n=5, root=True) for _ in range(200)],
             [random_problem(rng, max_d=5, max_n=200, min_n=5) for _ in range(20)])
 
 
@@ -208,6 +210,14 @@ class TestQuadrature:
         assert abs(quadrature_log_evidence(prob) - exact_log_evidence(prob)) < 1e-9
 
 
+def _einsum_nodes(mean, T, centres, half, points) -> np.ndarray:
+    """The cubature's nodes ``theta = mean + T u`` as it built them before
+    its plane-by-plane sums, kept here as the reference for
+    ``oracle._nodes``: one einsum over (d, boxes, nodes) views."""
+    u = centres.T[:, :, None] + half * points.T[:, None, :]
+    return (mean.T[:, :, None] + np.einsum("bij,jbk->ibk", T, u)).transpose(1, 2, 0)
+
+
 class TestQuadratureBatch:
     def test_batch_equals_one_problem_calls(self):
         """Integrating the verify problems of both d together gives each
@@ -224,6 +234,17 @@ class TestQuadratureBatch:
         values = quadrature_batch(stats)
         monkeypatch.setattr(oracle, "_CHUNK_NODES", 1)
         np.testing.assert_allclose(quadrature_batch(stats), values, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("chunk", [oracle._CHUNK_NODES, 1000])
+    def test_nodes_equal_the_einsum_reference(self, monkeypatch, chunk):
+        """On verify's 100 problems, at the default node chunk and at one
+        that splits the rounds differently, the plane-by-plane nodes give
+        the values of the einsum nodes bit for bit."""
+        stats = _verify_problems()
+        monkeypatch.setattr(oracle, "_CHUNK_NODES", chunk)
+        values = quadrature_batch(stats)
+        monkeypatch.setattr(oracle, "_nodes", _einsum_nodes)
+        assert np.array_equal(quadrature_batch(stats), values)
 
     def test_refusal_names_the_problem(self, monkeypatch):
         """A box centred 30 posterior standard deviations off one problem's
@@ -264,7 +285,7 @@ def _per_problem_verification() -> list[tuple[str, float, float, bool]]:
         )
     lap_worst = 0.0
     for _ in range(200):
-        prob = random_problem(rng, max_d=20, max_n=1000, min_n=5)
+        prob = random_problem(rng, max_d=20, max_n=1000, min_n=5, root=True)
         exact = exact_log_evidence(prob)
         lap_worst = max(lap_worst, abs(full_laplace_log_evidence(prob) - exact) / abs(exact))
     weight_var_worst = 0.0
@@ -302,8 +323,8 @@ class TestVerifyByDimension:
     def test_stacks_give_each_member_its_one_problem_value(self):
         """Over verify's 320 problems, the stacked posterior, closed form and
         importance weights equal the one-problem calls bit for bit.  The
-        stacked MAP-Laplace may differ by the rounding of its quadratic form
-        at d = 2: worst measured 5.2 eps relative, in 8 of 320 problems."""
+        stacked MAP-Laplace may differ by the rounding of its quadratic form:
+        worst measured 6.6 eps relative, in 11 of 320 problems."""
         problems, laplace, importance = _all_verify_problems()
         every = problems + laplace + importance
         for d in range(1, 21):
@@ -323,19 +344,24 @@ class TestVerifyByDimension:
         assert np.array_equal(logw, one_logw)
 
     def test_the_wide_problem_joins_the_stack_of_its_d(self, monkeypatch):
-        """One MAP-Laplace problem of verify has d > q (d = 18, q = 5).  The
-        grouping makes one call per distinct d, 20 over the 200 problems, and
-        that problem joins the d = 18 stack of 7; no call of a pass receives
-        a lone problem.  Its stacked closed form is its one-problem value,
-        bit for bit."""
+        """A MAP-Laplace root of verify has min(n, d + 1) rows, and its draw
+        has no problem with fewer rows than parameters, so the test adds one:
+        the root of n = 5 observations at d = 18, whose q = 5 rows are the
+        direct branch of wishart_root.  The grouping makes one call per
+        distinct d, 20 over the 201 problems, and that problem joins the
+        d = 18 stack of 8; no call of a pass receives a lone problem.  Its
+        stacked closed form is its one-problem value, bit for bit."""
         _, laplace, _ = _all_verify_problems()
+        assert all(p.d < len(p.y) for p in laplace)
+        Z = wishart_root(np.random.default_rng(18), 5, 19)[:5]
+        laplace.append(SufficientStatistics(n=5, A=Z[:, :18], y=Z[:, 18], sigma2=1.3, tau2=0.7))
         wide = [i for i, p in enumerate(laplace) if p.d > len(p.y)]
         assert [(laplace[i].d, len(laplace[i].y)) for i in wide] == [(18, 5)]
         calls = []
         per_dimension(lambda stack, index: calls.append((index, stack)) or 0.0, laplace)
         assert sorted(stack.b.shape[-1] for _, stack in calls) == list(range(1, 21))
         index, stack = next((index, stack) for index, stack in calls if wide[0] in index)
-        assert len(index) == 7 and stack.b.shape == (7, 18)
+        assert len(index) == 8 and stack.b.shape == (8, 18)
         assert np.array_equal(exact_log_evidence(stack), [exact_log_evidence(laplace[i]) for i in index])
 
         stacks = []
@@ -350,24 +376,26 @@ class TestVerifyByDimension:
         assert len(stacks) == 2 + 20 + 20 + 5   # quadrature, closed form, MAP-Laplace, importance
         assert not any(isinstance(stack, SufficientStatistics) for stack in stacks)
 
-    def test_a_pass_keeps_the_products_not_the_rows(self):
-        """A pass holds the products of its 200 MAP-Laplace problems, not
-        their rows: the traced peak is 1.75 MiB (0.8 MiB one problem at a
-        time; 10.6 MiB with every problem's rows held)."""
+    def test_a_pass_holds_roots_not_rows(self):
+        """A pass holds its 200 MAP-Laplace problems as Wishart roots of at
+        most 21 rows, not as their up to 1,000 rows of data: the traced peak
+        is 1.96 MiB (10.6 MiB with every problem's data rows held)."""
+        laplace = _all_verify_problems()[1]
+        assert max(len(p.y) for p in laplace) == 21
         tracemalloc.start()
         try:
             cli.run_verification()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20, peak
+        assert peak < 2.5 * 2**20, peak
 
     def test_one_factorization_per_dimension(self, monkeypatch):
         """A verify pass makes at most 50 Cholesky and 110 solve calls
-        (measured: 47 and 101; one per problem made 640 and 1,302).  No
-        stacked solve passes a right-hand side with one axis fewer than its
-        matrices: numpy before 2.0 reads that as a stack of vectors, from 2.0
-        on as one matrix."""
+        (measured: 47 and 101 on roots as on rows; one per problem made 640
+        and 1,302).  No stacked solve passes a right-hand side with one axis
+        fewer than its matrices: numpy before 2.0 reads that as a stack of
+        vectors, from 2.0 on as one matrix."""
         calls = {"cholesky": 0, "solve": 0}
         ambiguous = []
         for name in calls:
@@ -463,6 +491,53 @@ class TestImportanceSampling:
         small = GaussianLinearProblem(A=np.zeros((4, 2)), y=np.zeros(4), sigma2=1.0, tau2=1.0)
         with pytest.raises(ValueError):
             importance_log_evidence(small, 100, seed=0)     # too few samples
+
+
+class _Pinned:
+    """The generator of one :func:`random_problem` call with its scalars
+    pinned: ``integers`` gives d, then n; ``uniform`` gives sigma2, tau2,
+    then the scale c; the draw of d normals gives ``z``, so theta is
+    sqrt(tau2) z.  The draws of the rows or of the root come from ``rng``.
+    A draw of d normals is theta's for d >= 2 and n != d: the rows draw
+    (n, d), then n normals, a root n (d + 1) or d (d + 1) / 2."""
+
+    def __init__(self, rng, d, n, sigma2, tau2, c, z):
+        self.rng, self.d, self.z = rng, d, z
+        self.scalars = iter([d, n, sigma2, tau2, c])
+        self.chisquare = rng.chisquare
+
+    def integers(self, *_):
+        return next(self.scalars)
+
+    uniform = integers
+
+    def standard_normal(self, size):
+        return self.z if size == self.d else self.rng.standard_normal(size)
+
+
+class TestRootProblems:
+    """verify's MAP-Laplace problems on Wishart roots (``random_problem``
+    with ``root``) against the same problems on rows of data."""
+
+    @pytest.mark.parametrize("d,n", [(3, 40), (6, 4), (6, 7), (20, 1000)])
+    def test_same_law_as_rows(self, d, n):
+        """Two-sample KS over 400 problems per side at fixed (d, n, sigma2,
+        tau2, c, theta): roots and rows give the same law of the closed form
+        and of the MAP-Laplace relative error.  (6, 4) has n < d + 1, the
+        direct branch of wishart_root; (6, 7) is the first Bartlett size.
+        Worst measured p-value: 0.52."""
+        z = np.random.default_rng(d).standard_normal(d)
+        values = []
+        for root in (True, False):
+            rng = np.random.default_rng(31 + root)
+            problems = [random_problem(_Pinned(rng, d, n, 1.7, 0.8, 1.3, z), 20, 1000, root=root)
+                        for _ in range(400)]
+            assert {(p.d, p.n, len(p.y)) for p in problems} == {(d, n, min(n, d + 1) if root else n)}
+            exact = np.array([exact_log_evidence(p) for p in problems])
+            laplace = np.array([full_laplace_log_evidence(p) for p in problems])
+            values.append((exact, np.abs(laplace - exact) / np.abs(exact)))
+        for quantity in range(2):
+            assert scipy.stats.ks_2samp(values[0][quantity], values[1][quantity]).pvalue > 0.01
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
