@@ -28,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import NumericalError
-from .evidence import (evidence_record, exact_log_evidence, full_laplace_log_evidence, log_n,
-                       per_dimension)
+from .evidence import (exact_log_evidence, full_laplace_log_evidence, log_n, per_dimension,
+                       root_evidence_batch)
 from .experiments import (
     FIELD_TYPES,
     STUDIES,
@@ -299,19 +299,23 @@ def _run_study_command(command: str, args: argparse.Namespace) -> int:
 def run_verification() -> list[tuple[str, float, float, bool]]:
     """Deterministic oracle sweep: (name, worst value, tolerance, passed).
 
-    The quadrature is checked against both closed forms: the Cholesky one on
-    the data and the evidence record of the same rows, scored like the study
-    cells.  Each reference takes one call per d, on the stack of its
-    problems (:func:`~rankevidence.evidence.per_dimension`)."""
+    Every problem is one :func:`~rankevidence.oracle.random_problem`, a
+    Wishart root of d + 1 rows.  The quadrature is checked against both
+    closed forms: the Cholesky one on the products and the evidence record
+    of the same rows, scored like the study cells.  Each reference takes one
+    call per d, on the stack of its problems
+    (:func:`~rankevidence.evidence.per_dimension`)."""
     seed = 2024   # fixed: other seeds' problem mixes differ in run time by up to 36 %
     rng = np.random.default_rng(seed)
     problems = [random_problem(rng, max_d=2, max_n=50) for _ in range(100)]
-    laplace = [random_problem(rng, max_d=20, max_n=1000, min_n=5, root=True) for _ in range(200)]
+    laplace = [random_problem(rng, max_d=20, max_n=1000, min_n=5) for _ in range(200)]
     importance = [random_problem(rng, max_d=5, max_n=200, min_n=5) for _ in range(20)]
     exact = per_dimension(lambda s, _: exact_log_evidence(s), problems + laplace + importance)
     quad_exact, lap_exact, is_exact = np.split(exact, [len(problems), len(problems) + len(laplace)])
     quad = quadrature_batch(problems)
-    record = np.array([evidence_record(prob, lam=0.0).log_z_exact for prob in problems])
+    record = per_dimension(lambda s, index: root_evidence_batch(
+        s.n, np.array([problems[i].A for i in index]), np.array([problems[i].y for i in index]),
+        s.b.shape[-1], s.sigma2, s.tau2, 0.0)["log_z_exact"], problems)
     quad_worst = float(np.max([np.abs(quad_exact - quad), np.abs(record - quad)]))
     lap = per_dimension(lambda s, _: full_laplace_log_evidence(s), laplace)
     lap_worst = float(np.max(np.abs(lap - lap_exact) / np.abs(lap_exact)))

@@ -29,6 +29,7 @@ from ._linalg import (
     chol_solve,
     numerical_rank,
     spd_cholesky,
+    spectral_rank,
     symmetrize,
 )
 from ._rng import substream, wishart_roots
@@ -240,12 +241,20 @@ def comparison_batch(
     root stack, scored with one stacked Cholesky per member and one
     ``eigvalsh`` stack; the penalised scores are :func:`bic_score` and
     :func:`rlct_score` of the fits.  A non-finite scatter gets NaN scores.
-    Pairs that disagree on column counts, span dimension or sigma2 raise ValueError."""
+    Pairs that disagree on column counts, span dimension (the
+    :func:`~rankevidence._linalg.spectral_rank` of one stacked SVD per
+    member) or sigma2 raise ValueError."""
     minimal, overcomplete = pairs[0]
-    shapes = {(m.p, m.d, o.d, m.r, o.r, m.sigma2, o.sigma2) for m, o in pairs}
-    if len(shapes) != 1 or minimal.r != overcomplete.r or len(pairs) != len(seeds):
-        raise ValueError(f"need one seed per pair and one (p, d, d', r, r', sigma2, sigma2'), "
+    shapes = {(m.p, m.d, o.d, m.sigma2, o.sigma2) for m, o in pairs}
+    if len(shapes) != 1 or len(pairs) != len(seeds):
+        raise ValueError(f"need one seed per pair and one (p, d, d', sigma2, sigma2'), "
                          f"got {len(seeds)} seeds for {len(pairs)} pairs of {sorted(shapes)}")
+    spans = set()
+    for member in zip(*pairs):   # the shapes agree: a member's dictionaries stack
+        D = np.array([s.D for s in member])
+        spans.update(spectral_rank(np.linalg.svd(D, compute_uv=False), max(D.shape[1:])).tolist())
+    if len(spans) != 1:
+        raise ValueError(f"need one span dimension r for every member, got {sorted(spans)}")
     n = np.array(n_grid)
     L_min, L_over = (spd_cholesky([marginal_covariance(s) for s in member],
                                   context="comparison_batch")[:, None] for member in zip(*pairs))
@@ -255,7 +264,7 @@ def comparison_batch(
     ell = _sample_eigenvalues(n, YY)
     fit_min = _ml_fits(n, ell, minimal.d, minimal.sigma2)
     fit_over = _ml_fits(n, ell, overcomplete.d, overcomplete.sigma2)
-    lam = analytic_rlct(minimal.r)
+    lam = analytic_rlct(spans.pop())
     return {
         "exact_minimal": _log_likelihoods(L_min, n, YY),
         "exact_overcomplete": _log_likelihoods(L_over, n, YY),

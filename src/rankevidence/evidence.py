@@ -273,16 +273,16 @@ def evidence_record(stats: SufficientStatistics, lam: float) -> EvidenceRecord:
 
 def root_evidence_batch(
     n: int | np.ndarray, A: np.ndarray, y: np.ndarray, d: int,
-    sigma2: float, tau2: float, lam: float,
+    sigma2: float | np.ndarray, tau2: float | np.ndarray, lam: float,
 ) -> dict[str, np.ndarray]:
     """Every :class:`EvidenceRecord` field but ``n`` for cells given by rows
     ``A`` (..., q, k) and ``y`` (..., q) whose products are the statistics of
-    ``n`` observations (broadcast against the leading axes), in k coordinates
-    of a d-parameter model.  Of one batched thin SVD ``A = U diag(sv) W^T``
-    each cell keeps its ``"rank"`` leading directions, the count of ``sv``
-    above the rank rule for ``max(q, k)`` rows
-    (:func:`~rankevidence._linalg.spectral_rank`), as ``s = sv^2`` and
-    ``g = U^T y``; ``RSS = |y - U g|^2`` is a sum of squares.  The centered
+    ``n`` observations with variances ``sigma2`` and ``tau2`` (each broadcast
+    against the leading axes), in k coordinates of a d-parameter model.  Of
+    one batched thin SVD ``A = U diag(sv) W^T`` each cell keeps its
+    ``"rank"`` leading directions, the count of ``sv`` above the rank rule
+    for ``max(q, k)`` rows (:func:`~rankevidence._linalg.spectral_rank`), as
+    ``s = sv^2`` and ``g = U^T y``; ``RSS = |y - U g|^2`` is a sum of squares.  The centered
     term ``log_lik_mle - log_z_exact = 1/2 sum log1p(alpha s) + sum g^2 /
     (1 + alpha s) / (2 sigma2)`` sums at most k terms, nonnegative in exact
     arithmetic: no O(n) cancels.  The scores are :func:`bic_score` and
@@ -296,11 +296,11 @@ def root_evidence_batch(
     g = np.where(kept, (U.swapaxes(-1, -2) @ y[..., None])[..., 0], 0.0)
     rss = np.sum((y - (U @ g[..., None])[..., 0]) ** 2, axis=-1)
     s = np.where(kept, sv**2, 0.0)
-    alpha = tau2 / sigma2
+    alpha = np.asarray(tau2 / sigma2)[..., None]
     centered = 0.5 * np.sum(np.log1p(alpha * s), axis=-1) + np.sum(
         g**2 / (1.0 + alpha * s), axis=-1
     ) / (2.0 * sigma2)
-    fit = -0.5 * (n * (LOG_2PI + math.log(sigma2)) + rss / sigma2)
+    fit = -0.5 * (n * (LOG_2PI + _math_log(sigma2)) + rss / sigma2)
     return {
         "log_z_exact": fit - centered,
         "log_lik_mle": fit,

@@ -12,7 +12,8 @@ standard deviations; the integrand is the raw joint density at every node,
 so the posterior only places the box.  Each round of box refinement
 evaluates the open boxes of every problem of one d together, in chunks of a
 fixed node count that bound the working set, one broadcast sum per node
-plane.  The sweeps' problems (:func:`random_problem`) are rows or roots.
+plane.  The sweeps' problems (:func:`random_problem`) are Wishart roots
+of d + 1 rows, so every problem of one d has one row shape.
 """
 
 from __future__ import annotations
@@ -208,21 +209,20 @@ def importance_estimate(logw: np.ndarray) -> tuple[float, float]:
     return estimate, stderr
 
 
-def random_problem(
-    rng: np.random.Generator, max_d: int, max_n: int, min_n: int = 2, root: bool = False
-) -> SufficientStatistics:
+def random_problem(rng: np.random.Generator, max_d: int, max_n: int, min_n: int = 2
+                   ) -> SufficientStatistics:
     """Draw a random well-scaled problem for verification sweeps: d, n, the
-    variances, a scale c and theta, and rows ``A = c Z[:, :d]``, ``y = A theta
-    + sigma Z[:, d]`` of normals ``Z`` (n, d + 1), or with ``root`` of the
-    :func:`~rankevidence._rng.wishart_root` of n observations, <= d + 1 rows."""
+    variances, a scale c and theta, then the (d + 1)-row
+    :func:`~rankevidence._rng.wishart_root` ``Z`` of n observations (zero
+    rows below n = d + 1) and rows ``A = c Z[:, :d]``, ``y = A theta + sigma
+    Z[:, d]``: the products of n rows of data in law, in one row shape per d."""
     d = int(rng.integers(1, max_d + 1))
     n = int(rng.integers(max(min_n, 2), max_n + 1))
     sigma2 = float(rng.uniform(0.3, 3.0))
     tau2 = float(rng.uniform(0.3, 3.0))
     scale = rng.uniform(0.5, 2.0)
-    X = None if root else rng.standard_normal((n, d))   # the normal rows draw Z[:, :d] before theta
     theta = math.sqrt(tau2) * rng.standard_normal(d)
-    Z = wishart_root(rng, n, d + 1)[:n] if root else np.column_stack([X, rng.standard_normal(n)])
+    Z = wishart_root(rng, n, d + 1)
     A = scale * Z[:, :d]
     return SufficientStatistics(n=n, A=A, y=A @ theta + math.sqrt(sigma2) * Z[:, d],
                                 sigma2=sigma2, tau2=tau2)

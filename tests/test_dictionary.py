@@ -8,6 +8,7 @@ from rankevidence._linalg import spectral_rank
 from rankevidence.dictionary import (
     DictionarySpec,
     DictionaryStatistics,
+    comparison_batch,
     dict_log_likelihood,
     dictionary_comparison,
     gram_spectrum,
@@ -350,3 +351,23 @@ class TestDictionaryComparison:
         b, _ = make_dictionary_pair(8, 2, 6, seed=0)
         with pytest.raises(ValueError):
             dictionary_comparison((a, b), 100, seed=0)
+
+    def test_one_stacked_svd_per_member(self, monkeypatch):
+        """The span check of 20 pairs takes one SVD of each member's stack,
+        2 calls, not one per spec."""
+        pairs = [make_dictionary_pair(8, 3, 6, seed=seed) for seed in range(20)]
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda M, **kwargs: shapes.append(np.shape(M)) or svd(M, **kwargs))
+        comparison_batch(pairs, [50, 100], list(range(20)))
+        assert shapes == [(20, 8, 3), (20, 8, 6)]
+
+    def test_smaller_span_of_a_later_pair_rejected(self):
+        """The third pair's overcomplete member has the shape of the others,
+        (8, 6), but a span of 2, not 3: the stacked span check rejects it."""
+        pairs = [make_dictionary_pair(8, 3, 6, seed=seed) for seed in range(3)]
+        _, narrow = make_dictionary_pair(8, 2, 6, seed=2)
+        assert narrow.D.shape == pairs[2][1].D.shape and narrow.r == 2
+        pairs[2] = (pairs[2][0], narrow)
+        with pytest.raises(ValueError, match="span"):
+            comparison_batch(pairs, [50, 100], [0, 1, 2])

@@ -27,6 +27,7 @@ from rankevidence.evidence import (
     log_joint,
     per_dimension,
     posterior,
+    root_evidence_batch,
     stack_statistics,
 )
 from rankevidence.linear_models import DataGenConfig, make_spec, sample_statistics
@@ -43,11 +44,10 @@ from rankevidence.oracle import (
 
 def _all_verify_problems() -> tuple[list, list, list]:
     """The quadrature, MAP-Laplace and importance problems of
-    ``rankevidence verify``, drawn in its order: the MAP-Laplace ones on
-    Wishart roots, the others on rows."""
+    ``rankevidence verify``, drawn in its order, each on a Wishart root."""
     rng = np.random.default_rng(2024)
     return ([random_problem(rng, max_d=2, max_n=50) for _ in range(100)],
-            [random_problem(rng, max_d=20, max_n=1000, min_n=5, root=True) for _ in range(200)],
+            [random_problem(rng, max_d=20, max_n=1000, min_n=5) for _ in range(200)],
             [random_problem(rng, max_d=5, max_n=200, min_n=5) for _ in range(20)])
 
 
@@ -221,7 +221,7 @@ def _einsum_nodes(mean, T, centres, half, points) -> np.ndarray:
 class TestQuadratureBatch:
     def test_batch_equals_one_problem_calls(self):
         """Integrating the verify problems of both d together gives each
-        problem its own value.  Worst measured: 3.6e-15."""
+        problem its own value.  Worst measured: 0.0."""
         stats = _verify_problems()
         assert {s.d for s in stats} == {1, 2}
         for s, value in zip(stats, quadrature_batch(stats)):
@@ -229,7 +229,7 @@ class TestQuadratureBatch:
 
     def test_chunk_size_does_not_move_the_values(self, monkeypatch):
         """One box per node chunk gives the values of the default chunks.
-        Worst measured: 7.1e-15."""
+        Worst measured: 8.9e-16."""
         stats = _verify_problems()
         values = quadrature_batch(stats)
         monkeypatch.setattr(oracle, "_CHUNK_NODES", 1)
@@ -285,7 +285,7 @@ def _per_problem_verification() -> list[tuple[str, float, float, bool]]:
         )
     lap_worst = 0.0
     for _ in range(200):
-        prob = random_problem(rng, max_d=20, max_n=1000, min_n=5, root=True)
+        prob = random_problem(rng, max_d=20, max_n=1000, min_n=5)
         exact = exact_log_evidence(prob)
         lap_worst = max(lap_worst, abs(full_laplace_log_evidence(prob) - exact) / abs(exact))
     weight_var_worst = 0.0
@@ -324,7 +324,7 @@ class TestVerifyByDimension:
         """Over verify's 320 problems, the stacked posterior, closed form and
         importance weights equal the one-problem calls bit for bit.  The
         stacked MAP-Laplace may differ by the rounding of its quadratic form:
-        worst measured 6.6 eps relative, in 11 of 320 problems."""
+        worst measured 4.0 eps relative, in 6 of 320 problems."""
         problems, laplace, importance = _all_verify_problems()
         every = problems + laplace + importance
         for d in range(1, 21):
@@ -344,24 +344,25 @@ class TestVerifyByDimension:
         assert np.array_equal(logw, one_logw)
 
     def test_the_wide_problem_joins_the_stack_of_its_d(self, monkeypatch):
-        """A MAP-Laplace root of verify has min(n, d + 1) rows, and its draw
-        has no problem with fewer rows than parameters, so the test adds one:
-        the root of n = 5 observations at d = 18, whose q = 5 rows are the
-        direct branch of wishart_root.  The grouping makes one call per
-        distinct d, 20 over the 201 problems, and that problem joins the
-        d = 18 stack of 8; no call of a pass receives a lone problem.  Its
-        stacked closed form is its one-problem value, bit for bit."""
+        """Every verify problem has d + 1 rows, and no MAP-Laplace problem
+        of the draw has fewer observations than parameters, so the test adds
+        one of verify's law: the root of n = 5 observations at d = 18, whose
+        5 rows of normals above 14 zero rows are the direct branch of
+        wishart_root.  The grouping makes one call per distinct d, 20 over
+        the 201 problems, and that problem joins the d = 18 stack of 7; no
+        call of a pass receives a lone problem.  Its stacked closed form is
+        its one-problem value, bit for bit."""
         _, laplace, _ = _all_verify_problems()
-        assert all(p.d < len(p.y) for p in laplace)
-        Z = wishart_root(np.random.default_rng(18), 5, 19)[:5]
+        assert all(p.d < p.n and len(p.y) == p.d + 1 for p in laplace)
+        Z = wishart_root(np.random.default_rng(18), 5, 19)
         laplace.append(SufficientStatistics(n=5, A=Z[:, :18], y=Z[:, 18], sigma2=1.3, tau2=0.7))
-        wide = [i for i, p in enumerate(laplace) if p.d > len(p.y)]
-        assert [(laplace[i].d, len(laplace[i].y)) for i in wide] == [(18, 5)]
+        wide = [i for i, p in enumerate(laplace) if p.d > p.n]
+        assert [(laplace[i].d, laplace[i].n) for i in wide] == [(18, 5)]
         calls = []
         per_dimension(lambda stack, index: calls.append((index, stack)) or 0.0, laplace)
         assert sorted(stack.b.shape[-1] for _, stack in calls) == list(range(1, 21))
         index, stack = next((index, stack) for index, stack in calls if wide[0] in index)
-        assert len(index) == 8 and stack.b.shape == (8, 18)
+        assert len(index) == 7 and stack.b.shape == (7, 18)
         assert np.array_equal(exact_log_evidence(stack), [exact_log_evidence(laplace[i]) for i in index])
 
         stacks = []
@@ -373,15 +374,17 @@ class TestVerifyByDimension:
         monkeypatch.setattr(cli, "per_dimension", recorded)
         monkeypatch.setattr(oracle, "per_dimension", recorded)
         cli.run_verification()
-        assert len(stacks) == 2 + 20 + 20 + 5   # quadrature, closed form, MAP-Laplace, importance
+        # quadrature, closed form, evidence record, MAP-Laplace, importance
+        assert len(stacks) == 2 + 20 + 2 + 20 + 3
         assert not any(isinstance(stack, SufficientStatistics) for stack in stacks)
 
     def test_a_pass_holds_roots_not_rows(self):
-        """A pass holds its 200 MAP-Laplace problems as Wishart roots of at
-        most 21 rows, not as their up to 1,000 rows of data: the traced peak
-        is 1.96 MiB (10.6 MiB with every problem's data rows held)."""
-        laplace = _all_verify_problems()[1]
-        assert max(len(p.y) for p in laplace) == 21
+        """A pass holds its 320 problems as Wishart roots of d + 1 rows, at
+        most 21, not as their up to 1,000 rows of data: the traced peak is
+        2.31 MiB, most of it the importance stacks of 6 and 7 members."""
+        problems = [p for group in _all_verify_problems() for p in group]
+        assert all(len(p.y) == p.d + 1 for p in problems)
+        assert max(len(p.y) for p in problems) == 21
         tracemalloc.start()
         try:
             cli.run_verification()
@@ -390,10 +393,28 @@ class TestVerifyByDimension:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20, peak
 
+    def test_the_record_check_is_one_call_per_d(self, monkeypatch):
+        """The evidence records of the 100 quadrature problems come from one
+        root_evidence_batch call per d on their stacked (d + 1)-row roots,
+        and each member's value is its one-problem evidence_record, bit for
+        bit."""
+        calls = []
+
+        def recorded(*args):
+            calls.append((args, root_evidence_batch(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "root_evidence_batch", recorded)
+        cli.run_verification()
+        assert [args[1].shape[1:] for args, _ in calls] == [(2, 1), (3, 2)]
+        problems = _verify_problems()
+        one = [evidence_record(p, lam=0.0).log_z_exact for d in (1, 2) for p in problems if p.d == d]
+        assert np.array_equal(np.concatenate([out["log_z_exact"] for _, out in calls]), one)
+        assert not hasattr(cli, "evidence_record")
+
     def test_one_factorization_per_dimension(self, monkeypatch):
         """A verify pass makes at most 50 Cholesky and 110 solve calls
-        (measured: 47 and 101 on roots as on rows; one per problem made 640
-        and 1,302).  No stacked solve passes a right-hand side with one axis
+        (measured: 45 and 95; one per problem made 640 and 1,302).  No stacked solve passes a right-hand side with one axis
         fewer than its matrices: numpy before 2.0 reads that as a stack of
         vectors, from 2.0 on as one matrix."""
         calls = {"cholesky": 0, "solve": 0}
@@ -496,10 +517,8 @@ class TestImportanceSampling:
 class _Pinned:
     """The generator of one :func:`random_problem` call with its scalars
     pinned: ``integers`` gives d, then n; ``uniform`` gives sigma2, tau2,
-    then the scale c; the draw of d normals gives ``z``, so theta is
-    sqrt(tau2) z.  The draws of the rows or of the root come from ``rng``.
-    A draw of d normals is theta's for d >= 2 and n != d: the rows draw
-    (n, d), then n normals, a root n (d + 1) or d (d + 1) / 2."""
+    then the scale c; the first draw of d normals, theta's, gives ``z``, so
+    theta is sqrt(tau2) z.  The draws of the root come from ``rng``."""
 
     def __init__(self, rng, d, n, sigma2, tau2, c, z):
         self.rng, self.d, self.z = rng, d, z
@@ -512,27 +531,44 @@ class _Pinned:
     uniform = integers
 
     def standard_normal(self, size):
-        return self.z if size == self.d else self.rng.standard_normal(size)
+        if size == self.d and self.z is not None:
+            z, self.z = self.z, None
+            return z
+        return self.rng.standard_normal(size)
+
+
+def _rows_problem(rng, d, n, sigma2, tau2, c, theta) -> SufficientStatistics:
+    """A verify problem on n rows of data, the law ``random_problem``'s
+    Wishart roots must have: ``A = c X`` and ``y = A theta + sigma e`` of
+    normals ``X`` (n, d) and ``e`` (n,)."""
+    A = c * rng.standard_normal((n, d))
+    return GaussianLinearProblem(A, A @ theta + math.sqrt(sigma2) * rng.standard_normal(n),
+                                 sigma2, tau2)
 
 
 class TestRootProblems:
-    """verify's MAP-Laplace problems on Wishart roots (``random_problem``
-    with ``root``) against the same problems on rows of data."""
+    """verify's problems on Wishart roots (``random_problem``) against the
+    same problems on rows of data (``_rows_problem``)."""
 
-    @pytest.mark.parametrize("d,n", [(3, 40), (6, 4), (6, 7), (20, 1000)])
+    @pytest.mark.parametrize("d,n", [(3, 40), (6, 4), (6, 7), (20, 1000),
+                                     (2, 2), (1, 50), (5, 200)])
     def test_same_law_as_rows(self, d, n):
         """Two-sample KS over 400 problems per side at fixed (d, n, sigma2,
         tau2, c, theta): roots and rows give the same law of the closed form
-        and of the MAP-Laplace relative error.  (6, 4) has n < d + 1, the
-        direct branch of wishart_root; (6, 7) is the first Bartlett size.
-        Worst measured p-value: 0.52."""
+        and of the MAP-Laplace relative error.  (6, 4) and (2, 2), a
+        quadrature size, have n < d + 1, the direct branch of wishart_root;
+        (6, 7) is the first Bartlett size; (1, 50) and (5, 200) are
+        quadrature and importance sizes.  Worst measured p-value: 0.16,
+        at (1, 50)."""
         z = np.random.default_rng(d).standard_normal(d)
+        rng = np.random.default_rng(32)
+        roots = [random_problem(_Pinned(rng, d, n, 1.7, 0.8, 1.3, z), 20, 1000)
+                 for _ in range(400)]
+        assert {(p.d, p.n, len(p.y)) for p in roots} == {(d, n, d + 1)}
+        rng = np.random.default_rng(31)
+        rows = [_rows_problem(rng, d, n, 1.7, 0.8, 1.3, math.sqrt(0.8) * z) for _ in range(400)]
         values = []
-        for root in (True, False):
-            rng = np.random.default_rng(31 + root)
-            problems = [random_problem(_Pinned(rng, d, n, 1.7, 0.8, 1.3, z), 20, 1000, root=root)
-                        for _ in range(400)]
-            assert {(p.d, p.n, len(p.y)) for p in problems} == {(d, n, min(n, d + 1) if root else n)}
+        for problems in (roots, rows):
             exact = np.array([exact_log_evidence(p) for p in problems])
             laplace = np.array([full_laplace_log_evidence(p) for p in problems])
             values.append((exact, np.abs(laplace - exact) / np.abs(exact)))
