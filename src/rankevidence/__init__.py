@@ -52,7 +52,6 @@ from .oracle import (
     quadrature_log_evidence,
 )
 from .rlct import (
-    SlopeFit,
     analytic_rlct,
     estimate_rlct_from_slope,
     fit_log_n_slope,

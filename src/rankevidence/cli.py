@@ -189,19 +189,17 @@ def _has_contrast(cfg: ExperimentConfig) -> bool:
 _FIGURES = (
     _Figure(
         "rank_sweep", "fig1_rank_sweep",
-        ("rank", "slope_bic", "slope_rlct", "stderr_bic", "stderr_rlct"),
-        lambda res: [
-            [s.rank, s.fit_delta_bic.slope, s.fit_delta_rlct.slope,
-             s.fit_delta_bic.stderr_slope, s.fit_delta_rlct.stderr_slope]
-            for s in res.rank_summaries
-        ],
+        ("rank", "slope_bic", "slope_rlct", "se_lambda"),
+        lambda res: [[s.rank, s.slope_delta_bic, s.slope_delta_rlct, s.se_lambda]
+                     for s in res.rank_summaries],
         "rank", (("slope_bic", "BIC error slope"), ("slope_rlct", "corrected error slope")),
         "Approximation error slopes vs intrinsic rank", "intrinsic rank r", "slope vs log n",
     ),
     _Figure(
         "rank_sweep", "lambda_vs_rank",
-        ("rank", "lambda_hat", "lambda_analytic"),
-        lambda res: [[s.rank, s.lambda_hat, analytic_rlct(s.rank)] for s in res.rank_summaries],
+        ("rank", "lambda_hat", "se_lambda", "lambda_analytic"),
+        lambda res: [[s.rank, s.lambda_hat, s.se_lambda, analytic_rlct(s.rank)]
+                     for s in res.rank_summaries],
         "rank", (("lambda_hat", "slope estimate"), ("lambda_analytic", "analytic r/2")),
         "Effective dimension from evidence slopes", "intrinsic rank r", "lambda",
     ),

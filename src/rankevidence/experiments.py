@@ -48,13 +48,7 @@ from .linear_models import (  # noqa: F401
     sample_dataset,
     wishart_rows,
 )
-from .rlct import (
-    SlopeFit,
-    analytic_rlct,
-    fit_log_n_slope,
-    log_n_slopes,
-    predicted_bic_error_slope,
-)
+from .rlct import analytic_rlct, log_n_slopes, predicted_bic_error_slope
 
 STUDIES = ("rank_sweep", "dict_compare")
 
@@ -71,8 +65,8 @@ _SCORE_COLUMNS, _DICT_SCORE_COLUMNS = (
 RECORD_COLUMNS = [*KEY_COLUMNS, *_SCORE_COLUMNS]
 
 SLOPE_COLUMNS = [
-    "rank", "slope_delta_bic", "stderr_bic", "slope_delta_rlct", "stderr_rlct",
-    "lambda_hat", "lambda_analytic", "n_seeds", "n_points",
+    "rank", "slope_delta_bic", "slope_delta_rlct", "lambda_hat", "se_lambda",
+    "lambda_analytic", "n_seeds", "n_points",
 ]
 
 PER_SEED_SLOPE_COLUMNS = ["rank", "seed", "slope_delta_bic", "slope_delta_rlct"]
@@ -300,12 +294,14 @@ class CellFailure:
 
 @dataclass(frozen=True)
 class RankSummary:
-    """Aggregated slopes and effective-dimension estimate for one rank."""
+    """Aggregated slopes and effective-dimension estimate for one rank, with
+    ``se_lambda``, the seed standard error of ``lambda_hat``."""
 
     rank: int
-    fit_delta_bic: SlopeFit
-    fit_delta_rlct: SlopeFit
+    slope_delta_bic: float
+    slope_delta_rlct: float
     lambda_hat: float
+    se_lambda: float
     n_seeds: int
     # the fitted seed-mean curves: columns n, delta_bic and delta_rlct
     curve: dict[str, list]
@@ -322,7 +318,7 @@ class StudyResult:
     # dictionary-study payload (None for regression studies)
     dict_table: dict[str, float] | None = None
     dict_table_n: int | None = None
-    dict_gap_slopes: dict[str, SlopeFit] | None = None
+    dict_gap_slopes: dict[str, float] | None = None
     dict_gap_curve: dict[str, list] | None = None
     spectra: tuple[np.ndarray, np.ndarray] | None = None
     metadata: dict = field(default_factory=dict)
@@ -364,31 +360,35 @@ def aggregate_rank_summaries(table: CellTable, ranks: list[int]) -> tuple[list[R
     rows ``(rank, seed, slope_delta_bic, slope_delta_rlct)``, from one
     :func:`seed_grid` step per rank.
 
-    A summary fits the log-n slopes of the seed-mean error curves, which it
+    A summary takes the log-n slopes of the seed-mean error curves, which it
     keeps.  ``lambda_hat``, the slope of the centered term, is read as
     ``lambda + slope(delta_rlct)``: ``delta_rlct`` is that term minus
     ``lambda log n``, while ``log_z_exact - log_lik_mle`` subtracts O(n)
     numbers.  A seed gets per-seed slopes when it has a cell at every size
-    of its rank's curve.
+    of its rank's curve; ``se_lambda`` is the sample SD (ddof 1) of those k
+    seeds' ``delta_rlct`` slopes over sqrt(k), NaN below 2 seeds.  A seed's
+    two slopes differ by the constant ``lambda - d/2``, so it serves both.
     """
     columns = {name: table.score(name) for name in ("delta_bic", "delta_rlct")}
     summaries, per_seed = [], []
     for rank in sorted(ranks):
         curve, seeds, grid, present = seed_grid(table, columns, rank)
         ns = curve["n"]
-        fit_delta_rlct = fit_log_n_slope(zip(ns, curve["delta_rlct"]))
-        summaries.append(RankSummary(
-            rank=rank,
-            fit_delta_bic=fit_log_n_slope(zip(ns, curve["delta_bic"])),
-            fit_delta_rlct=fit_delta_rlct,
-            lambda_hat=analytic_rlct(rank) + fit_delta_rlct.slope,
-            n_seeds=len(seeds),
-            curve=curve,
-        ))
+        slope_bic, slope_rlct = log_n_slopes(ns, np.array([curve[k] for k in columns])).tolist()
         complete = present.all(axis=0)
         # a contiguous copy: log_n_slopes rounds a strided reduction differently
         slopes = log_n_slopes(ns, np.ascontiguousarray(grid[:, :, complete].swapaxes(1, 2)))
-        per_seed += zip([rank] * len(slopes[0]), seeds[complete].tolist(), *slopes.tolist())
+        k = slopes.shape[1]
+        summaries.append(RankSummary(
+            rank=rank,
+            slope_delta_bic=slope_bic,
+            slope_delta_rlct=slope_rlct,
+            lambda_hat=analytic_rlct(rank) + slope_rlct,
+            se_lambda=float(np.std(slopes[1], ddof=1)) / math.sqrt(k) if k > 1 else math.nan,
+            n_seeds=len(seeds),
+            curve=curve,
+        ))
+        per_seed += zip([rank] * k, seeds[complete].tolist(), *slopes.tolist())
     return summaries, per_seed
 
 
@@ -434,7 +434,7 @@ def aggregate_dict_comparison(table: CellTable, cfg: ExperimentConfig) -> tuple:
         "fit_gap": col("fit_minimal") - col("fit_overcomplete"),
     }
     curve = seed_grid(table, gaps, cfg.ranks[0])[0]
-    slopes = {name: fit_log_n_slope(zip(curve["n"], curve[name])) for name in gaps}
+    slopes = dict(zip(gaps, log_n_slopes(curve["n"], np.array([curve[k] for k in gaps])).tolist()))
     table_n = min(cfg.n_grid, key=lambda n: abs(n - _DICT_TABLE_TARGET_N))
     at = (table.seed == cfg.seeds[0]) & (table.n == table_n)   # no row when that cell failed
     row = {key: col(key)[at].item() for key in DICT_TABLE_QUANTITIES} if at.any() else None
@@ -471,14 +471,14 @@ def summarize(result: StudyResult) -> str:
     if result.rank_summaries:
         lines.append(
             f"{'rank':>4}  {'slope_dBIC':>10}  {'pred':>6}  {'slope_dRLCT':>11}  "
-            f"{'pred':>5}  {'lambda_hat':>10}  {'lambda':>6}"
+            f"{'pred':>5}  {'lambda_hat':>10}  {'se_lambda':>9}  {'lambda':>6}"
         )
         for s in result.rank_summaries:
             pred = predicted_bic_error_slope(cfg.d, s.rank)
             lines.append(
-                f"{s.rank:>4}  {s.fit_delta_bic.slope:>10.4f}  {pred:>6.2f}  "
-                f"{s.fit_delta_rlct.slope:>11.4f}  {0.0:>5.2f}  "
-                f"{s.lambda_hat:>10.4f}  {analytic_rlct(s.rank):>6.2f}"
+                f"{s.rank:>4}  {s.slope_delta_bic:>10.4f}  {pred:>6.2f}  "
+                f"{s.slope_delta_rlct:>11.4f}  {0.0:>5.2f}  "
+                f"{s.lambda_hat:>10.4f}  {s.se_lambda:>9.4f}  {analytic_rlct(s.rank):>6.2f}"
             )
     if result.dict_table is not None:
         lines.append(f"comparison at n={result.dict_table_n} (first seed):")
@@ -491,10 +491,10 @@ def summarize(result: StudyResult) -> str:
         over_minus_min = -predicted_bic_error_slope(cfg.d, cfg.ranks[0])
         lines.append(
             "gap slopes vs log n: "
-            f"exact={gaps['exact_gap'].slope:.4f} (pred 0.00), "
-            f"bic={gaps['bic_gap'].slope:.4f} (pred {over_minus_min:+.2f}), "
-            f"bic_ml={gaps['bic_gap_ml'].slope:.4f}, "
-            f"fit={gaps['fit_gap'].slope:.4f} (pred 0.00)"
+            f"exact={gaps['exact_gap']:.4f} (pred 0.00), "
+            f"bic={gaps['bic_gap']:.4f} (pred {over_minus_min:+.2f}), "
+            f"bic_ml={gaps['bic_gap_ml']:.4f}, "
+            f"fit={gaps['fit_gap']:.4f} (pred 0.00)"
         )
     return "\n".join(lines + failure_lines(result.failures)) + "\n"
 
@@ -541,9 +541,8 @@ def cell_table_csv_text(table: CellTable) -> str:
 
 def slopes_csv_text(summaries: list[RankSummary]) -> str:
     rows = [
-        [s.rank, s.fit_delta_bic.slope, s.fit_delta_bic.stderr_slope,
-         s.fit_delta_rlct.slope, s.fit_delta_rlct.stderr_slope,
-         s.lambda_hat, analytic_rlct(s.rank), s.n_seeds, len(s.curve["n"])]
+        [s.rank, s.slope_delta_bic, s.slope_delta_rlct, s.lambda_hat, s.se_lambda,
+         analytic_rlct(s.rank), s.n_seeds, len(s.curve["n"])]
         for s in summaries
     ]
     return table_text(SLOPE_COLUMNS, zip(*rows))

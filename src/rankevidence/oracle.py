@@ -25,8 +25,7 @@ import numpy as np
 
 from ._linalg import chol_logdet
 from ._rng import substream, wishart_root
-from .evidence import (LOG_2PI, SufficientStatistics, check_positive, log_joint,
-                       per_dimension, posterior)
+from .evidence import LOG_2PI, SufficientStatistics, log_joint, per_dimension, posterior
 
 
 # 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 39.
@@ -152,25 +151,19 @@ def _tensor_grid(points, d: int) -> np.ndarray:
     return np.stack(np.meshgrid(*[points] * d, indexing="ij"), axis=-1).reshape(-1, d)
 
 
-def importance_log_weights(
-    stats: SufficientStatistics,
-    n_samples: int,
-    seed: int,
-    proposal_scale: float = 1.0,
-) -> np.ndarray:
+def importance_log_weights(stats: SufficientStatistics, n_samples: int, seed: int) -> np.ndarray:
     """Log importance weights under the exact-posterior proposal.
 
-    The proposal is N(mu, proposal_scale^2 * precision^{-1}).  At scale 1 the
-    proposal equals the posterior, so the weights are constant up to floating
-    point — a sharp correctness check on the whole pipeline.  A stack of
-    statistics takes one seed or one per member: weights ``(*stack, n_samples)``.
+    The proposal is N(mu, precision^{-1}), the posterior itself, so the
+    weights are constant up to floating point — a sharp correctness check on
+    the whole pipeline.  A stack of statistics takes one seed or one per
+    member: weights ``(*stack, n_samples)``.
     """
     d = stats.b.shape[-1]
     if d > 5:
         raise ValueError(f"importance oracle supports d <= 5, got d={d}")
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
-    check_positive(proposal_scale=proposal_scale)
     post = posterior(stats)
     seeds = np.broadcast_to(np.asarray(seed, dtype=object), np.shape(stats.sigma2))   # Python ints
     z = np.empty(seeds.shape + (n_samples, d))
@@ -178,25 +171,19 @@ def importance_log_weights(
         substream(member_seed, "importance").standard_normal(out=z[index])
     log_proposal = (
         -0.5 * d * LOG_2PI
-        - d * math.log(proposal_scale)
         + 0.5 * np.asarray(chol_logdet(post.chol))[..., None]
         - 0.5 * np.sum(z * z, axis=-1)
     )
-    # x = mu + scale * L^{-T} z has covariance scale^2 * precision^{-1}.
+    # x = mu + L^{-T} z has covariance precision^{-1}.
     thetas = np.linalg.solve(post.chol.swapaxes(-1, -2), z.swapaxes(-1, -2)).swapaxes(-1, -2)
-    thetas *= proposal_scale   # in place: a stack's samples are the largest arrays of a pass
-    thetas += post.mean[..., None, :]
+    thetas += post.mean[..., None, :]   # in place: a stack's samples are the largest arrays of a pass
     return log_joint(stats, thetas) - log_proposal
 
 
-def importance_log_evidence(
-    stats: SufficientStatistics,
-    n_samples: int,
-    seed: int,
-    proposal_scale: float = 1.0,
-) -> tuple[float, float]:
+def importance_log_evidence(stats: SufficientStatistics, n_samples: int, seed: int
+                            ) -> tuple[float, float]:
     """Self-normalized importance estimate of the log evidence and its stderr."""
-    return importance_estimate(importance_log_weights(stats, n_samples, seed, proposal_scale))
+    return importance_estimate(importance_log_weights(stats, n_samples, seed))
 
 
 def importance_estimate(logw: np.ndarray) -> tuple[float, float]:

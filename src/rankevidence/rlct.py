@@ -3,28 +3,20 @@
 For rank-r linear-Gaussian regression the log evidence carries a
 ``-lambda log n`` term with ``lambda = r/2`` (each of the r curved directions
 contributes 1/2; the remaining d - r flat directions contribute O(1)).  The
-routines here provide that analytic value, ordinary least squares of score
-sequences against ``evidence.log_n``, and the empirical slope estimator of lambda.
+routines here provide that analytic value and the one slope routine,
+:func:`log_n_slopes`: the ordinary least-squares slope of score sequences
+against ``evidence.log_n``, which every slope a study reports comes from.
+:func:`fit_log_n_slope` and :func:`estimate_rlct_from_slope` are its
+one-sequence calls on ``(n, value)`` pairs.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .evidence import log_n
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    """OLS fit of a value sequence against log n."""
-
-    slope: float
-    intercept: float
-    stderr_slope: float
 
 
 def analytic_rlct(r: int) -> float:
@@ -52,27 +44,13 @@ def log_n_slopes(ns: list[int] | np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.sum(xc * vc, axis=-1) / np.sum(xc * xc)
 
 
-def fit_log_n_slope(points: Iterable[tuple[int, float]]) -> SlopeFit:
-    """Ordinary least squares of value against log n, by :func:`log_n_slopes`.
-
-    Requires integer sample sizes in [2, 2**64) with two distinct logs.
-    The slope standard error uses the classical homoskedastic formula; with
-    exactly two points (zero residual degrees of freedom) it is reported as 0.
-    """
+def fit_log_n_slope(points: Iterable[tuple[int, float]]) -> float:
+    """The slope of value against log n over ``(n, value)`` pairs, by
+    :func:`log_n_slopes`.  Requires integer sample sizes in [2, 2**64) with
+    two distinct logs."""
     pts = list(points)
-    ns = [p[0] for p in pts]   # not an array: numpy makes sizes past 2**63 among smaller ones float
-    vals = np.array([p[1] for p in pts], dtype=float)
-    slope = float(log_n_slopes(ns, vals))
-    x = log_n(ns)
-    intercept = float(vals.mean() - slope * x.mean())
-
-    resid = vals - (intercept + slope * x)
-    rss = float(resid @ resid)
-    k = len(pts)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    dof = k - 2
-    stderr = math.sqrt(rss / dof / sxx) if dof > 0 else 0.0
-    return SlopeFit(slope=slope, intercept=intercept, stderr_slope=stderr)
+    ns = [n for n, _ in pts]   # not an array: numpy makes sizes past 2**63 among smaller ones float
+    return float(log_n_slopes(ns, np.array([v for _, v in pts], dtype=float)))
 
 
 def estimate_rlct_from_slope(evidence_points: Iterable[tuple[int, float]]) -> float:
@@ -82,7 +60,7 @@ def estimate_rlct_from_slope(evidence_points: Iterable[tuple[int, float]]) -> fl
     by the fit term removes the O(n) data-fit component, leaving
     ``-lambda log n + O(1)``, so the estimator is the negated OLS slope.
     """
-    return -fit_log_n_slope(evidence_points).slope
+    return -fit_log_n_slope(evidence_points)
 
 
 def predicted_bic_error_slope(d: int, r: int) -> float:

@@ -96,11 +96,11 @@ def test_criterion_3_rank_sweep_slopes(rank_sweep_result):
     details = []
     for s in rank_sweep_result.rank_summaries:
         target = -(6 - s.rank) / 2.0
-        err_bic = abs(s.fit_delta_bic.slope - target)
-        err_rlct = abs(s.fit_delta_rlct.slope)
+        err_bic = abs(s.slope_delta_bic - target)
+        err_rlct = abs(s.slope_delta_rlct)
         ok = ok and err_bic <= 0.15 and err_rlct <= 0.15
-        details.append(f"r={s.rank}: dBIC {s.fit_delta_bic.slope:+.3f} "
-                       f"(target {target:+.2f}), dRLCT {s.fit_delta_rlct.slope:+.3f}")
+        details.append(f"r={s.rank}: dBIC {s.slope_delta_bic:+.3f} "
+                       f"(target {target:+.2f}), dRLCT {s.slope_delta_rlct:+.3f}")
     _report("criterion 3 (rank sweep slopes, tol 0.15)", ok, "; ".join(details))
 
 
@@ -110,10 +110,10 @@ def test_criterion_4_regular_vs_singular(rank_sweep_result):
     [-0.30, 0.30]."""
     by_rank = {s.rank: s for s in rank_sweep_result.rank_summaries}
     singular, regular = by_rank[4], by_rank[6]
-    sb = singular.fit_delta_bic.slope
-    sr = singular.fit_delta_rlct.slope
-    rb = regular.fit_delta_bic.slope
-    rr = regular.fit_delta_rlct.slope
+    sb = singular.slope_delta_bic
+    sr = singular.slope_delta_rlct
+    rb = regular.slope_delta_bic
+    rr = regular.slope_delta_rlct
     ok = (
         -1.15 <= sb <= -0.85
         and -0.15 <= sr <= 0.15
@@ -143,8 +143,8 @@ def test_criterion_6_dictionary_invariance(dict_result):
     within 0.15 of +1.5; and the equal-fit gap at n = 200 is exactly
     1.5 log 200, reproducing the reference 7.95 difference."""
     gaps = dict_result.dict_gap_slopes
-    exact_slope = gaps["exact_gap"].slope
-    bic_slope = gaps["bic_gap"].slope
+    exact_slope = gaps["exact_gap"]
+    bic_slope = gaps["bic_gap"]
     table = dict_result.dict_table
     table_gap = table["bic_minimal"] - table["bic_overcomplete"]
     identity = 1.5 * math.log(200)

@@ -298,8 +298,8 @@ class TestMain:
 
 
 _PLOT_TSV_HEADERS = {
-    "fig1_rank_sweep": ["rank", "slope_bic", "slope_rlct", "stderr_bic", "stderr_rlct"],
-    "lambda_vs_rank": ["rank", "lambda_hat", "lambda_analytic"],
+    "fig1_rank_sweep": ["rank", "slope_bic", "slope_rlct", "se_lambda"],
+    "lambda_vs_rank": ["rank", "lambda_hat", "se_lambda", "lambda_analytic"],
     "fig2_regular_error": ["n", "log_n", "delta_bic_mean", "delta_rlct_mean"],
     "fig3_singular_error": ["n", "log_n", "delta_bic_mean", "delta_rlct_mean"],
     "fig4_dict_evidence_gap": ["n", "log_n", "exact_gap_mean", "bic_gap_mean"],
@@ -348,9 +348,7 @@ class TestEmitPlotData:
         res = run_study(cfg)
         emit_plot_data(res, tmp_path)
         lines = (tmp_path / "fig1_rank_sweep.tsv").read_text().splitlines()
-        assert lines[0].split("\t") == [
-            "rank", "slope_bic", "slope_rlct", "stderr_bic", "stderr_rlct"
-        ]
+        assert lines[0].split("\t") == ["rank", "slope_bic", "slope_rlct", "se_lambda"]
         assert len(lines) == 3
 
     def test_regular_vs_singular_curves(self, tmp_path):

@@ -300,7 +300,7 @@ class TestMlFitTerm:
             assert max(gaps) < 15.0
             points.append((n, float(np.mean(gaps))))
         # far below the 1.5-per-log-n rate that separate penalties would add
-        assert abs(fit_log_n_slope(points).slope) < 0.75
+        assert abs(fit_log_n_slope(points)) < 0.75
 
     def test_degenerate_data_rejected(self):
         with pytest.raises(ValueError):
@@ -329,7 +329,7 @@ class TestDictionaryComparison:
         for n in [50, 200, 800, 3200, 12800]:
             comp = dictionary_comparison(pair, n, seed=1)
             pts.append((n, comp.exact_minimal - comp.exact_overcomplete))
-        assert abs(fit_log_n_slope(pts).slope) < 0.1
+        assert abs(fit_log_n_slope(pts)) < 0.1
 
     def test_ml_variant_scores_use_own_fit(self):
         pair = make_dictionary_pair(8, 3, 6, seed=2)

@@ -17,7 +17,7 @@ import rankevidence
 import rankevidence.oracle as oracle
 from rankevidence import cli
 from rankevidence._linalg import spd_cholesky
-from rankevidence._rng import wishart_root
+from rankevidence._rng import substream, wishart_root
 from rankevidence.evidence import (
     GaussianLinearProblem,
     SufficientStatistics,
@@ -378,20 +378,63 @@ class TestVerifyByDimension:
         assert len(stacks) == 2 + 20 + 2 + 20 + 3
         assert not any(isinstance(stack, SufficientStatistics) for stack in stacks)
 
-    def test_a_pass_holds_roots_not_rows(self):
+    # traced bytes a verify pass may hold outside its importance stacks
+    PEAK_BOUND = 1.6 * 2**20
+
+    @staticmethod
+    def _peak_outside_importance(monkeypatch) -> tuple[int, list]:
+        """The traced peak of a verify pass, and its checks, with the
+        importance stacks left out: the peak restarts after each
+        importance_log_weights call, and the peak before each call is kept.
+        Those stacks hold 2,000 samples a member whatever the problems'
+        rows, so they would hide what the problems hold."""
+        peaks = []
+
+        def unmetered(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            weights = importance_log_weights(*args, **kwargs)
+            tracemalloc.reset_peak()
+            return weights
+
+        monkeypatch.setattr(cli, "importance_log_weights", unmetered)
+        tracemalloc.start()
+        try:
+            checks = cli.run_verification()
+            return max(peaks + [tracemalloc.get_traced_memory()[1]]), checks
+        finally:
+            tracemalloc.stop()
+
+    def test_a_pass_holds_roots_not_rows(self, monkeypatch):
         """A pass holds its 320 problems as Wishart roots of d + 1 rows, at
-        most 21, not as their up to 1,000 rows of data: the traced peak is
-        2.31 MiB, most of it the importance stacks of 6 and 7 members."""
+        most 21, not as their up to 1,000 rows of data: outside the
+        importance stacks the traced peak is 1.41-1.44 MiB (the whole
+        pass's, stacks included, is 2.31 MiB)."""
         problems = [p for group in _all_verify_problems() for p in group]
         assert all(len(p.y) == p.d + 1 for p in problems)
         assert max(len(p.y) for p in problems) == 21
-        tracemalloc.start()
-        try:
-            cli.run_verification()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 2**20, peak
+        peak, checks = self._peak_outside_importance(monkeypatch)
+        assert all(passed for *_, passed in checks)
+        assert peak < self.PEAK_BOUND, peak
+
+    def test_a_pass_on_rows_of_data_breaks_the_peak_bound(self, monkeypatch):
+        """The same pass with its MAP-Laplace and importance problems drawn
+        as rows of data (``_rows_problem``, from the scalars random_problem
+        draws) passes its checks but holds those rows: its peak outside the
+        importance stacks, 9.5 MiB, is far above the bound.  The quadrature
+        problems stay roots, since the record check stacks their rows."""
+        def rows_problem(rng, max_d, max_n, min_n=2):
+            if max_d == 2:
+                return random_problem(rng, max_d, max_n, min_n)
+            d = int(rng.integers(1, max_d + 1))
+            n = int(rng.integers(max(min_n, 2), max_n + 1))
+            sigma2, tau2 = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))
+            c = rng.uniform(0.5, 2.0)
+            return _rows_problem(rng, d, n, sigma2, tau2, c, math.sqrt(tau2) * rng.standard_normal(d))
+
+        monkeypatch.setattr(cli, "random_problem", rows_problem)
+        peak, checks = self._peak_outside_importance(monkeypatch)
+        assert all(passed for *_, passed in checks)
+        assert peak > 4 * self.PEAK_BOUND, peak
 
     def test_the_record_check_is_one_call_per_d(self, monkeypatch):
         """The evidence records of the 100 quadrature problems come from one
@@ -468,6 +511,21 @@ class TestOraclesOnStudyCells:
                     assert abs(est - record.log_z_exact) < 1e-12 * n
 
 
+def _widened_log_weights(stats, n_samples: int, seed: int, scale: float) -> np.ndarray:
+    """Log importance weights under N(mu, scale^2 precision^-1), the exact
+    posterior widened by ``scale``, from the normals importance_log_weights
+    draws for ``seed``: a proposal whose weights vary, so the estimator and
+    its stderr (importance_estimate) are tested on more than a constant."""
+    post = posterior(stats)
+    d = len(post.mean)
+    z = substream(seed, "importance").standard_normal((n_samples, d))
+    thetas = post.mean + scale * np.linalg.solve(post.chol.T, z.T).T
+    # theta = mu + scale L^-T z: density N(z) det(L) / scale^d
+    log_proposal = (-0.5 * d * math.log(2 * math.pi) - d * math.log(scale)
+                    + np.sum(np.log(np.diag(post.chol))) - 0.5 * np.sum(z * z, axis=1))
+    return log_joint(stats, thetas) - log_proposal
+
+
 class TestImportanceSampling:
     def test_conjugate_proposal_weights_are_degenerate(self):
         """The proposal equals the posterior, so log weights are constant:
@@ -490,9 +548,7 @@ class TestImportanceSampling:
         rng = np.random.default_rng(4)
         for i in range(5):
             prob = random_problem(rng, max_d=4, max_n=60, min_n=5)
-            est, stderr = importance_log_evidence(
-                prob, 20_000, seed=i, proposal_scale=2.0
-            )
+            est, stderr = importance_estimate(_widened_log_weights(prob, 20_000, i, 2.0))
             assert stderr > 0
             assert abs(est - exact_log_evidence(prob)) <= 4 * stderr
 
@@ -500,8 +556,8 @@ class TestImportanceSampling:
         """1e3 vs 1e5 samples: stderr should drop by roughly sqrt(100)."""
         rng = np.random.default_rng(5)
         prob = random_problem(rng, max_d=3, max_n=40, min_n=5)
-        _, se_small = importance_log_evidence(prob, 1000, seed=7, proposal_scale=2.0)
-        _, se_big = importance_log_evidence(prob, 100_000, seed=7, proposal_scale=2.0)
+        _, se_small = importance_estimate(_widened_log_weights(prob, 1000, 7, 2.0))
+        _, se_big = importance_estimate(_widened_log_weights(prob, 100_000, 7, 2.0))
         ratio = se_small / se_big
         assert 4.0 < ratio < 25.0
 
